@@ -33,12 +33,15 @@ from .expalg import ExpSum, Slot, SlotSpec
 from .gerbe import (
     FiberFunction,
     GammaElement,
+    check_cases,
     coordinate_window,
     ctilde,
     gamma_inverse,
     gamma_mul,
     heisenberg_cocycle,
+    nonzero,
     rho_act,
+    sample_window,
 )
 from .moyal_oracle import taylor_expand, taylor_star_oracle
 from .picard import (
@@ -55,7 +58,6 @@ from .picard import (
     obstruction0,
     qah_factor,
     reduce_to_qah,
-    validate_ns,
     validate_semicharacter,
 )
 from .poincare import (
@@ -109,19 +111,46 @@ def _reject_float(value):
 
 
 def _grat(value) -> GRat:
-    if isinstance(value, int):
-        return GRat.of(value)
-    if isinstance(value, str):
-        return GRat.parse(value)
+    try:
+        if isinstance(value, int):
+            return GRat.of(value)
+        if isinstance(value, str):
+            return GRat.parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad complex rational {value!r}: {exc}")
     raise ConfigError(f"expected an exact complex rational, got {value!r}")
 
 
 def _rational(value):
-    if isinstance(value, int):
-        return Q(value)
-    if isinstance(value, str):
-        return Q(value)
+    if isinstance(value, (int, str)):
+        try:
+            return Q(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad rational {value!r}: {exc}")
     raise ConfigError(f"expected an exact rational, got {value!r}")
+
+
+def _int(value, what: str, low: int) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or n < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return n
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list")
+    return value
+
+
+def _vectors(rows, n: int, what: str) -> tuple:
+    """A list of n-component lists of exact complex rationals."""
+    if any(not isinstance(r, list) or len(r) != n for r in _list(rows, what)):
+        raise ConfigError(f"{what} must list vectors of {n} components")
+    return tuple(tuple(_grat(e) for e in r) for r in rows)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -135,16 +164,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("configuration must be an object with a 'torus' field")
     t = raw["torus"]
     try:
-        g = int(t["g"])
-        order = int(t.get("order", 4))
-        if order < 2:
-            raise ConfigError("truncation order must be >= 2")
-        lattice = tuple(
-            tuple(_grat(e) for e in vec) for vec in t["lattice"]
-        )
-        poisson = tuple(
-            tuple(_grat(e) for e in row) for row in t["poisson"]
-        )
+        g = _int(t["g"], "g", 1)
+        order = _int(t.get("order", 4), "truncation order", 2)
+        lattice = _vectors(t["lattice"], g, "lattice")
+        poisson = _vectors(t["poisson"], g, "poisson")
         torus = TorusData(g, lattice, poisson, order)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad torus block: {exc}")
@@ -156,42 +179,42 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"degenerate torus: {exc}")
 
     bundles = []
-    for i, b in enumerate(raw.get("bundles", [])):
+    for i, b in enumerate(_list(raw.get("bundles", []), "bundles")):
+        if not isinstance(b, dict) or "H" not in b:
+            raise ConfigError(f"bundle {i} must be an object with an 'H' field")
         name = b.get("name", f"bundle{i}")
-        ns = NSData(tuple(tuple(_grat(e) for e in row) for row in b["H"]))
+        matrix = _vectors(b["H"], g, f"bundle {name}: H")
+        if len(matrix) != g:
+            raise ConfigError(f"bundle {name}: H must be g x g")
+        ns = NSData(matrix)
         chi_angles = b.get("chi", ["0"] * (2 * g))
-        if len(chi_angles) != 2 * g:
+        if not isinstance(chi_angles, list) or len(chi_angles) != 2 * g:
             raise ConfigError(f"bundle {name}: chi must list 2g angles")
         chi = Semicharacter(
             tuple(CircleConst.of(_rational(a)) for a in chi_angles)
         )
-        l = tuple(
-            tuple(_grat(e) for e in vec) for vec in b.get("l", [])
-        )
+        l = _vectors(b.get("l", []), g, f"bundle {name}: l")
         if len(l) > order - 1:
             raise ConfigError(f"bundle {name}: l-series longer than order-1")
-        if any(len(vec) != g for vec in l):
-            raise ConfigError(f"bundle {name}: l entries must have g components")
         if not ns.is_hermitian():
             raise ConfigError(f"bundle {name}: H is not Hermitian")
-        if not validate_ns(ns, torus):
-            raise ConfigError(f"bundle {name}: Im H not integral on the lattice")
         if not validate_semicharacter(ns, chi, torus):
-            raise ConfigError(f"bundle {name}: semicharacter identity fails")
+            raise ConfigError(f"bundle {name}: Im H not integral on the lattice")
         bundles.append(Bundle(name, ns, chi, l, b.get("quantizable")))
 
-    checks = raw.get("checks", list(SUITES))
+    checks = _list(raw.get("checks", list(SUITES)), "checks")
     for c in checks:
         if c not in SUITES:
             raise ConfigError(f"unknown suite {c!r}")
-    window = int(raw.get("window", 1))
-    env = os.environ.get("NCT_WINDOW")
-    if env:
-        window = int(env)
+    window = _int(raw.get("window", 1), "window", 0)
     sections = []
-    for sec in raw.get("sections", []):
-        pt = tuple(_grat(e) for e in sec["s"])
-        lser = tuple(tuple(_grat(e) for e in vec) for vec in sec.get("l", []))
+    for i, sec in enumerate(_list(raw.get("sections", []), "sections")):
+        if not isinstance(sec, dict) or "s" not in sec:
+            raise ConfigError(f"section {i} must be an object with an 's' field")
+        (pt,) = _vectors([sec["s"]], g, f"section {i}: s")
+        lser = _vectors(sec.get("l", []), g, f"section {i}: l")
+        if len(lser) > order - 1:
+            raise ConfigError(f"section {i}: l-series longer than order-1")
         sections.append((pt, lser))
     return RunConfig(
         raw.get("name", "run"), torus, bundles, checks, window, sections
@@ -206,6 +229,12 @@ def _record(name, status, **extra):
     rec = {"name": name, "status": status}
     rec.update(extra)
     return rec
+
+
+def _check_record(name, rep):
+    """The record of a ``check_cases`` report, its failing case as text."""
+    failing = rep["failing"]
+    return _record(name, **{**rep, "failing": str(failing) if failing else None})
 
 
 def suite_torus(cfg: RunConfig):
@@ -270,20 +299,8 @@ def suite_qpic(cfg: RunConfig):
             continue
         data = QAHData(b.ns, b.chi, b.l)
         f = qah_factor(data, torus).cached()
-        failing = None
-        pairs = lattice_pairs(f.group, cfg.window)
-        for a, c in pairs:
-            if not cocycle_holds(f, a, c):
-                failing = (a, c)
-                break
-        out.append(
-            _record(
-                f"qpic:{b.name}:cocycle",
-                "PASS" if failing is None else "FAIL",
-                pairs=len(pairs),
-                failing=failing,
-            )
-        )
+        rep = check_cases(lattice_pairs(f.group, cfg.window), lambda p: cocycle_holds(f, *p), "pairs")
+        out.append(_record(f"qpic:{b.name}:cocycle", **rep))
         try:
             table = extension_obstruction(f, torus.order - 2, radius=1)
             flat = all(p.is_zero() for p in table.values())
@@ -342,14 +359,7 @@ def suite_poincare(cfg: RunConfig):
 def suite_convolution(cfg: RunConfig):
     ctx = make_context(cfg.torus)
     rep = convolution_window_report(ctx, radius=cfg.window)
-    return [
-        _record(
-            "convolution:kernel-identity",
-            rep["status"],
-            checked=rep["checked"],
-            failing=str(rep["failing"]) if rep["failing"] else None,
-        )
-    ]
+    return [_check_record("convolution:kernel-identity", rep)]
 
 
 def suite_gerbe(cfg: RunConfig):
@@ -362,15 +372,6 @@ def suite_gerbe(cfg: RunConfig):
 
     # 2-cocycle identity
     window = coordinate_window(rank, cfg.window)
-    if len(window) ** 3 <= 30000:
-        triples = [(a, b, c) for a in window for b in window for c in window]
-    else:
-        sparse = [w for w in window if sum(1 for x in w if x) <= 1]
-        triples = [(a, b, c) for a in sparse for b in sparse for c in sparse]
-        triples += [
-            (rng.choice(window), rng.choice(window), rng.choice(window))
-            for _ in range(500)
-        ]
     cache = {}
 
     def coc(x, y):
@@ -381,21 +382,15 @@ def suite_gerbe(cfg: RunConfig):
             cache[key] = v
         return v
 
-    failing = None
-    for a, b, c in triples:
+    def cocycle_identity(t):
+        a, b, c = t
         ab = tuple(x + y for x, y in zip(a, b))
         bc = tuple(x + y for x, y in zip(b, c))
-        if coc(a, b) * coc(ab, c) != coc(b, c) * coc(a, bc):
-            failing = (a, b, c)
-            break
-    out.append(
-        _record(
-            "gerbe:cocycle-identity",
-            "PASS" if failing is None else "FAIL",
-            triples=len(triples),
-            failing=str(failing) if failing else None,
-        )
-    )
+        return coc(a, b) * coc(ab, c) == coc(b, c) * coc(a, bc)
+
+    triples = sample_window([window] * 3, 30000, 1, 500, rng, per_part=True)
+    rep = check_cases(triples, cocycle_identity, "triples")
+    out.append(_check_record("gerbe:cocycle-identity", rep))
 
     # group law
     zs = (
@@ -420,26 +415,11 @@ def suite_gerbe(cfg: RunConfig):
     # rho composition: compare on a sparse offset set, with the fiber
     # support built per pair to contain exactly the shifts both routes need
     s = tuple(random_grat(rng) for _ in range(torus.g))
-    compare = [
-        o for o in coordinate_window(rank, cfg.window) if sum(1 for x in o if x) <= 1
-    ]
-    elems = [
-        GammaElement(x, z)
-        for x in coordinate_window(rank, cfg.window)
-        for z in zs
-    ]
-    if len(elems) ** 2 > 4000:
-        elem_pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(400)]
-        elem_pairs += [
-            (a, b)
-            for a in elems
-            for b in elems
-            if sum(1 for x in a.xi if x) + sum(1 for x in b.xi if x) <= 1
-        ]
-    else:
-        elem_pairs = [(a, b) for a in elems for b in elems]
-    failing = None
-    for a, b in elem_pairs:
+    compare = [o for o in window if nonzero(o) <= 1]
+    elems = [(x, z) for x in window for z in zs]
+
+    def rho_composes(pair):
+        a, b = (GammaElement(*e) for e in pair)
         support = set(compare)
         for o in compare:
             o1 = tuple(x - y for x, y in zip(o, b.xi))
@@ -451,17 +431,12 @@ def suite_gerbe(cfg: RunConfig):
         rhs = rho_act(gamma_mul(b, a, B, order), f, B, order)
         dl, dr = dict(lhs.values), dict(rhs.values)
         common = (set(dl) & set(dr)) & set(compare)
-        if not common or any(dl[o] != dr[o] for o in common):
-            failing = (a.xi, b.xi)
-            break
-    out.append(
-        _record(
-            "gerbe:rho-composition",
-            "PASS" if failing is None else "FAIL",
-            pairs=len(elem_pairs),
-            failing=str(failing) if failing else None,
-        )
-    )
+        return bool(common) and all(dl[o] == dr[o] for o in common)
+
+    rep = check_cases(sample_window([elems] * 2, 4000, 1, 400, rng), rho_composes, "pairs")
+    if rep["failing"]:  # name the failing pair by its two xi
+        rep["failing"] = (rep["failing"][0][0], rep["failing"][1][0])
+    out.append(_check_record("gerbe:rho-composition", rep))
 
     # ctilde restriction and additivity
     basis = B.basis
@@ -595,14 +570,7 @@ def suite_cohomology(cfg: RunConfig):
     ctx = make_context(torus)
     for i, (s, ls) in enumerate(cfg.sections):
         data, rep = restrict_to_section(ctx, s, ls, radius=cfg.window)
-        out.append(
-            _record(
-                f"cohomology:section-{i}-iota",
-                rep["status"],
-                checked=rep["checked"],
-                failing=str(rep["failing"]) if rep["failing"] else None,
-            )
-        )
+        out.append(_check_record(f"cohomology:section-{i}-iota", rep))
     return out
 
 
@@ -652,7 +620,7 @@ def main():
 @main.command("run")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--suite", "suites", multiple=True, help="run only the named suites")
-@click.option("--window", type=int, default=None, help="override window radius")
+@click.option("--window", default=None, help="override window radius (default: NCT_WINDOW, then the file)")
 @click.option("--order", type=int, default=None, help="override truncation order")
 @click.option("--out", type=click.Path(), default=None, help="write the JSON report here")
 def run_cmd(config, suites, window, order, out):
@@ -660,24 +628,21 @@ def run_cmd(config, suites, window, order, out):
     try:
         with open(config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
+        for s in suites:
+            if s not in SUITES:
+                raise ConfigError(f"unknown suite {s!r}")
+        cfg.checks = list(suites) or cfg.checks
+        # the effective window: --window, then NCT_WINDOW, then the file
+        if window is None:
+            window = os.environ.get("NCT_WINDOW") or None
+        if window is not None:
+            cfg.window = _int(window, "window", 0)
+        if order is not None:
+            t = cfg.torus
+            cfg.torus = TorusData(t.g, t.lattice, t.poisson, _int(order, "order", 2))
     except (ConfigError, OSError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    if suites:
-        for s in suites:
-            if s not in SUITES:
-                click.echo(f"config error: unknown suite {s!r}", err=True)
-                sys.exit(2)
-        cfg.checks = list(suites)
-    if window is not None:
-        cfg.window = window
-    if order is not None:
-        if order < 2:
-            click.echo("config error: order must be >= 2", err=True)
-            sys.exit(2)
-        cfg.torus = TorusData(
-            cfg.torus.g, cfg.torus.lattice, cfg.torus.poisson, order
-        )
     report = run(cfg)
     payload = json.dumps(report, indent=2, default=str)
     if out:

@@ -45,6 +45,7 @@ __all__ = [
     "GRAT_ZERO",
     "GRAT_ONE",
     "GRAT_I",
+    "I_POWERS",
     "PI_ZERO",
     "PI_ONE",
     "CIRCLE_ONE",
@@ -248,7 +249,7 @@ GRAT_ZERO = GRat(Q(0), Q(0))
 GRAT_ONE = GRat(Q(1), Q(0))
 GRAT_I = GRat(Q(0), Q(1))
 
-_I_POWERS = (GRAT_ONE, GRAT_I, -GRAT_ONE, -GRAT_I)
+I_POWERS = (GRAT_ONE, GRAT_I, -GRAT_ONE, -GRAT_I)  # i^k for k = 0..3
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,7 @@ class CircleConst:
     def as_grat(self):
         """The value as a GRat when q is a multiple of 1/2, else None."""
         k, r = self.quarter_turns()
-        return _I_POWERS[k] if r == 0 else None
+        return I_POWERS[k] if r == 0 else None
 
     def __str__(self) -> str:
         return f"u({_rat_str(self.q)})"
@@ -624,7 +625,7 @@ class Scalar:
     def of(unit: CircleConst, series: HbarSeries) -> "Scalar":
         k, r = unit.quarter_turns()
         if k:
-            series = series.scale(_I_POWERS[k])
+            series = series.scale(I_POWERS[k])
         return Scalar(CircleConst(r), series)
 
     @staticmethod

@@ -24,10 +24,9 @@ exact).  The result must equal the B-field matrix of the torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .coeff import GRAT_ZERO, CoeffError, GRat, Q
-from .torus import BForm, DualLatticeBasis, TorusData, bfield, dual_lattice, pairing
+from .torus import TorusData, dual_lattice, gaussian_product_torus, pairing
 
 __all__ = [
     "ExtClass",
@@ -195,22 +194,6 @@ def fm_transform(alpha: ExtClass, torus: TorusData, reverse: bool = False) -> Ex
     return _integrate_block(exp_c1(torus).wedge(alpha), block)
 
 
-def _square_gaussian_torus(g: int, order: int = 2) -> TorusData:
-    lat = []
-    for i in range(g):
-        for im in (0, 1):
-            lat.append(
-                tuple(
-                    GRat.of(0 if j != i else (0 if im else 1), 0 if j != i or not im else 1)
-                    for j in range(g)
-                )
-            )
-    zero = GRAT_ZERO
-    poisson = tuple(tuple(zero for _ in range(g)) for _ in range(g))
-    # interleaved (1, i) per coordinate
-    return TorusData(g, tuple(lat), poisson, order)
-
-
 def fm_square_table(g: int) -> dict:
     """Compose the two transforms on every basis class and compare with
     pullback by (-1) times a per-degree sign.
@@ -221,7 +204,7 @@ def fm_square_table(g: int) -> dict:
     """
     if g > 3:
         raise CoeffError("fm_square_table is intended for g <= 3")
-    torus = _square_gaussian_torus(g)
+    torus = gaussian_product_torus(g, order=2)
     two_g = 2 * g
     n = 4 * g
     from itertools import combinations

@@ -34,8 +34,8 @@ Im H on lattice pairs.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-
 from math import comb
 
 from .coeff import (
@@ -59,7 +59,7 @@ from .expalg import (
     star_inverse,
     translate,
 )
-from .gerbe import coordinate_window
+from .gerbe import coordinate_window, sample_window
 from .linalg import rat_solve
 from .torus import TorusData, pairing
 
@@ -208,38 +208,10 @@ class Factor:
         """Pull the factor back along translation by w on one slot."""
         return Factor(self.group, lambda e: translate(self.value(e), slot_name, w))
 
-    def tabulated(self, elements) -> "Factor":
-        table = {e: self.value(e) for e in elements}
-        def fn(e):
-            if e not in table:
-                raise CoeffError("element outside the tabulated window")
-            return table[e]
-        return Factor(self.group, fn)
 
-
-def lattice_pairs(grp: LatticeGroup, radius: int = 1, max_exhaustive: int = 20000, extra: int = 300):
-    """Window-pair enumeration mirroring the Poincare strategy: exhaustive
-    when affordable, else all pairs with at most two nonzero coordinates
-    in total plus a fixed-seed sample of unrestricted pairs."""
-    import random
-
-    window = grp.window(radius)
-    if len(window) ** 2 <= max_exhaustive:
-        return [(a, b) for a in window for b in window]
-    def nnz(t):
-        return sum(1 for c in t if c)
-    pairs = []
-    for a in window:
-        na = nnz(a)
-        if na > 2:
-            continue
-        for b in window:
-            if na + nnz(b) <= 2:
-                pairs.append((a, b))
-    rng = random.Random(171)
-    for _ in range(extra):
-        pairs.append((rng.choice(window), rng.choice(window)))
-    return pairs
+def lattice_pairs(grp: LatticeGroup, radius: int = 1):
+    """Window pairs for the cocycle check (policy: ``sample_window``)."""
+    return sample_window([grp.window(radius)] * 2, 20000, 2, 300, random.Random(171))
 
 
 def cocycle_defect(factor: Factor, e1, e2) -> ExpSum:
@@ -313,24 +285,26 @@ def semicharacter_value(
     return CircleConst.of(q)
 
 
-def validate_semicharacter(ns: NSData, chi: Semicharacter, torus: TorusData, radius: int = 1) -> bool:
-    """True iff the extended chi satisfies
-    chi(a+b) = chi(a) chi(b) exp(pi i Im H(lam_a, lam_b)) on window pairs."""
-    if not validate_ns(ns, torus):
-        return False
-    grp_window = coordinate_window(2 * torus.g, radius)
-    grp = LatticeGroup(torus, lattice_slotspec(torus))
-    imt = _im_table(ns, torus)
-    vec = {a: grp.vector(a) for a in grp_window}
-    chi_at = {a: semicharacter_value(ns, chi, torus, a, imt) for a in grp_window}
-    for a in grp_window:
-        for b in grp_window:
-            lhs = semicharacter_value(ns, chi, torus, grp.compose(a, b), imt)
-            e = ns.value(vec[a], vec[b]).im
-            rhs = chi_at[a] * chi_at[b] * CircleConst.of(e)
-            if lhs != rhs:
-                return False
-    return True
+def validate_semicharacter(ns: NSData, chi: Semicharacter, torus: TorusData) -> bool:
+    """True iff Im H is integral on the lattice and the extended chi
+    satisfies the semicharacter identity
+
+        chi(a+b) = chi(a) chi(b) exp(pi i Im H(lam_a, lam_b))
+
+    on all lattice pairs.  The identity follows from integrality, so this
+    is ``validate_ns``.
+
+    Proof.  Write E = Im H on generators; it is antisymmetric because H
+    is Hermitian.  For integer coordinates a and b, ``semicharacter_value``
+    gives chi(a+b) the exponent sum_k chi_k (a_k + b_k) + sum_{k<m}
+    (a_k + b_k)(a_m + b_m) E_km, and the right side has the exponent of
+    chi(a) plus that of chi(b) plus sum_{k,m} a_k b_m E_km.  Their
+    difference is sum_{k<m} (a_k b_m + b_k a_m) E_km - sum_{k,m} a_k b_m
+    E_km = 2 sum_{k<m} a_m b_k E_km, using E_kk = 0 and E_mk = -E_km.  So
+    the two sides differ by exp(pi i * 2 sum_{k<m} a_m b_k E_km), which is
+    1 when E is integral.
+    """
+    return validate_ns(ns, torus)
 
 
 # ---------------------------------------------------------------------------
@@ -435,29 +409,27 @@ def extension_obstruction(factor: Factor, n: int, radius: int = 1):
     a defect at some order <= n.
     """
     grp = factor.group
-    win = grp.window(radius)
-    if len(win) ** 2 > 4000:
-        win = [w for w in win if sum(1 for c in w if c) <= 2]
+    pairs = sample_window([grp.window(radius)] * 2, 4000, 2, 0, None, per_part=True)
+    win = list(dict.fromkeys(a for a, _ in pairs))
     table = {}
-    for a in win:
-        for b in win:
-            d = cocycle_defect(factor, a, b)
-            t = d.single_term()
-            if any(c for s in t.form.coeffs for c in s) or t.form.const_pi:
-                raise CoeffError("defect is not scalar: not a cocycle mod h")
-            if not t.coeff.unit.is_one():
-                raise CoeffError("defect has a unit part: not a cocycle mod h")
-            series = t.coeff.series
-            if series.coeffs[0] != PiPoly.pi_power(0):
-                raise CoeffError("defect does not reduce to 1 mod h")
-            for k in range(1, min(n + 1, series.order)):
-                if series.coeffs[k]:
-                    raise CoeffError(
-                        f"defect already present at order h^{k} <= h^{n}"
-                    )
-            table[(a, b)] = (
-                series.coeffs[n + 1] if n + 1 < series.order else PiPoly.pi_power(0, GRAT_ZERO)
-            )
+    for a, b in pairs:
+        d = cocycle_defect(factor, a, b)
+        t = d.single_term()
+        if any(c for s in t.form.coeffs for c in s) or t.form.const_pi:
+            raise CoeffError("defect is not scalar: not a cocycle mod h")
+        if not t.coeff.unit.is_one():
+            raise CoeffError("defect has a unit part: not a cocycle mod h")
+        series = t.coeff.series
+        if series.coeffs[0] != PiPoly.pi_power(0):
+            raise CoeffError("defect does not reduce to 1 mod h")
+        for k in range(1, min(n + 1, series.order)):
+            if series.coeffs[k]:
+                raise CoeffError(
+                    f"defect already present at order h^{k} <= h^{n}"
+                )
+        table[(a, b)] = (
+            series.coeffs[n + 1] if n + 1 < series.order else PiPoly.pi_power(0, GRAT_ZERO)
+        )
     # closedness on triples whose partial sums stay inside the window
     win_set = set(win)
     for a in win:

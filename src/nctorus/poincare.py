@@ -29,6 +29,7 @@ twisting one into the other, returning canonical degree-zero data.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -46,8 +47,16 @@ from .coeff import (
     series_exp,
 )
 from .expalg import AffineMap, ExpSum, LinForm, Slot, SlotSpec, star_inverse, substitute, translate
-from .gerbe import coordinate_window, ctilde, heisenberg_cocycle
-from .picard import Factor, NSData, QAHData, Semicharacter, coboundary_twist, lattice_slotspec
+from .gerbe import check_cases, coordinate_window, ctilde, heisenberg_cocycle, nonzero, sample_window
+from .picard import (
+    Factor,
+    NSData,
+    QAHData,
+    Semicharacter,
+    coboundary_twist,
+    cocycle_holds,
+    lattice_slotspec,
+)
 from .torus import BForm, DualLatticeBasis, TorusData, bfield, dual_lattice, pairing
 
 __all__ = [
@@ -219,36 +228,9 @@ def poincare_dual_factor(ctx: PoincareContext) -> Factor:
 # the cocycle report
 
 
-def _nnz(coords) -> int:
-    return sum(1 for c in coords if c)
-
-
-def cocycle_pairs(grp: PoincareGroup, radius: int, z_choices, max_exhaustive: int = 40000):
-    """Pair enumeration for the cocycle check.
-
-    Exhaustive when the full window squared fits the budget.  Otherwise:
-    every pair with at most two nonzero generator coordinates in total
-    (the defect exponents are quadratic in the coordinates, so these
-    already pin every affine and bilinear coefficient), topped up with a
-    fixed-seed sample of unrestricted window pairs.
-    """
-    import random
-
-    window = grp.window(radius, z_choices)
-    if len(window) * len(window) <= max_exhaustive:
-        return [(a, b) for a in window for b in window]
-    pairs = []
-    nnz = [_nnz(w[0]) + _nnz(w[1]) for w in window]
-    for a, na in zip(window, nnz):
-        if na > 2:
-            continue
-        for b, nb in zip(window, nnz):
-            if na + nb <= 2:
-                pairs.append((a, b))
-    rng = random.Random(170)
-    for _ in range(500):
-        pairs.append((rng.choice(window), rng.choice(window)))
-    return pairs
+def cocycle_pairs(grp: PoincareGroup, radius: int, z_choices):
+    """Pairs for the cocycle check (policy: ``gerbe.sample_window``)."""
+    return sample_window([grp.window(radius, z_choices)] * 2, 40000, 2, 500, random.Random(170))
 
 
 def verify_poincare_cocycle(
@@ -261,85 +243,46 @@ def verify_poincare_cocycle(
         z_choices = _default_z_choices(ctx.torus.order)
     factor = poincare_factor(ctx).cached()
     grp = factor.group
-    one = ExpSum.one(ctx.spec2)
-    report = {}
-
-    pairs = cocycle_pairs(grp, radius, z_choices)
-    failing = None
-    from .picard import cocycle_holds
-
-    for a, b in pairs:
-        if not cocycle_holds(factor, a, b):
-            failing = (a, b)
-            break
-    report["cocycle"] = {
-        "status": "PASS" if failing is None else "FAIL",
-        "pairs": len(pairs),
-        "failing": failing,
+    report = {
+        "cocycle": check_cases(
+            cocycle_pairs(grp, radius, z_choices), lambda p: cocycle_holds(factor, *p), "pairs"
+        )
     }
 
-    # needtoshow: c(x1,x2) E(pi conj<x1+x2, v>) = E(pi conj<x2,v>) * E(pi conj<x1,v>)
     coords = coordinate_window(grp.rank, radius)
-    fail2 = None
-    fail3 = None
-    for x1 in coords:
-        xi1 = grp.dual_vector(x1)
-        for x2 in coords:
-            xi2 = grp.dual_vector(x2)
-            lhs = _v_exp(ctx, tuple(a + b for a, b in zip(xi1, xi2))).scale(
-                heisenberg_cocycle(ctx.B, x1, x2, ctx.torus.order)
-            )
-            rhs = _v_exp(ctx, xi2).star(_v_exp(ctx, xi1))
-            if lhs != rhs:
-                fail2 = (x1, x2)
-                break
-            # showme: {f_xi2, f_xi1} = pi^2 B(xi2, xi1)
-            br = _conj_bracket(ctx, xi2, xi1)
-            if br != ctx.B.value(xi2, xi1):
-                fail3 = (x1, x2)
-                break
-        if fail2 or fail3:
-            break
-    report["needtoshow"] = {
-        "status": "PASS" if fail2 is None else "FAIL",
-        "pairs": len(coords) ** 2,
-        "failing": fail2,
-    }
-    report["poisson_to_bfield"] = {
-        "status": "PASS" if fail3 is None else "FAIL",
-        "failing": fail3,
-    }
+    pairs = list(iproduct(coords, coords))
+    xi = {x: grp.dual_vector(x) for x in coords}
 
-    # the unsimplified first line: split constants agree on lattice pairs
-    fails = None
-    for m in coords:
-        lam = grp.lattice_vector(m)
-        for x in coords:
-            xi = grp.dual_vector(x)
-            p = pairing(xi, lam)
-            if p.im.denominator != 1:
-                fails = (m, x, "Im pairing not integral")
-                break
-            split = Scalar.from_circle(
-                ctx.torus.order, CircleConst.of(p.im)
-            )
-            direct = ExpSum.exponential(
-                ctx.spec2, LinForm(ctx.spec2.zero_form().coeffs, p, None)
-            )
-            recombined = ExpSum.exponential(
-                ctx.spec2,
-                LinForm(ctx.spec2.zero_form().coeffs, GRat(p.re, Q(0)), None),
-                split,
-            )
-            if direct != recombined:
-                fails = (m, x, "split mismatch")
-                break
-        if fails:
-            break
-    report["psfa_split"] = {
-        "status": "PASS" if fails is None else "FAIL",
-        "failing": fails,
-    }
+    def needtoshow(p):
+        # c(x1,x2) E(pi conj<x1+x2, v>) = E(pi conj<x2,v>) * E(pi conj<x1,v>)
+        x1, x2 = p
+        lhs = _v_exp(ctx, tuple(a + b for a, b in zip(xi[x1], xi[x2]))).scale(
+            heisenberg_cocycle(ctx.B, x1, x2, ctx.torus.order)
+        )
+        return lhs == _v_exp(ctx, xi[x2]).star(_v_exp(ctx, xi[x1]))
+
+    def showme(p):
+        # {f_xi2, f_xi1} = pi^2 B(xi2, xi1)
+        xi1, xi2 = xi[p[0]], xi[p[1]]
+        return _conj_bracket(ctx, xi2, xi1) == ctx.B.value(xi2, xi1)
+
+    def split_agrees(p):
+        # the unsimplified first line: split constants agree on lattice pairs
+        m, x = p
+        q = pairing(xi[x], grp.lattice_vector(m))
+        if q.im.denominator != 1:
+            return False
+        zero = ctx.spec2.zero_form().coeffs
+        direct = ExpSum.exponential(ctx.spec2, LinForm(zero, q, None))
+        split = Scalar.from_circle(ctx.torus.order, CircleConst.of(q.im))
+        recombined = ExpSum.exponential(ctx.spec2, LinForm(zero, GRat(q.re, Q(0)), None), split)
+        return direct == recombined
+
+    report["needtoshow"] = check_cases(pairs, needtoshow, "pairs")
+    report["poisson_to_bfield"] = check_cases(pairs, showme)
+    del report["poisson_to_bfield"]["checked"]
+    report["psfa_split"] = check_cases(pairs, split_agrees)
+    del report["psfa_split"]["checked"]
 
     # negative control: flipped cocycle sign must fail at the first pair
     # whose B(xi2, xi1) is nonzero
@@ -512,57 +455,14 @@ def convolution_factor_check(ctx: PoincareContext, element) -> dict:
     }
 
 
-def convolution_window_report(
-    ctx: PoincareContext, radius: int = 1, z_choices=None, max_exhaustive: int = 10000
-) -> dict:
-    """Run the convolution identity over the triple window.
-
-    Exhaustive when the window fits the budget (the g = 1 case);
-    otherwise all tuples with at most two nonzero generator coordinates
-    plus a fixed-seed sample of unrestricted tuples.
-    """
-    import random as _random
-
+def convolution_window_report(ctx: PoincareContext, radius: int = 1, z_choices=None) -> dict:
+    """Run the convolution identity over the (m, x, z, mu) window
+    (policy: ``gerbe.sample_window``)."""
     if z_choices is None:
         z_choices = _default_z_choices(ctx.torus.order)
-    rank = 2 * ctx.torus.g
-    coords = coordinate_window(rank, radius)
-    total = len(coords) ** 3 * len(z_choices)
-    if total <= max_exhaustive:
-        elements = [
-            (m, x, z, mu)
-            for m in coords
-            for x in coords
-            for z in z_choices
-            for mu in coords
-        ]
-    else:
-        elements = [
-            (m, x, z, mu)
-            for m in coords
-            for x in coords
-            for mu in coords
-            if _nnz(m) + _nnz(x) + _nnz(mu) <= 2
-            for z in z_choices
-        ]
-        rng = _random.Random(173)
-        elements += [
-            (rng.choice(coords), rng.choice(coords), rng.choice(z_choices), rng.choice(coords))
-            for _ in range(300)
-        ]
-    checked = 0
-    failing = None
-    for element in elements:
-        res = convolution_factor_check(ctx, element)
-        checked += 1
-        if not res["equal"]:
-            failing = res
-            break
-    return {
-        "status": "PASS" if failing is None else "FAIL",
-        "checked": checked,
-        "failing": None if failing is None else failing["element"],
-    }
+    coords = coordinate_window(2 * ctx.torus.g, radius)
+    elements = sample_window([coords, coords, z_choices, coords], 10000, 2, 300, random.Random(173))
+    return check_cases(elements, lambda e: convolution_factor_check(ctx, e)["equal"])
 
 
 # ---------------------------------------------------------------------------
@@ -623,38 +523,19 @@ def restrict_to_section(
         vcoef = tuple(-a.conj() for a in w)
         return ExpSum.exponential(vspec, LinForm((vcoef,), GRAT_ZERO, None))
 
-    import random as _random
-
-    rank = 2 * g
-    coords = coordinate_window(rank, radius)
-    if len(coords) ** 2 <= 400:
-        elements = [(m, x) for m in coords for x in coords]
-    else:
-        elements = [
-            (m, x) for m in coords for x in coords if _nnz(m) + _nnz(x) <= 2
-        ]
-        rng = _random.Random(172)
-        elements += [(rng.choice(coords), rng.choice(coords)) for _ in range(200)]
-    offsets = [o for o in coordinate_window(rank, fiber_radius) if _nnz(o) <= 1]
-
-    failing = None
-    checked = 0
-    for e in elements:
+    def iota_twists(case):
+        e, o = case
         m, x = e
-        lam = grp.lattice_vector(m)
-        for o in offsets:
-            lhs = b_value(e, o)
-            ca = ca_value(e, o)
-            shifted = tuple(a + b for a, b in zip(o, x))
-            rhs = star_inverse(iota(o)).star(ca).star(
-                translate(iota(shifted), "v", lam)
-            )
-            checked += 1
-            if lhs != rhs:
-                failing = (e, o)
-                break
-        if failing:
-            break
+        shifted = tuple(a + b for a, b in zip(o, x))
+        rhs = star_inverse(iota(o)).star(ca_value(e, o)).star(
+            translate(iota(shifted), "v", grp.lattice_vector(m))
+        )
+        return b_value(e, o) == rhs
+
+    coords = coordinate_window(2 * g, radius)
+    elements = sample_window([coords, coords], 400, 2, 200, random.Random(172))
+    offsets = [o for o in coordinate_window(2 * g, fiber_radius) if nonzero(o) <= 1]
+    report = check_cases(list(iproduct(elements, offsets)), iota_twists)
 
     chi = Semicharacter(
         tuple(
@@ -664,10 +545,4 @@ def restrict_to_section(
     zero = GRAT_ZERO
     hzero = NSData(tuple(tuple(zero for _ in range(g)) for _ in range(g)))
     lout = tuple(tuple(lj) for lj in lseries)
-    data = QAHData(hzero, chi, lout)
-    report = {
-        "status": "PASS" if failing is None else "FAIL",
-        "checked": checked,
-        "failing": failing,
-    }
-    return data, report
+    return QAHData(hzero, chi, lout), report

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from .coeff import CIRCLE_ONE, CircleConst, GRat, HbarSeries, PiPoly, Q, Scalar
+from .coeff import CircleConst, GRat, HbarSeries, PiPoly, Q, Scalar
 from .expalg import ExpSum, LinForm, SlotSpec
 from .picard import NSData, QAHData, Semicharacter
-from .torus import TorusData
+from .torus import TorusData, gaussian_product_torus
 
 __all__ = [
     "random_rational",
@@ -101,15 +101,3 @@ def random_exp_term(rng, spec: SlotSpec, with_tail: bool = True) -> ExpSum:
         )
     coeff = random_unit_scalar(rng, spec.order) if with_tail else Scalar.one(spec.order)
     return ExpSum.exponential(spec, LinForm(coeffs, const, const_h), coeff)
-
-
-def gaussian_product_torus(g: int, poisson=None, order: int = 4) -> TorusData:
-    """The product of g square elliptic curves (Gaussian lattices)."""
-    lat = []
-    for i in range(g):
-        lat.append(tuple(GRat.of(1 if j == i else 0) for j in range(g)))
-        lat.append(tuple(GRat.of(0, 1 if j == i else 0) for j in range(g)))
-    if poisson is None:
-        zero = GRat.of(0)
-        poisson = tuple(tuple(zero for _ in range(g)) for _ in range(g))
-    return TorusData(g, tuple(lat), poisson, order)

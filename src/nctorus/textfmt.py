@@ -19,6 +19,7 @@ import re
 from .coeff import (
     CIRCLE_ONE,
     GRAT_ZERO,
+    I_POWERS,
     PI_ONE,
     CircleConst,
     CoeffError,
@@ -212,7 +213,7 @@ class _Parser:
         if k == "name" and v == "i":
             self.take()
             exp = self._maybe_power()
-            g = GRAT_I_POWER[exp % 4]
+            g = I_POWERS[exp % 4]
             return coeff.scale(g), form
         if k == "name" and v == "pi":
             self.take()
@@ -466,14 +467,6 @@ class _Parser:
             if si + 1 < len(self.spec.slots):
                 self.take("sym", "|")
         return LinForm(tuple(coeffs), GRAT_ZERO, None)
-
-
-GRAT_I_POWER = (
-    GRat.of(1),
-    GRat.of(0, 1),
-    GRat.of(-1),
-    GRat.of(0, -1),
-)
 
 
 def parse_expsum(text: str, spec: SlotSpec) -> ExpSum:

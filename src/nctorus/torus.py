@@ -34,6 +34,7 @@ __all__ = [
     "pairing",
     "dual_lattice",
     "bfield",
+    "gaussian_product_torus",
 ]
 
 
@@ -184,3 +185,14 @@ def bfield(data: TorusData, basis: DualLatticeBasis = None) -> BForm:
         for k in range(n)
     )
     return BForm(data.poisson, basis, matrix)
+
+
+def gaussian_product_torus(g: int, poisson=None, order: int = 4) -> TorusData:
+    """The product of g square elliptic curves (Gaussian lattices)."""
+    lat = []
+    for i in range(g):
+        lat.append(tuple(GRat.of(1 if j == i else 0) for j in range(g)))
+        lat.append(tuple(GRat.of(0, 1 if j == i else 0) for j in range(g)))
+    if poisson is None:
+        poisson = tuple(tuple(GRAT_ZERO for _ in range(g)) for _ in range(g))
+    return TorusData(g, tuple(lat), poisson, order)

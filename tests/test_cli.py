@@ -115,7 +115,99 @@ def test_cli_star_and_dual_lattice():
     assert "xi^(1)" in res.output
 
 
-def test_nct_window_env(monkeypatch):
-    monkeypatch.setenv("NCT_WINDOW", "2")
-    cfg = parse_config(MINIMAL)
-    assert cfg.window == 2
+def _run_minimal(tmp_path, *args, env=None):
+    cfg = tmp_path / "minimal.json"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "report.json"
+    res = CliRunner().invoke(main, ["run", str(cfg), "--out", str(out), *args], env=env)
+    return res, (json.loads(out.read_text()) if res.exit_code != 2 else None)
+
+
+def test_nct_window_env(tmp_path, monkeypatch):
+    # the file says 1; NCT_WINDOW overrides it, and --window overrides both
+    monkeypatch.delenv("NCT_WINDOW", raising=False)
+    assert parse_config(MINIMAL).window == 1
+    res, report = _run_minimal(tmp_path, env={"NCT_WINDOW": "2"})
+    assert res.exit_code == 0, res.output
+    assert report["window"] == 2
+    res, report = _run_minimal(tmp_path, "--window", "0", env={"NCT_WINDOW": "2"})
+    assert res.exit_code == 0, res.output
+    assert report["window"] == 0
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["--window", "-1"], None),
+        (["--window", "x"], None),
+        ([], {"NCT_WINDOW": "-1"}),
+        ([], {"NCT_WINDOW": "abc"}),
+        (["--order", "1"], None),
+    ],
+)
+def test_cli_rejects_bad_window_and_order(tmp_path, args, env):
+    res, _ = _run_minimal(tmp_path, *args, env=env)
+    assert res.exit_code == 2
+    assert "config error:" in res.output
+
+
+def test_empty_window_is_never_a_pass():
+    with open(fixture_path("g1.json")) as fh:
+        cfg = parse_config(fh.read())
+    cfg.window = -1  # bypasses the CLI's check, as a Python caller can
+    cfg.checks = ["qpic", "convolution", "gerbe"]
+    report = run(cfg)
+    assert not report["all_pass"]
+    counted = [r for r in report["results"] if {"pairs", "checked", "triples"} & set(r)]
+    assert counted and all(r["status"] == "FAIL" for r in counted)
+
+
+def _g1_with(path, value):
+    raw = json.loads(open(fixture_path("g1.json")).read())
+    *keys, last = path
+    target = raw
+    for k in keys:
+        target = target[k]
+    if value is KeyError:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("torus", "g"), "x"),
+        (("torus", "order"), "x"),
+        (("torus", "lattice", 0, 0), "abc"),
+        (("torus", "lattice", 0), ["1", "0"]),
+        (("torus", "poisson"), "0"),
+        (("bundles", 0, "H"), KeyError),
+        (("bundles", 0, "H"), [["0", "0"], ["0", "0"]]),
+        (("bundles", 0, "chi", 0), "abc"),
+        (("bundles", 0, "chi"), "00"),
+        (("bundles",), [1]),
+        (("bundles",), 1),
+        (("bundles", 2, "l", 0), ["1", "2"]),
+        (("sections", 0, "s"), KeyError),
+        (("sections", 0, "s"), ["0", "1"]),
+        (("sections", 0, "s"), []),
+        (("sections", 2, "l", 0), ["1", "1"]),
+        (("sections", 2, "l"), [["1"]] * 4),
+        (("sections",), [["0"]]),
+        (("checks",), 5),
+        (("window",), "x"),
+        (("window",), -1),
+    ],
+)
+def test_malformed_config_is_a_config_error(tmp_path, path, value):
+    text = _g1_with(path, value)
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    res = CliRunner().invoke(main, ["run", str(bad)])
+    assert res.exit_code == 2
+    assert "config error:" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)

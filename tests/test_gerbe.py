@@ -12,17 +12,22 @@ from nctorus.coeff import (
     Q,
     Scalar,
 )
+from nctorus import cli, poincare
 from nctorus.gerbe import (
     FiberFunction,
     GammaElement,
+    check_cases,
     coordinate_window,
     ctilde,
     gamma_inverse,
     gamma_mul,
     heisenberg_cocycle,
+    nonzero,
     rho_act,
+    sample_window,
     weight_plus_act,
 )
+from nctorus.picard import LatticeGroup, lattice_pairs, lattice_slotspec
 from nctorus.sampling import gaussian_product_torus, random_grat
 from nctorus.torus import bfield
 
@@ -181,3 +186,81 @@ def test_window_too_small():
     f = FiberFunction.of(s, {(0, 0, 0, 0): Scalar.one(N)})
     with pytest.raises(CoeffError):
         rho_act(GammaElement((1, 0, 0, 0), Z1), f, B, N)
+
+
+def test_sampler_exhaustive_within_budget_else_sparse_plus_draws():
+    part = coordinate_window(2, 1)
+    full = [(a, b) for a in part for b in part]
+    assert sample_window([part, part], 81, 1, 5, None) == full
+    rng, ref = random.Random(3), random.Random(3)
+    cases = sample_window([part, part], 80, 1, 5, rng)
+    sparse = [(a, b) for a, b in full if nonzero(a) + nonzero(b) <= 1]
+    assert cases == sparse + [(ref.choice(part), ref.choice(part)) for _ in range(5)]
+    assert rng.getstate() == ref.getstate()
+    each = sample_window([part, part], 80, 1, 0, None, per_part=True)
+    assert each == [(a, b) for a, b in full if nonzero(a) <= 1 and nonzero(b) <= 1]
+    assert nonzero(((0, 2, -1), (1, 0), Z1H)) == 3
+
+
+def test_check_loop_reports_the_first_failure():
+    cases = [(k,) for k in range(10)]
+    assert check_cases(cases, lambda c: c != (6,)) == {
+        "status": "FAIL",
+        "checked": 7,
+        "failing": (6,),
+    }
+    assert check_cases(cases, lambda c: True, "pairs") == {
+        "status": "PASS",
+        "pairs": 10,
+        "failing": None,
+    }
+    assert check_cases([], lambda c: True) == {"status": "FAIL", "checked": 0, "failing": None}
+
+
+def _window_counts(monkeypatch, g, radius):
+    """Case counts of the six windowed checks; the checks themselves are skipped."""
+
+    def count_only(cases, holds, count="checked"):
+        return {"status": "PASS", count: len(cases), "failing": None}
+
+    monkeypatch.setattr(poincare, "check_cases", count_only)
+    monkeypatch.setattr(cli, "check_cases", count_only)
+    torus = gaussian_product_torus(g, PI2 if g == 2 else None)
+    ctx = poincare.make_context(torus)
+    cfg = cli.RunConfig("counts", torus, [], ["gerbe"], radius, [])
+    gerbe = {r["name"]: r for r in cli.suite_gerbe(cfg)}
+    z_choices = poincare._default_z_choices(torus.order)
+    return {
+        "qpic": len(lattice_pairs(LatticeGroup(torus, lattice_slotspec(torus)), radius)),
+        "poincare": len(poincare.cocycle_pairs(poincare.PoincareGroup(ctx), radius, z_choices)),
+        "convolution": poincare.convolution_window_report(ctx, radius)["checked"],
+        "section": poincare.restrict_to_section(ctx, (G(0),) * g, (), radius)[1]["checked"],
+        "triples": gerbe["gerbe:cocycle-identity"]["triples"],
+        "rho": gerbe["gerbe:rho-composition"]["pairs"],
+    }
+
+
+def test_window_counts_at_g2_are_sampled(monkeypatch):
+    # the counts of the e1xe2 fixture's report: 329 section elements
+    # times 9 fiber offsets give 2961 section checks
+    assert _window_counts(monkeypatch, 2, 1) == {
+        "qpic": 6561,
+        "poincare": 2552,
+        "convolution": 878,
+        "section": 2961,
+        "triples": 1229,
+        "rho": 468,
+    }
+
+
+def test_window_counts_at_g1_are_exhaustive(monkeypatch):
+    n = len(coordinate_window(2, 1))
+    offsets = 5  # fiber offsets with at most one nonzero coordinate
+    assert _window_counts(monkeypatch, 1, 1) == {
+        "qpic": n**2,
+        "poincare": (2 * n * n) ** 2,
+        "convolution": n**3 * 2,
+        "section": n**2 * offsets,
+        "triples": n**3,
+        "rho": (2 * n) ** 2,
+    }

@@ -35,7 +35,13 @@ from nctorus.picard import (
     validate_ns,
     validate_semicharacter,
 )
-from nctorus.sampling import gaussian_product_torus, random_grat, random_qah
+from nctorus.sampling import (
+    gaussian_product_torus,
+    random_grat,
+    random_qah,
+    random_quantizable_ns,
+    random_semicharacter,
+)
 
 G = GRat.of
 PI2 = ((G(0), G(1)), (G(-1), G(0)))
@@ -73,6 +79,54 @@ def test_semicharacter_extension_and_validity():
     chi_i = Semicharacter((CircleConst.of(Q(1, 2)), CircleConst.of(Q(1, 2))))
     assert validate_semicharacter(h, chi_i, T1)
     assert not validate_semicharacter(NSData(((G(Q(1, 2)),),)), chi, T1)
+
+
+def _semicharacter_pair_loop(ns, chi, torus):
+    """The identity chi(a+b) = chi(a) chi(b) exp(pi i Im H(lam_a, lam_b))
+    checked on every pair of the radius-1 coordinate window."""
+    from nctorus.gerbe import coordinate_window
+    from nctorus.picard import LatticeGroup, _im_table
+
+    window = coordinate_window(2 * torus.g, 1)
+    grp = LatticeGroup(torus, lattice_slotspec(torus))
+    imt = _im_table(ns, torus)
+    vec = {a: grp.vector(a) for a in window}
+    chi_at = {a: semicharacter_value(ns, chi, torus, a, imt) for a in window}
+    for a in window:
+        for b in window:
+            lhs = semicharacter_value(ns, chi, torus, grp.compose(a, b), imt)
+            e = ns.value(vec[a], vec[b]).im
+            if lhs != chi_at[a] * chi_at[b] * CircleConst.of(e):
+                return False
+    return True
+
+
+def _random_integral_hermitian(rng, g):
+    """Gaussian-integer Hermitian H: Im H is integral on Gaussian lattices."""
+    h = [[None] * g for _ in range(g)]
+    for i in range(g):
+        h[i][i] = G(rng.randint(-2, 2))
+        for j in range(i + 1, g):
+            h[i][j] = G(rng.randint(-2, 2), rng.randint(-2, 2))
+            h[j][i] = h[i][j].conj()
+    return NSData(tuple(tuple(row) for row in h))
+
+
+def test_semicharacter_pair_loop_is_implied_by_integrality():
+    # the reference for the proof in validate_semicharacter: the window
+    # pair loop holds for every chi once Im H is integral, and it does
+    # catch an Im H that is not
+    assert not _semicharacter_pair_loop(NSData(((G(Q(1, 3)),),)), CHI1_1, T1)
+    rng = random.Random(77)
+    cases = [(T1, _random_integral_hermitian(rng, 1)) for _ in range(8)]
+    cases += [(T2, _random_integral_hermitian(rng, 2)) for _ in range(2)]
+    cases += [(T2, random_quantizable_ns(rng, T2))]
+    for torus, ns in cases:
+        assert validate_ns(ns, torus)
+        for _ in range(2):
+            chi = random_semicharacter(rng, torus)
+            assert _semicharacter_pair_loop(ns, chi, torus)
+            assert validate_semicharacter(ns, chi, torus)
 
 
 def test_ah_factor_classical_cocycle():
