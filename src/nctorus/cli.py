@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import click
 
@@ -194,8 +195,6 @@ def parse_config(text: str) -> RunConfig:
             tuple(CircleConst.of(_rational(a)) for a in chi_angles)
         )
         l = _vectors(b.get("l", []), g, f"bundle {name}: l")
-        if len(l) > order - 1:
-            raise ConfigError(f"bundle {name}: l-series longer than order-1")
         if not ns.is_hermitian():
             raise ConfigError(f"bundle {name}: H is not Hermitian")
         if not validate_semicharacter(ns, chi, torus):
@@ -213,12 +212,22 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"section {i} must be an object with an 's' field")
         (pt,) = _vectors([sec["s"]], g, f"section {i}: s")
         lser = _vectors(sec.get("l", []), g, f"section {i}: l")
-        if len(lser) > order - 1:
-            raise ConfigError(f"section {i}: l-series longer than order-1")
         sections.append((pt, lser))
-    return RunConfig(
-        raw.get("name", "run"), torus, bundles, checks, window, sections
-    )
+    cfg = RunConfig(raw.get("name", "run"), torus, bundles, checks, window, sections)
+    _check_lseries(cfg)
+    return cfg
+
+
+def _check_lseries(cfg: RunConfig) -> None:
+    """Every l-series has its terms h^1 .. h^(order-1) within the
+    effective truncation order; rerun whenever the order changes."""
+    limit = cfg.torus.order - 1
+    for b in cfg.bundles:
+        if len(b.l) > limit:
+            raise ConfigError(f"bundle {b.name}: l-series longer than order-1")
+    for i, (_, lser) in enumerate(cfg.sections):
+        if len(lser) > limit:
+            raise ConfigError(f"section {i}: l-series longer than order-1")
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +381,10 @@ def suite_gerbe(cfg: RunConfig):
 
     # 2-cocycle identity
     window = coordinate_window(rank, cfg.window)
-    cache = {}
 
+    @cache
     def coc(x, y):
-        key = (x, y)
-        v = cache.get(key)
-        if v is None:
-            v = heisenberg_cocycle(B, x, y, order)
-            cache[key] = v
-        return v
+        return heisenberg_cocycle(B, x, y, order)
 
     def cocycle_identity(t):
         a, b, c = t
@@ -640,6 +644,7 @@ def run_cmd(config, suites, window, order, out):
         if order is not None:
             t = cfg.torus
             cfg.torus = TorusData(t.g, t.lattice, t.poisson, _int(order, "order", 2))
+            _check_lseries(cfg)
     except (ConfigError, OSError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

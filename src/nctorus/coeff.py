@@ -11,25 +11,23 @@ is no floating point anywhere in the package.
 
 Units of the series ring decompose as a_0 * exp(a_1 h + a_2 h^2 + ...);
 `exp_decompose` computes that decomposition and `series_exp`/`series_log`
-are the two directions of the bijection it rests on.
+are the two directions of the bijection it rests on.  `exp_hpi2` is the
+closed form of the one exponential the identities need, exp(h pi^2 b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from fractions import Fraction as Q
 from math import gcd
-
-try:  # gmpy2's rationals are drop-in and a lot faster on the hot paths
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
 
 __all__ = [
     "Q",
     "cmul",
     "GRat",
     "combine",
+    "bilinear",
+    "exp_hpi2",
     "PiPoly",
     "HbarSeries",
     "CircleConst",
@@ -69,12 +67,8 @@ class NotRepresentable(CoeffError):
 
 
 def _rat(x) -> "Q":
-    if type(x) is Q:
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Q(x)
-    if isinstance(x, str):
-        return Q(x.strip().lstrip("+"))  # gmpy2 rejects a leading '+'
+    if isinstance(x, (int, str)):
+        return Q(x)  # a string may carry one sign and surrounding spaces
     return x  # already a Q
 
 
@@ -83,10 +77,6 @@ def _mod2(q):
     q = _rat(q)
     n, d = q.numerator, q.denominator
     return Q(n % (2 * d), d)
-
-
-def _rat_str(q) -> str:
-    return str(q)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +177,11 @@ class GRat:
 
     def __str__(self) -> str:
         if self.im == 0:
-            return _rat_str(self.re)
+            return str(self.re)
         if self.re == 0:
-            return f"{_rat_str(self.im)} i"
+            return f"{self.im} i"
         sign = "+" if self.im > 0 else "-"
-        return f"{_rat_str(self.re)}{sign}{_rat_str(abs(self.im))} i"
+        return f"{self.re}{sign}{abs(self.im)} i"
 
     @staticmethod
     def parse(text: str) -> "GRat":
@@ -243,6 +233,24 @@ def combine(coeffs, vectors) -> tuple:
                     acc[k] = acc[k] * (d // g) + n * (den // g)
                     acc[k + 1] = den * (d // g)
     return tuple(GRat(Q(rn, rd), Q(jn, jd)) for rn, rd, jn, jd in sums)
+
+
+def bilinear(matrix, x, y) -> GRat:
+    """sum_ij x_i matrix[i][j] y_j over GRat, skipping zero entries.
+
+    The one bilinear contraction: the Poisson pairing of the star
+    product, the B-field, Hermitian forms, the quantization obstruction
+    and the transported bivector of ``fm_hh2`` are all this sum, with
+    their vectors conjugated where the form is conjugate-linear.
+    """
+    acc = GRAT_ZERO
+    for a, row in zip(x, matrix):
+        if not a:
+            continue
+        for m, b in zip(row, y):
+            if m and b:
+                acc = acc + a * m * b
+    return acc
 
 
 GRAT_ZERO = GRat(Q(0), Q(0))
@@ -588,7 +596,7 @@ class CircleConst:
         return I_POWERS[k] if r == 0 else None
 
     def __str__(self) -> str:
-        return f"u({_rat_str(self.q)})"
+        return f"u({self.q})"
 
 
 CIRCLE_ONE = CircleConst(Q(0))
@@ -670,6 +678,26 @@ class Scalar:
         if self.unit.is_one():
             return s
         return f"{self.unit}*{s}"
+
+
+def exp_hpi2(order: int, value: GRat) -> Scalar:
+    """exp(h pi^2 value) as a truncated scalar, in closed form: the h^k
+    coefficient is value^k pi^{2k} / k!.
+
+    The Moyal correction exp(h pi^2 {l1, l2}), the Heisenberg cocycle and
+    its extension ctilde are this exponential; it equals
+    ``series_exp`` of h pi^2 value without the series products.
+    """
+    if not value:
+        return Scalar.one(order)
+    coeffs = {0: PI_ONE}
+    power = GRAT_ONE
+    fact = 1
+    for k in range(1, order):
+        power = power * value
+        fact *= k
+        coeffs[k] = PiPoly.pi_power(2 * k, power.scale(Q(1, fact)))
+    return Scalar(CIRCLE_ONE, HbarSeries.of(order, coeffs))
 
 
 @dataclass(frozen=True)

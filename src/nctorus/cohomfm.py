@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import GRAT_ZERO, CoeffError, GRat, Q
+from .coeff import GRAT_ZERO, CoeffError, GRat, Q, bilinear
 from .torus import TorusData, dual_lattice, gaussian_product_torus, pairing
 
 __all__ = [
@@ -254,26 +254,13 @@ def fm_hh2(poisson, torus: TorusData) -> tuple:
     two_g = 2 * g
     n = 4 * g
 
+    if any(w.im for row in poisson for w in row):
+        raise CoeffError("fm_hh2 expects a real-matrix bivector in this chart")
     # real coordinates: t_k(v) = Im<xi^(k), v>; for the standard complex
     # basis u_i this is Im(xi^(k)_i)
-    treal = [[basis.vectors[k][i].im for i in range(g)] for k in range(two_g)]
+    treal = [[GRat(e.im, Q(0)) for e in xi] for xi in basis.vectors]
     # Pi in real lattice coordinates
-    preal = [[Q(0)] * two_g for _ in range(two_g)]
-    for i in range(g):
-        for j in range(g):
-            w = poisson[i][j]
-            if not w:
-                continue
-            if w.im != 0:
-                raise CoeffError("fm_hh2 expects a real-matrix bivector in this chart")
-            for a in range(two_g):
-                ta = treal[a][i]
-                if not ta:
-                    continue
-                for b in range(two_g):
-                    tb = treal[b][j]
-                    if tb:
-                        preal[a][b] += w.re * ta * tb
+    preal = [[bilinear(poisson, ta, tb).re for tb in treal] for ta in treal]
 
     # contract twice into exp(c1); keep the pure dual-side 2-form
     ec = exp_c1(torus)
@@ -313,18 +300,7 @@ def fm_hh2(poisson, torus: TorusData) -> tuple:
         r2 = rvec(tuple(GRat(-a.im, a.re) for a in xi))  # i * xi
         proj.append([GRat(Q(r1[j], 2), Q(r2[j], 2)) for j in range(two_g)])
 
-    out = []
-    for k in range(two_g):
-        row = []
-        for m in range(two_g):
-            acc = GRAT_ZERO
-            for a in range(two_g):
-                pa = proj[k][a]
-                if not pa:
-                    continue
-                for b in range(two_g):
-                    if emat[a][b] and proj[m][b]:
-                        acc = acc + pa * emat[a][b] * proj[m][b]
-            row.append(acc.scale(Q(-4)))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(bilinear(emat, proj[k], proj[m]).scale(Q(-4)) for m in range(two_g))
+        for k in range(two_g)
+    )

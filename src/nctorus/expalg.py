@@ -36,11 +36,11 @@ from .coeff import (
     CircleConst,
     CoeffError,
     GRat,
-    HbarSeries,
     NotInvertible,
-    PiPoly,
     Q,
     Scalar,
+    bilinear,
+    exp_hpi2,
     series_exp,
 )
 
@@ -160,21 +160,9 @@ def poisson_pairing(spec: SlotSpec, f1: "LinForm", f2: "LinForm") -> GRat:
     (the Moyal correction is exp(h * pi^2 * pairing))."""
     total = GRAT_ZERO
     for s, c1, c2 in zip(spec.slots, f1.coeffs, f2.coeffs):
-        p = s.poisson
-        if p is None:
-            continue
-        acc = GRAT_ZERO
-        for i in range(s.dim):
-            a = c1[i]
-            if not a:
-                continue
-            row = p[i]
-            for j in range(s.dim):
-                if row[j] and c2[j]:
-                    acc = acc + a * row[j] * c2[j]
-        if s.opposite:
-            acc = -acc
-        total = total + acc
+        if s.poisson is not None:
+            p = bilinear(s.poisson, c1, c2)
+            total = total - p if s.opposite else total + p
     return total
 
 
@@ -322,10 +310,7 @@ class ExpSum:
                 p = poisson_pairing(spec, t1.form, t2.form)
                 coeff = t1.coeff * t2.coeff
                 if p:
-                    corr = series_exp(
-                        HbarSeries.of(spec.order, {1: PiPoly.pi_power(2, p)})
-                    )
-                    coeff = coeff * Scalar(CIRCLE_ONE, corr)
+                    coeff = coeff * exp_hpi2(spec.order, p)
                 out.append((coeff, t1.form + t2.form))
         return ExpSum.make(spec, out)
 

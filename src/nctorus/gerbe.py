@@ -5,19 +5,20 @@ over the dual lattice basis and z an invertible scalar; the law is
 
     (xi, z) . (xi', z') = (xi + xi', z z' c(xi, xi'))
 
-with the 2-cocycle c(xi, xi') = exp(h pi^2 B(xi', xi)).  Restricted to
-lattice arguments the multiplicative extension ctilde agrees with c in
-the same argument order, i.e. ctilde(w, xi) = exp(h pi^2 B(xi, w)) with
-B's bilinear contraction formula applied to the (exact, Gaussian-
-rational) coefficient vector of w.
+with the 2-cocycle c(xi, xi') = exp(h pi^2 B(xi', xi)), expanded in
+closed form by ``coeff.exp_hpi2``.  The extension ctilde(w, xi) =
+exp(h pi^2 B(xi, w)) takes an arbitrary exact base point w (a Gaussian-
+rational coefficient vector in the dual space) and, when w is the
+lattice point with coordinates xi1, equals c(xi1, xi).
 
 Functions on a fiber F_s = s + dual lattice are finite windows of scalar
 values; (xi, z) acts with central weight -1 by
 
-    (rho_(xi,z) f)_w = z^{-1} ctilde(w, xi) f_{w - xi}
+    (rho_(xi,z) f)_w = z^{-1} ctilde(w, xi) f_{w - xi}.
 
-and with weight +1 (the lifting convention used by the section
-parameterization) by (xi, z): f_w -> z ctilde(w, xi) f_{w + xi}.
+The module also holds the verifier's one window sampler
+(``sample_window``) and its one first-failure check loop
+(``check_cases``).
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
 
-from .coeff import (
-    CIRCLE_ONE,
-    CoeffError,
-    GRat,
-    HbarSeries,
-    PiPoly,
-    Q,
-    Scalar,
-)
+from .coeff import CoeffError, Scalar, exp_hpi2
 from .torus import BForm
 
 __all__ = [
@@ -45,7 +38,6 @@ __all__ = [
     "gamma_inverse",
     "ctilde",
     "rho_act",
-    "weight_plus_act",
     "coordinate_window",
     "nonzero",
     "sample_window",
@@ -65,24 +57,9 @@ class GammaElement:
         return GammaElement((0,) * rank, Scalar.one(order))
 
 
-def _exp_scalar(order: int, value: GRat) -> Scalar:
-    """exp(h pi^2 value) as a truncated scalar (closed-form expansion:
-    the h^k coefficient is value^k pi^{2k} / k!)."""
-    if not value:
-        return Scalar.one(order)
-    coeffs = {0: PiPoly.pi_power(0)}
-    power = GRat(Q(1), Q(0))
-    fact = 1
-    for k in range(1, order):
-        power = power * value
-        fact *= k
-        coeffs[k] = PiPoly.pi_power(2 * k, power.scale(Q(1, fact)))
-    return Scalar(CIRCLE_ONE, HbarSeries.of(order, coeffs))
-
-
 def heisenberg_cocycle(B: BForm, xi, xi2, order: int) -> Scalar:
     """c(xi, xi') = exp(h pi^2 B(xi', xi)) on integer dual coordinates."""
-    return _exp_scalar(order, B.on_coords(xi2, xi))
+    return exp_hpi2(order, B.on_coords(xi2, xi))
 
 
 def gamma_mul(a: GammaElement, b: GammaElement, B: BForm, order: int) -> GammaElement:
@@ -104,7 +81,7 @@ def ctilde(w, xi, B: BForm, order: int) -> Scalar:
     ctilde(w, xi) = exp(h pi^2 B(xi, w)), with w a GRat coefficient
     vector in the dual space and xi integer dual coordinates."""
     xivec = B.basis.combination(xi)
-    return _exp_scalar(order, B.value(xivec, w))
+    return exp_hpi2(order, B.value(xivec, w))
 
 
 @dataclass(frozen=True)
@@ -184,26 +161,17 @@ def check_cases(cases, holds, count: str = "checked") -> dict:
     return {"status": "PASS" if n else "FAIL", count: n, "failing": None}
 
 
-def _act(a: GammaElement, f: FiberFunction, B: BForm, order: int, weight: int):
+def rho_act(a: GammaElement, f: FiberFunction, B: BForm, order: int) -> FiberFunction:
+    """The weight (-1) action: (rho f)_w = z^{-1} ctilde(w, xi) f_{w-xi}."""
     vals = f.as_dict()
     out = {}
-    zpart = a.z.inverse() if weight < 0 else a.z
+    zinv = a.z.inverse()
     for offset in vals:
-        src = tuple(o + weight * x for o, x in zip(offset, a.xi))
+        src = tuple(o - x for o, x in zip(offset, a.xi))
         if src not in vals:
             continue  # the window shrinks by the shift
         w = f.point(offset, B.basis)
-        out[offset] = zpart * ctilde(w, a.xi, B, order) * vals[src]
+        out[offset] = zinv * ctilde(w, a.xi, B, order) * vals[src]
     if vals and not out:
         raise CoeffError("fiber window too small for this shift")
     return FiberFunction.of(f.base, out)
-
-
-def rho_act(a: GammaElement, f: FiberFunction, B: BForm, order: int) -> FiberFunction:
-    """The weight (-1) action: (rho f)_w = z^{-1} ctilde(w, xi) f_{w-xi}."""
-    return _act(a, f, B, order, weight=-1)
-
-
-def weight_plus_act(a: GammaElement, f: FiberFunction, B: BForm, order: int) -> FiberFunction:
-    """The weight (+1) action: f_w -> z ctilde(w, xi) f_{w+xi}."""
-    return _act(a, f, B, order, weight=+1)

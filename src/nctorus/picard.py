@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .coeff import (
-    CIRCLE_ONE,
     GRAT_ZERO,
     CircleConst,
     CoeffError,
@@ -48,8 +48,10 @@ from .coeff import (
     PiPoly,
     Q,
     Scalar,
+    bilinear,
     combine,
     exp_decompose,
+    exp_hpi2,
 )
 from .expalg import (
     ExpSum,
@@ -98,14 +100,7 @@ class NSData:
     matrix: tuple
 
     def value(self, v, w) -> GRat:
-        acc = GRAT_ZERO
-        for i, row in enumerate(self.matrix):
-            if not v[i]:
-                continue
-            for j, h in enumerate(row):
-                if h and w[j]:
-                    acc = acc + v[i] * h * w[j].conj()
-        return acc
+        return bilinear(self.matrix, v, [b.conj() for b in w])
 
     def row_form(self, lam) -> tuple:
         """Coefficient vector of v -> H(v, lam) (the pi-cofactor of h_lam)."""
@@ -195,14 +190,7 @@ class Factor:
 
     def cached(self) -> "Factor":
         """Memoize evaluations (elements must be hashable)."""
-        table = {}
-        def fn(e):
-            out = table.get(e)
-            if out is None:
-                out = self.fn(e)
-                table[e] = out
-            return out
-        return Factor(self.group, fn)
+        return Factor(self.group, cache(self.fn))
 
     def translated(self, slot_name: str, w) -> "Factor":
         """Pull the factor back along translation by w on one slot."""
@@ -214,20 +202,24 @@ def lattice_pairs(grp: LatticeGroup, radius: int = 1):
     return sample_window([grp.window(radius)] * 2, 20000, 2, 300, random.Random(171))
 
 
+def _cocycle_sides(factor: Factor, e1, e2):
+    """(e(e1 e2), e(e2) * (e(e1) . e2)): the two sides of the left cocycle
+    condition at a pair."""
+    grp = factor.group
+    lhs = factor.value(grp.compose(e1, e2))
+    return lhs, factor.value(e2).star(grp.act(factor.value(e1), e2))
+
+
 def cocycle_defect(factor: Factor, e1, e2) -> ExpSum:
     """e(e1 e2)^{-1} * e(e2) * (e(e1) . e2); equals 1 iff the left cocycle
     condition holds at this pair."""
-    grp = factor.group
-    lhs = factor.value(grp.compose(e1, e2))
-    rhs = factor.value(e2).star(grp.act(factor.value(e1), e2))
+    lhs, rhs = _cocycle_sides(factor, e1, e2)
     return star_inverse(lhs).star(rhs)
 
 
 def cocycle_holds(factor: Factor, e1, e2) -> bool:
     """Equality form of the defect-is-one check (no inversions)."""
-    grp = factor.group
-    lhs = factor.value(grp.compose(e1, e2))
-    rhs = factor.value(e2).star(grp.act(factor.value(e1), e2))
+    lhs, rhs = _cocycle_sides(factor, e1, e2)
     return lhs == rhs
 
 
@@ -367,18 +359,6 @@ def qah_factor(data: QAHData, torus: TorusData, spec: SlotSpec = None) -> Factor
 # obstruction theory
 
 
-def _bracket(torus: TorusData, f1, f2) -> GRat:
-    """sum_ij Pi[i][j] f1_i f2_j on plain coefficient vectors."""
-    acc = GRAT_ZERO
-    for i, row in enumerate(torus.poisson):
-        if not f1[i]:
-            continue
-        for j, w in enumerate(row):
-            if w and f2[j]:
-                acc = acc + f1[i] * w * f2[j]
-    return acc
-
-
 def obstruction0(ns: NSData, torus: TorusData):
     """Matrix of {h_lam_j, h_lam_i} on generator pairs (i row, j column):
     entry (i, j) is the obstruction value at the pair (lam_i, lam_j),
@@ -389,7 +369,7 @@ def obstruction0(ns: NSData, torus: TorusData):
     for i in range(n):
         line = []
         for j in range(n):
-            val = _bracket(torus, rows[j], rows[i])
+            val = bilinear(torus.poisson, rows[j], rows[i])
             line.append(PiPoly.pi_power(2, val))
         out.append(tuple(line))
     return tuple(out)
@@ -540,15 +520,10 @@ def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
             if b[i]:
                 corr = corr + b[i] * lam[i]
         unit_fix = CircleConst.of(-corr.im)
-        br = _bracket(torus, hrow, b)
+        br = bilinear(torus.poisson, hrow, b)
         s = terms[j].coeff * Scalar.from_circle(spec.order, unit_fix)
         if br:
-            from .coeff import series_exp
-
-            fix = HbarSeries.of(
-                spec.order, {1: PiPoly.pi_power(2, br.scale(Q(-2)))}
-            )
-            s = s * Scalar(CIRCLE_ONE, series_exp(fix))
+            s = s * exp_hpi2(spec.order, br.scale(Q(-2)))
         dec = exp_decompose(s)
         if dec.magnitude != GRat.of(1):
             raise CoeffError("scalar part is not a circle constant times exp")

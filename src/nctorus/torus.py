@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import GRAT_ZERO, CoeffError, GRat, Q, combine
+from .coeff import GRAT_ZERO, CoeffError, GRat, Q, bilinear, combine
 from .linalg import grat_rank, rat_det, rat_inverse
 
 __all__ = [
@@ -97,16 +97,9 @@ class BForm:
 
     def value(self, xi1, xi2) -> GRat:
         """B on arbitrary coefficient vectors (the Q-bilinear extension)."""
-        acc = GRAT_ZERO
-        for i, row in enumerate(self.poisson):
-            a = xi1[i]
-            if not a:
-                continue
-            ac = a.conj()
-            for j, w in enumerate(row):
-                if w and xi2[j]:
-                    acc = acc + ac * w * xi2[j].conj()
-        return acc
+        return bilinear(
+            self.poisson, [a.conj() for a in xi1], [b.conj() for b in xi2]
+        )
 
     def on_coords(self, c1, c2) -> GRat:
         """B on integer coordinate vectors over the dual basis."""

@@ -151,6 +151,13 @@ def test_cli_rejects_bad_window_and_order(tmp_path, args, env):
     assert "config error:" in res.output
 
 
+def test_order_override_checks_lseries_length():
+    # g1's "deformed" bundle has a two-term l-series, which order 2 cannot hold
+    res = CliRunner().invoke(main, ["run", fixture_path("g1.json"), "--order", "2"])
+    assert res.exit_code == 2
+    assert "config error: bundle deformed: l-series longer than order-1" in res.output
+
+
 def test_empty_window_is_never_a_pass():
     with open(fixture_path("g1.json")) as fh:
         cfg = parse_config(fh.read())
@@ -199,6 +206,7 @@ def _g1_with(path, value):
         (("checks",), 5),
         (("window",), "x"),
         (("window",), -1),
+        (("torus", "lattice", 0, 0), "++1"),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, path, value):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,11 @@ from nctorus.coeff import (
     PiPoly,
     Q,
     Scalar,
+    bilinear,
     cmul,
     combine,
     exp_decompose,
+    exp_hpi2,
     series_exp,
     series_log,
 )
@@ -220,6 +223,34 @@ def test_combination_kernel_matches_schoolbook(coords, data):
         (x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator) for x in want
     ]
     assert hash(got) == hash(tuple(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_bilinear_contraction_matches_schoolbook(n, data):
+    # zero parts are common, so zero entries and zero vector components occur
+    grats = st.builds(GRat, rationals, rationals)
+    matrix = [data.draw(st.lists(grats, min_size=n, max_size=n)) for _ in range(n)]
+    x = data.draw(st.lists(grats, min_size=n, max_size=n))
+    y = data.draw(st.lists(grats, min_size=n, max_size=n))
+    re = im = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            # (x_i M_ij) y_j as (a + b i)(c + d i) = (ac - bd) + (ad + bc) i
+            a = x[i].re * matrix[i][j].re - x[i].im * matrix[i][j].im
+            b = x[i].re * matrix[i][j].im + x[i].im * matrix[i][j].re
+            re += a * y[j].re - b * y[j].im
+            im += a * y[j].im + b * y[j].re
+    got = bilinear(matrix, x, y)
+    assert (got.re, got.im) == (re, im)
+    assert hash(got) == hash(GRat(re, im))
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_exp_hpi2_is_series_exp_of_h_pi2_value(order):
+    for v in (GRAT_ZERO, GRat.of(1), GRat.of(Q(-2, 3), Q(1, 2)), GRat.of(0, Q(5, 4))):
+        want = series_exp(HbarSeries.of(order, {1: PiPoly.pi_power(2, v)}))
+        assert exp_hpi2(order, v) == Scalar(CIRCLE_ONE, want)
 
 
 def test_grat_parse_render_roundtrip():

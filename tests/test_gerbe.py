@@ -25,7 +25,6 @@ from nctorus.gerbe import (
     nonzero,
     rho_act,
     sample_window,
-    weight_plus_act,
 )
 from nctorus.picard import LatticeGroup, lattice_pairs, lattice_slotspec
 from nctorus.sampling import gaussian_product_torus, random_grat
@@ -145,9 +144,6 @@ def test_rho_identity_and_central_action():
     acted = rho_act(z_only, f, B, N)
     zinv = Z1H.inverse()
     assert all(v == zinv for _, v in acted.values)
-    # weight +1 acts by z (and the opposite shift)
-    acted_p = weight_plus_act(z_only, f, B, N)
-    assert all(v == Z1H for _, v in acted_p.values)
 
 
 def test_rho_composition_window():
@@ -167,18 +163,6 @@ def test_rho_composition_window():
         common = set(dl) & set(dr)
         assert common
         assert all(dl[o] == dr[o] for o in common)
-
-
-def test_weight_actions_commute_on_central_parts():
-    s = (G(0), G(Q(1, 4)))
-    f = _const_fiber(s)
-    a = GammaElement((0, 0, 0, 0), Z1H)  # central
-    b = GammaElement((1, 0, -1, 0), Z1)
-    lhs = weight_plus_act(a, rho_act(b, f, B, N), B, N)
-    rhs = rho_act(b, weight_plus_act(a, f, B, N), B, N)
-    dl, dr = dict(lhs.values), dict(rhs.values)
-    common = set(dl) & set(dr)
-    assert common and all(dl[o] == dr[o] for o in common)
 
 
 def test_window_too_small():

@@ -73,6 +73,13 @@ def test_verify_reports_pass():
     assert all(v["status"] == "PASS" for v in rep2.values()), rep2
 
 
+def test_negative_control_needs_no_window():
+    # the control pair is taken from the dual generators, so the radius-0
+    # window, which holds only the zero vector, still has one
+    rep = verify_poincare_cocycle(CTX2, radius=0)
+    assert all(v["status"] == "PASS" for v in rep.values()), rep
+
+
 def test_dual_factor_shape():
     fq = poincare_dual_factor(CTX2)
     grp = fq.group
