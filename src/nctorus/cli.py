@@ -14,6 +14,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from functools import cache
 
@@ -599,6 +600,10 @@ def run(cfg: RunConfig) -> dict:
             records = SUITE_FUNCS[name](cfg)
         except CoeffError as exc:
             records = [_record(f"{name}:error", "FAIL", error=str(exc))]
+        except Exception as exc:  # a bug in a suite fails it, not the run
+            traceback.print_exc(file=sys.stderr)
+            error = f"{type(exc).__name__}: {exc}"
+            records = [_record(f"{name}:error", "FAIL", error=error)]
         timings[name] = round(time.perf_counter() - t0, 3)
         results.extend(records)
     status_ok = all(r["status"].startswith("PASS") or r["status"] == "SKIP" for r in results)
@@ -630,8 +635,10 @@ def main():
 def run_cmd(config, suites, window, order, out):
     """Run the verification suites of a torus/bundle configuration."""
     try:
+        t0 = time.perf_counter()
         with open(config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
+        parse_s = round(time.perf_counter() - t0, 3)
         for s in suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
@@ -649,6 +656,7 @@ def run_cmd(config, suites, window, order, out):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     report = run(cfg)
+    report["timings_s"] = {"parse": parse_s, **report["timings_s"]}
     payload = json.dumps(report, indent=2, default=str)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

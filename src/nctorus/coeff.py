@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Q",
     "cmul",
+    "gauss_mac",
+    "over_lcd",
     "GRat",
     "combine",
     "bilinear",
@@ -393,6 +395,33 @@ PI_ZERO = PiPoly(())
 PI_ONE = PiPoly(((0, GRAT_ONE),))
 
 
+def gauss_mac(acc, key, a, b, c, d):
+    """acc[key] += (a + b i)(c + d i), on Gaussian integers."""
+    re = a * c - b * d
+    im = a * d + b * c
+    old = acc.get(key)
+    acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+
+
+def over_lcd(pairs):
+    """(lcd, nums) of a list of rational (re, im) pairs: nums holds each
+    pair's integer numerators over lcd, the lcm of every denominator."""
+    lcd = lcm(*(x.denominator for pair in pairs for x in pair))
+    return lcd, [
+        (re.numerator * (lcd // re.denominator), im.numerator * (lcd // im.denominator))
+        for re, im in pairs
+    ]
+
+
+def _flatten(coeffs):
+    """(den, parts) of a series' coefficients: parts lists (h-degree,
+    pi-degree, re, im) in increasing h-degree, with integer re and im
+    over den (see ``over_lcd``)."""
+    keys = [(k, p) for k, a in enumerate(coeffs) for p, _ in a.terms]
+    den, nums = over_lcd([(c.re, c.im) for a in coeffs for _, c in a.terms])
+    return den, [(k, p, re, im) for (k, p), (re, im) in zip(keys, nums)]
+
+
 # ---------------------------------------------------------------------------
 # Truncated series in the deformation parameter
 
@@ -459,17 +488,43 @@ class HbarSeries:
         return self + (-other)
 
     def __mul__(self, other: "HbarSeries") -> "HbarSeries":
+        """The dense series product, on Gaussian-integer numerators.
+
+        An operand constant in h is one PiPoly b0: the product is b0
+        times each part of the other operand, and the other operand
+        itself when b0 is 1.  Otherwise each operand is flattened once
+        into (h-degree, pi-degree, re, im) integer numerators over the
+        lcm of its parts' denominators; the convolution runs on Python
+        ints, truncated at h^order, and each output part is normalized
+        once, when it is built with ``Q`` over the product of the two
+        denominators.
+        """
         self._check(other)
         n = self.order
-        out = [PI_ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return HbarSeries(n, tuple(out))
+        for a, b in ((self, other), (other, self)):
+            if not any(p.terms for p in b.coeffs[1:]):
+                b0 = b.coeffs[0]
+                if b0 == PI_ONE:
+                    return a
+                return HbarSeries(n, tuple(p * b0 for p in a.coeffs))
+        da, fa = _flatten(self.coeffs)
+        db, fb = _flatten(other.coeffs)
+        acc = {}
+        for ka, pa, ar, ai in fa:
+            for kb, pb, br, bi in fb:
+                k = ka + kb
+                if k >= n:
+                    break  # fb runs in increasing h-degree
+                gauss_mac(acc, (k, pa + pb), ar, ai, br, bi)
+        den = da * db
+        out = [[] for _ in range(n)]
+        for (k, p), (re, im) in sorted(acc.items()):
+            if re or im:
+                c = GRat(Q(re, den) if re else _Q_ZERO, Q(im, den) if im else _Q_ZERO)
+                out[k].append((p, c))
+        return HbarSeries(
+            n, tuple(PiPoly(tuple(t)) if t else PI_ZERO for t in out)
+        )
 
     def scale(self, c: GRat) -> "HbarSeries":
         return HbarSeries(self.order, tuple(a.scale(c) for a in self.coeffs))

@@ -16,8 +16,10 @@ splits as (Poisson-variable factor) x (commutative factor); the operator
 machinery runs on the first tensor leg alone and the commutative product
 is multiplied back in afterwards.  Input expansions go out to
 degree + (order - 1) on the Poisson leg because every application of P
-consumes one derivative per side.  Internally coefficients are raw
-(re, im) rational pairs; they become Scalars only on the way out.
+consumes one derivative per side.  Internally a polynomial is a dict of
+(re, im) Gaussian-integer numerators over one shared denominator, carried
+beside it; a coefficient becomes a rational, and then a Scalar, only on
+the way out, once per monomial and h level.
 
 Results are reported as a two-level mapping
 
@@ -30,6 +32,7 @@ with ``taylor_expand`` and compared for exact equality.
 
 from __future__ import annotations
 
+from math import factorial
 from operator import add
 
 from .coeff import (
@@ -39,40 +42,45 @@ from .coeff import (
     PiPoly,
     Q,
     Scalar,
-    cmul,
+    gauss_mac,
+    over_lcd,
 )
 from .expalg import ExpSum, SlotSpec, scalar_add
 
 __all__ = ["taylor_star_oracle", "taylor_expand"]
 
-_ZERO = Q(0)
-_ONE = Q(1)
-
 
 def _exp_poly(lin, nvars: int, degree: int):
     """Taylor expansion of E(pi * sum lin[i] x_i) to total degree bound.
 
-    ``lin`` holds (re, im) pairs; monomials (exponent tuples) map to
-    (re, im) coefficients.  A monomial of total degree d carries an
-    implicit pi^d tracked by the caller.
+    ``lin`` holds (re, im) rational pairs.  Returns ``(poly, den)``: poly
+    maps monomials (exponent tuples) to (re, im) integer numerators over
+    den.  Layer m, built from layer m-1 by one more factor sum_i lin[i]
+    x_i, is over L^m m! for L the lcm of the denominators in ``lin``;
+    den is that of the last layer.  A monomial of total degree d carries
+    an implicit pi^d tracked by the caller.
     """
-    support = [(i, c) for i, c in enumerate(lin) if c[0] or c[1]]
-    poly = {(0,) * nvars: (_ONE, _ZERO)}
-    layer = poly
-    for m in range(1, degree + 1):
+    support = [i for i, (c, d) in enumerate(lin) if c or d]
+    lcd, nums = over_lcd([lin[i] for i in support])
+    step = [(i, c, d) for i, (c, d) in zip(support, nums)]
+    layers = [{(0,) * nvars: (1, 0)}]
+    for _ in range(degree):
         nxt = {}
-        step = [(i, c / m, d / m) for i, (c, d) in support]
-        for mono, (a, b) in layer.items():
+        for mono, (a, b) in layers[-1].items():
             for i, c, d in step:
-                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                re, im = cmul(a, b, c, d)
-                old = nxt.get(key)
-                nxt[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+                gauss_mac(nxt, mono[:i] + (mono[i] + 1,) + mono[i + 1 :], a, b, c, d)
         if not nxt:
             break
-        layer = nxt
-        poly.update(nxt)
-    return {k: v for k, v in poly.items() if v[0] or v[1]}
+        layers.append(nxt)
+    top = len(layers) - 1
+    poly = {}
+    scale = 1  # lcd^(top-m) top!/m!, from layer m's denominator to den
+    for m in range(top, -1, -1):
+        for mono, (a, b) in layers[m].items():
+            if a or b:
+                poly[mono] = (a * scale, b * scale)
+        scale *= lcd * m
+    return poly, lcd**top * factorial(top)
 
 
 def _diff(poly, var: int):
@@ -85,7 +93,9 @@ def _diff(poly, var: int):
 
 
 def _mul_trunc(p1, p2, degree: int):
-    """Product of two monomial->(re,im) dicts, truncated by total degree."""
+    """Product of two monomial -> (re, im) dicts of Gaussian-integer
+    numerators, truncated by total degree.  The product is over the
+    product of the operands' denominators."""
     buckets = {}
     for mono, c in p2.items():
         buckets.setdefault(sum(mono), []).append((mono, c))
@@ -98,10 +108,7 @@ def _mul_trunc(p1, p2, degree: int):
             if d1 + d2 > degree:
                 continue
             for m2, (c, d) in items:
-                key = tuple(map(add, m1, m2))
-                re, im = cmul(a, b, c, d)
-                old = out.get(key)
-                out[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+                gauss_mac(out, tuple(map(add, m1, m2)), a, b, c, d)
     return {k: v for k, v in out.items() if v[0] or v[1]}
 
 
@@ -117,7 +124,9 @@ def _var_split(spec: SlotSpec):
 
 
 def _pairing_entries(spec: SlotSpec, pvars):
-    """(i, j, weight) triples of P in Poisson-leg-local indices."""
+    """(entries, lp): the (i, j, (re, im)) triples of P in
+    Poisson-leg-local indices, with integer weights over lp, the lcd of
+    P's entries."""
     local = {g: k for k, g in enumerate(pvars)}
     entries = []
     offset = 0
@@ -136,7 +145,8 @@ def _pairing_entries(spec: SlotSpec, pvars):
                             )
                         )
         offset += s.nvars
-    return entries
+    lp, nums = over_lcd([w for *_, w in entries])
+    return [(i, j, w) for (i, j, _), w in zip(entries, nums)], lp
 
 
 def _deriv_cached(cache, alpha, n):
@@ -187,18 +197,18 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
     order = spec.order
     pvars, cvars = _var_split(spec)
     np_, nc = len(pvars), len(cvars)
-    entries = _pairing_entries(spec, pvars)
+    entries, lp = _pairing_entries(spec, pvars)
     in_degree = degree + order - 1
     result = {}
     for t1 in f.terms:
         flat1 = _flat_pairs(t1.form)
-        p1 = _exp_poly([flat1[i] for i in pvars], np_, in_degree)
-        c1 = _exp_poly([flat1[i] for i in cvars], nc, degree)
+        p1, den1 = _exp_poly([flat1[i] for i in pvars], np_, in_degree)
+        c1, cden1 = _exp_poly([flat1[i] for i in cvars], nc, degree)
         d1_cache = {(0,) * np_: p1}
         for t2 in g.terms:
             flat2 = _flat_pairs(t2.form)
-            p2 = _exp_poly([flat2[i] for i in pvars], np_, in_degree)
-            c2 = _exp_poly([flat2[i] for i in cvars], nc, degree)
+            p2, den2 = _exp_poly([flat2[i] for i in pvars], np_, in_degree)
+            c2, cden2 = _exp_poly([flat2[i] for i in cvars], nc, degree)
             d2_cache = {(0,) * np_: p2}
             comm = _mul_trunc(c1, c2, degree)
             comm_buckets = {}
@@ -206,50 +216,38 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
                 comm_buckets.setdefault(sum(cm), []).append((cm, cc))
             base = t1.coeff * t2.coeff
             const_key = (t1.form.const_pi + t2.form.const_pi).re
-            state = {((0,) * np_, (0,) * np_): (_ONE, _ZERO)}
-            fact = _ONE
-            local = {}  # mono -> {h level -> (re, im)}
+            # level k sums state weights (products of k entries of P, over
+            # lp^k) times d^alpha p1 d^beta p2 (over den1 den2) times comm
+            # (over cden1 cden2), divided by k!
+            state = {((0,) * np_, (0,) * np_): (1, 0)}
+            dens = [den1 * den2 * cden1 * cden2]
+            local = {}  # mono -> {h level -> (re, im)} over dens[level]
             for k in range(order):
                 if k:
-                    fact *= k
-                inv_fact = 1 / fact
+                    dens.append(dens[-1] * lp * k)
                 level = {}
-                for (alpha, beta), w in state.items():
+                for (alpha, beta), (wa, wb) in state.items():
                     da = _deriv_cached(d1_cache, alpha, np_)
                     if not da:
                         continue
                     db = _deriv_cached(d2_cache, beta, np_)
                     if not db:
                         continue
-                    wa, wb = w
                     for pm, (a, b) in _mul_trunc(da, db, degree).items():
-                        re, im = cmul(a, b, wa, wb)
-                        old = level.get(pm)
-                        level[pm] = (
-                            (re, im) if old is None else (old[0] + re, old[1] + im)
-                        )
+                        gauss_mac(level, pm, a, b, wa, wb)
                 for pm, (a, b) in level.items():
                     if not (a or b):
                         continue
                     dp = sum(pm)
-                    a *= inv_fact
-                    b *= inv_fact
                     for dc, items in comm_buckets.items():
                         if dp + dc > degree:
                             continue
                         for cm, (c, d) in items:
                             mono = _merge_mono(n, pvars, cvars, pm, cm)
-                            re, im = cmul(a, b, c, d)
                             levels = local.get(mono)
                             if levels is None:
-                                local[mono] = {k: (re, im)}
-                            else:
-                                old = levels.get(k)
-                                levels[k] = (
-                                    (re, im)
-                                    if old is None
-                                    else (old[0] + re, old[1] + im)
-                                )
+                                levels = local[mono] = {}
+                            gauss_mac(levels, k, a, b, c, d)
                 if k + 1 >= order:
                     break
                 nxt = {}
@@ -257,20 +255,18 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
                     for i, j, (pa, pb) in entries:
                         na = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
                         nb = beta[:j] + (beta[j] + 1,) + beta[j + 1 :]
-                        re, im = cmul(wa, wb, pa, pb)
-                        old = nxt.get((na, nb))
-                        nxt[(na, nb)] = (
-                            (re, im) if old is None else (old[0] + re, old[1] + im)
-                        )
+                        gauss_mac(nxt, (na, nb), wa, wb, pa, pb)
                 state = {k2: v for k2, v in nxt.items() if v[0] or v[1]}
                 if not state:
                     break
             for mono, levels in local.items():
                 d = sum(mono)
                 coeffs = {
-                    k: PiPoly.pi_power(d + 2 * k, GRat(c[0], c[1]))
-                    for k, c in levels.items()
-                    if c[0] or c[1]
+                    k: PiPoly.pi_power(
+                        d + 2 * k, GRat(Q(re, dens[k]), Q(im, dens[k]))
+                    )
+                    for k, (re, im) in levels.items()
+                    if re or im
                 }
                 if not coeffs:
                     continue
@@ -286,13 +282,13 @@ def taylor_expand(f: ExpSum, degree: int):
     order = spec.order
     result = {}
     for t in f.terms:
-        poly = _exp_poly(_flat_pairs(t.form), n, degree)
+        poly, den = _exp_poly(_flat_pairs(t.form), n, degree)
         const_key = t.form.const_pi.re
         for mono, (a, b) in poly.items():
             d = sum(mono)
+            c = GRat(Q(a, den), Q(b, den))
             scal = t.coeff * Scalar(
-                CIRCLE_ONE,
-                HbarSeries.of(order, {0: PiPoly.pi_power(d, GRat(a, b))}),
+                CIRCLE_ONE, HbarSeries.of(order, {0: PiPoly.pi_power(d, c)})
             )
             _accumulate(result, const_key, mono, scal)
     return result

@@ -113,9 +113,6 @@ class BForm:
                     acc = acc + row[m].scale(Q(a) * Q(b))
         return acc
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.matrix for e in row)
-
 
 def validate_torus(data: TorusData) -> dict:
     """Rank-2g real independence check plus the rank of Pi."""

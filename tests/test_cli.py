@@ -4,6 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from nctorus import cli
 from nctorus.cli import ConfigError, main, parse_config, run, SUITES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures")
@@ -149,6 +150,41 @@ def test_cli_rejects_bad_window_and_order(tmp_path, args, env):
     res, _ = _run_minimal(tmp_path, *args, env=env)
     assert res.exit_code == 2
     assert "config error:" in res.output
+
+
+def test_run_times_the_parse(tmp_path):
+    res, report = _run_minimal(tmp_path)
+    assert res.exit_code == 0, res.output
+    timings = report["timings_s"]
+    assert list(timings) == ["parse", "torus"]
+    assert timings["parse"] >= 0
+    assert f"({sum(timings.values()):.1f}s)" in res.output
+    # the parse timing does not reach the deterministic block
+    assert report["results"] == run(parse_config(MINIMAL))["results"]
+
+
+def test_unexpected_suite_exception_is_a_fail_record(tmp_path, monkeypatch):
+    def broken(cfg):
+        return 1 // 0
+
+    monkeypatch.setitem(cli.SUITE_FUNCS, "torus", broken)
+    out = tmp_path / "report.json"
+    res = CliRunner().invoke(
+        main,
+        ["run", fixture_path("g1.json"), "--suite", "torus", "--suite", "fm", "--out", str(out)],
+    )
+    assert res.exit_code == 1, res.output
+    assert "Traceback" in res.output  # the traceback goes to stderr
+    results = json.loads(out.read_text())["results"]
+    assert results[0] == {
+        "name": "torus:error",
+        "status": "FAIL",
+        "error": "ZeroDivisionError: integer division or modulo by zero",
+    }
+    # the remaining suites still run
+    fm = results[1:]
+    assert fm and all(r["name"].startswith("fm:") for r in fm)
+    assert all(r["status"].startswith("PASS") for r in fm)
 
 
 def test_order_override_checks_lseries_length():

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +25,11 @@ from nctorus.coeff import (
     combine,
     exp_decompose,
     exp_hpi2,
+    over_lcd,
     series_exp,
     series_log,
 )
-from nctorus.moyal_oracle import _mul_trunc
+from nctorus.moyal_oracle import _exp_poly, _mul_trunc
 
 N = 4
 
@@ -197,14 +200,119 @@ def test_complex_product_kernel_matches_schoolbook(a, b, c, d):
     assert parts((prod.re, prod.im)) == parts(want)
     assert prod == GRat(*want) and hash(prod) == hash(GRat(*want))
 
-    # the oracle's product on raw (re, im) pairs
-    pair = _mul_trunc({(0,): (a, b)}, {(0,): (c, d)}, 0)
+    # the oracle's product on integer numerators over one denominator each
+    den1, nums1 = over_lcd([(a, b)])
+    den2, nums2 = over_lcd([(c, d)])
+    assert den1 == lcm(a.denominator, b.denominator)
+    assert [(Q(x, den1), Q(y, den1)) for x, y in nums1] == [(a, b)]
+    pair = _mul_trunc({(0,): nums1[0]}, {(0,): nums2[0]}, 0)
+    den = den1 * den2
     if want[0] or want[1]:
-        (key, val), = pair.items()
+        (key, (re, im)), = pair.items()
+        val = (Q(re, den), Q(im, den))
         assert key == (0,) and parts(val) == parts(want)
         assert hash(val) == hash(want)
     else:
         assert pair == {}
+
+
+def _grat_product(x, y):
+    return GRat(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def _schoolbook_series_product(a, b):
+    """The h^k coefficients of a * b as [(pi-degree, re, im)], by a
+    Fraction double sum over (h-degree, pi-degree)."""
+    n = a.order
+    acc = {}
+    for (k1, c1), (k2, c2) in itertools.product(enumerate(a.coeffs), enumerate(b.coeffs)):
+        if k1 + k2 >= n:
+            continue
+        for (p1, x), (p2, y) in itertools.product(c1.terms, c2.terms):
+            key = (k1 + k2, p1 + p2)
+            acc[key] = acc.get(key, GRAT_ZERO) + _grat_product(x, y)
+    out = [[] for _ in range(n)]
+    for (k, p), c in sorted(acc.items()):
+        if c.re or c.im:
+            out[k].append((p, c.re, c.im))
+    return out
+
+
+def _reflect(a):
+    """a(-h): a(h) a(-h) is even in h, so its odd parts cancel to zero."""
+    return HbarSeries(a.order, tuple(c if k % 2 == 0 else -c for k, c in enumerate(a.coeffs)))
+
+
+@st.composite
+def sparse_series(draw, order):
+    grats = st.builds(GRat, rationals, rationals)
+    parts = draw(
+        st.dictionaries(st.tuples(st.integers(0, order - 1), st.integers(0, 3)), grats, max_size=6)
+    )
+    coeffs = {}
+    for (k, p), c in parts.items():
+        coeffs.setdefault(k, {})[p] = c
+    return HbarSeries.of(order, {k: PiPoly.of(c) for k, c in coeffs.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_series_product_kernel_matches_schoolbook(order, data):
+    a = data.draw(sparse_series(order))
+    grats = st.builds(GRat, rationals, rationals)
+    b = data.draw(
+        st.one_of(
+            sparse_series(order),
+            st.just(HbarSeries.zero(order)),
+            st.just(HbarSeries.one(order)),
+            grats.map(lambda c: HbarSeries.const(order, c)),  # constant in h
+            sparse_series(order).map(lambda s: HbarSeries.of(order, {0: s.coeffs[0]})),
+            st.just(_reflect(a)),  # odd parts cancel
+        )
+    )
+    for x, y in ((a, b), (b, a)):
+        got = x * y
+        want = _schoolbook_series_product(x, y)
+        assert got.order == order
+        assert [
+            [(p, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator) for p, c in poly.terms]
+            for poly in got.coeffs
+        ] == [
+            [(p, re.numerator, re.denominator, im.numerator, im.denominator) for p, re, im in parts]
+            for parts in want
+        ]
+        built = HbarSeries(
+            order, tuple(PiPoly(tuple((p, GRat(re, im)) for p, re, im in parts)) for parts in want)
+        )
+        assert got == built and hash(got) == hash(built)
+    with pytest.raises(OrderMismatch):
+        a * HbarSeries.one(order + 1)
+    with pytest.raises(OrderMismatch):
+        HbarSeries.one(order + 1) * b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 5), st.data())
+def test_exp_poly_integer_form_matches_taylor_coefficients(nvars, degree, data):
+    lin = data.draw(st.lists(st.tuples(rationals, rationals), min_size=nvars, max_size=nvars))
+    poly, den = _exp_poly(lin, nvars, degree)
+    assert isinstance(den, int) and den > 0
+    want = {}
+    for alpha in itertools.product(range(degree + 1), repeat=nvars):
+        if sum(alpha) > degree:
+            continue
+        # prod_i lin[i]^alpha_i / alpha_i!
+        c = GRAT_ONE
+        for (re, im), e in zip(lin, alpha):
+            for _ in range(e):
+                c = _grat_product(c, GRat(re, im))
+            c = GRat(c.re / factorial(e), c.im / factorial(e))
+        if c.re or c.im:
+            want[alpha] = c
+    assert set(poly) == set(want)
+    for alpha, (re, im) in poly.items():
+        assert type(re) is int and type(im) is int
+        assert (Q(re, den), Q(im, den)) == (want[alpha].re, want[alpha].im)
 
 
 @settings(max_examples=100, deadline=None)

@@ -102,9 +102,8 @@ def test_double_dual_preserves_span():
 
 
 def test_bfield_examples():
-    assert bfield(GAUSS1).is_zero()
-    zero2 = gaussian_product_torus(2)
-    assert bfield(zero2).is_zero()
+    for torus in (GAUSS1, gaussian_product_torus(2)):
+        assert all(not e for row in bfield(torus).matrix for e in row)
     B = bfield(GAUSS2)
     assert B.value((G(1), G(0)), (G(0), G(1))) == G(1)
     n = 4
