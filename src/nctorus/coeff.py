@@ -544,9 +544,6 @@ class HbarSeries:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def constant_term(self) -> PiPoly:
-        return self.coeffs[0]
-
     def inverse(self) -> "HbarSeries":
         c0 = self.coeffs[0]
         if not c0.is_const() or c0.is_zero():
@@ -712,7 +709,20 @@ class Scalar:
         return self.series.order
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar.of(self.unit * other.unit, self.series * other.series)
+        """A unit 1 on either side leaves the other, already canonical,
+        unit as it is; otherwise the unit product is folded again."""
+        u1, u2 = self.unit, other.unit
+        series = self.series * other.series
+        if not u1.q:
+            return Scalar(u2, series)
+        if not u2.q:
+            return Scalar(u1, series)
+        return Scalar.of(u1 * u2, series)
+
+    def turn(self, q) -> "Scalar":
+        """self * exp(pi i q): the circle constant goes into the unit and
+        its quarter turns into the series, with no series product."""
+        return Scalar.of(CircleConst.of(self.unit.q + q), self.series)
 
     def scale(self, c: GRat) -> "Scalar":
         return Scalar(self.unit, self.series.scale(c))

@@ -200,7 +200,9 @@ def fm_square_table(g: int) -> dict:
 
     Returns {"table": {degree: sign}, "status": "PASS"|"FAIL",
     "orientation": ...}; PASS means the composite equals
-    sign_d * (-1)^d * identity on each degree-d basis class.
+    sign_d * (-1)^d * identity on each degree-d basis class, with
+    sign_d = (-1)^g in every degree: Mukai's inversion, the composite
+    is (-1)^g [-1]^* on cohomology.
     """
     if g > 3:
         raise CoeffError("fm_square_table is intended for g <= 3")
@@ -236,6 +238,7 @@ def fm_square_table(g: int) -> dict:
             elif sign_d != s:
                 ok = False
         table[d] = sign_d
+    ok = ok and all(s == (-1) ** g for s in table.values())
     return {
         "table": table,
         "status": "PASS" if ok else "FAIL",

@@ -5,7 +5,9 @@ over named variable slots.  Exponents are complex-linear in the slot
 variables, with every variable coefficient carrying exactly one implicit
 factor of pi; constants split into a symbolic real pi-multiple (kept in
 the exponent), a circle constant, and an h-divisible part (both folded
-into the scalar coefficient).
+into the scalar coefficient).  The circle constant exp(pi i q) of an
+imaginary pi-multiple goes into the coefficient's unit (``Scalar.turn``),
+its quarter turns into the series, without a series product.
 
 The slot-wise Moyal product closes on this class:
 
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from .coeff import (
     CIRCLE_ONE,
     GRAT_ZERO,
-    CircleConst,
     CoeffError,
     GRat,
     NotInvertible,
@@ -233,10 +234,22 @@ class ExpSum:
 
     @staticmethod
     def make(spec: SlotSpec, raw_terms) -> "ExpSum":
-        """Build from (Scalar, LinForm) pairs, normalizing and merging."""
+        """Build from a list of (Scalar, LinForm) pairs, normalizing and
+        merging.
+
+        A single pair is normalized and dropped if its coefficient is
+        zero, with no merge key and no sort: one term has nothing to
+        merge with and one order, so this is exactly what the general
+        path returns for it.
+        """
+        if len(raw_terms) == 1:
+            coeff, form = _normalize(*raw_terms[0])
+            if coeff.is_zero():
+                return ExpSum(spec, ())
+            return ExpSum(spec, (ExpTerm(coeff, form),))
         acc = {}
         for coeff, form in raw_terms:
-            coeff, form = _normalize(spec, coeff, form)
+            coeff, form = _normalize(coeff, form)
             key = form.sort_key()
             if key in acc:
                 old_c, _ = acc[key]
@@ -350,14 +363,14 @@ def scalar_add(a: Scalar, b: Scalar) -> Scalar:
     )
 
 
-def _normalize(spec: SlotSpec, coeff: Scalar, form: LinForm):
+def _normalize(coeff: Scalar, form: LinForm):
     """Fold h-divisible and imaginary-pi constants into the coefficient."""
     ch = form.const_hbar
     if ch is not None and not ch.is_zero():
         coeff = coeff * Scalar(CIRCLE_ONE, series_exp(ch))
     cp = form.const_pi
     if cp.im != 0:
-        coeff = coeff * Scalar.from_circle(spec.order, CircleConst.of(cp.im))
+        coeff = coeff.turn(cp.im)
         cp = GRat(cp.re, Q(0))
     if form.const_hbar is not None or cp.im != form.const_pi.im:
         form = LinForm(form.coeffs, cp, None)

@@ -519,9 +519,8 @@ def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
         for i in range(g):
             if b[i]:
                 corr = corr + b[i] * lam[i]
-        unit_fix = CircleConst.of(-corr.im)
         br = bilinear(torus.poisson, hrow, b)
-        s = terms[j].coeff * Scalar.from_circle(spec.order, unit_fix)
+        s = terms[j].coeff.turn(-corr.im)
         if br:
             s = s * exp_hpi2(spec.order, br.scale(Q(-2)))
         dec = exp_decompose(s)

@@ -492,8 +492,7 @@ def restrict_to_section(
         lam = grp.lattice_vector(m)
         w = fiber_point(offset)
         im = pairing(w, lam).im
-        unit = CircleConst.of(2 * im)
-        return ExpSum.scalar(vspec, Scalar.from_circle(order, unit) * l_fold(lam))
+        return ExpSum.scalar(vspec, l_fold(lam).turn(2 * im))
 
     def ca_value(e, offset) -> ExpSum:
         m, x = e

@@ -21,7 +21,6 @@ from .coeff import (
     GRAT_ZERO,
     I_POWERS,
     PI_ONE,
-    CircleConst,
     CoeffError,
     GRat,
     HbarSeries,
@@ -235,7 +234,7 @@ class _Parser:
             self.take("sym", "(")
             num = self._signed_rational()
             self.take("sym", ")")
-            coeff = coeff * Scalar.from_circle(order, CircleConst.of(num))
+            coeff = coeff.turn(num)
             return coeff, form
         if k == "name" and v == "E":
             self.take()

@@ -205,6 +205,25 @@ def test_empty_window_is_never_a_pass():
     assert counted and all(r["status"] == "FAIL" for r in counted)
 
 
+def test_cocycle_expansion_checks_the_closed_form(monkeypatch):
+    # the record compares the cocycle with the Taylor series of
+    # exp(h pi^2 b), so a wrong closed form behind the cocycle fails it
+    from nctorus import gerbe
+
+    with open(fixture_path("e1xe2.json")) as fh:
+        cfg = parse_config(fh.read())
+    cfg.window = 0  # the expansion check does not use the window
+
+    def expansion(cfg):
+        (rec,) = [r for r in cli.suite_gerbe(cfg) if r["name"] == "gerbe:cocycle-expansion"]
+        return rec["status"]
+
+    assert expansion(cfg) == "PASS"
+    closed_form = gerbe.exp_hpi2
+    monkeypatch.setattr(gerbe, "exp_hpi2", lambda order, b: closed_form(order, b + b))
+    assert expansion(cfg) == "FAIL"
+
+
 def _g1_with(path, value):
     raw = json.loads(open(fixture_path("g1.json")).read())
     *keys, last = path

@@ -291,6 +291,42 @@ def test_series_product_kernel_matches_schoolbook(order, data):
         HbarSeries.one(order + 1) * b
 
 
+def _folded_product(a, b):
+    """The general scalar product: multiply the units, then fold the
+    quarter turns of the product into the series."""
+    return Scalar.of(a.unit * b.unit, a.series * b.series)
+
+
+def _same(got, want):
+    return got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+# units drawn from {0, 1/8, ..., 15/8}; every fourth one folds to unit 1
+eighths = st.integers(0, 15).map(lambda k: CircleConst.of(Q(k, 8)))
+
+
+@st.composite
+def scalars(draw, order):
+    return Scalar.of(draw(eighths), draw(sparse_series(order)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars(N), scalars(N))
+def test_scalar_product_unit_fast_path_matches_folded_product(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert _same(x * y, _folded_product(x, y))
+    assert _same(Scalar.one(N) * a, a) and _same(a * Scalar.one(N), a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(N))
+def test_turn_matches_product_with_circle_constant(s):
+    for k in range(-16, 16):
+        q = Q(k, 8)
+        want = _folded_product(s, Scalar.from_circle(N, CircleConst.of(q)))
+        assert _same(s.turn(q), want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 5), st.data())
 def test_exp_poly_integer_form_matches_taylor_coefficients(nvars, degree, data):

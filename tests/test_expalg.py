@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nctorus.coeff import (
     CIRCLE_ONE,
@@ -239,6 +240,56 @@ def rnd_term(rng, spec, quarter_units=False):
         + HbarSeries.of(spec.order, {2: PiPoly.const(GRat.of(rng.randint(-1, 1)))}),
     )
     return ExpSum.exponential(spec, LinForm(coeffs, const, ch), coeff)
+
+
+_small = st.builds(Q, st.integers(-2, 2), st.sampled_from((1, 2)))
+_grats = st.builds(GRat, _small, _small)
+
+
+@st.composite
+def raw_term(draw, spec):
+    """A (Scalar, LinForm) pair before normalization: the imaginary
+    pi-constant is any multiple of 1/8, quarter turns included, the
+    h-constant is absent, zero or h-divisible, and the coefficient is
+    often zero, with or without a circle unit."""
+    n = spec.order
+    coeffs = tuple(tuple(draw(_grats) for _ in range(s.nvars)) for s in spec.slots)
+    const_pi = GRat(draw(_small), Q(draw(st.integers(-16, 16)), 8))
+    hbar = draw(
+        st.one_of(
+            st.none(),
+            st.just(HbarSeries.zero(n)),
+            st.dictionaries(st.integers(1, n - 1), _grats, max_size=2).map(
+                lambda d: HbarSeries.of(n, {k: PiPoly.pi_power(k % 3, c) for k, c in d.items()})
+            ),
+        )
+    )
+    unit = CircleConst.of(Q(draw(st.integers(0, 15)), 8))
+    series = draw(
+        st.one_of(
+            st.just(HbarSeries.zero(n)),
+            st.dictionaries(st.integers(0, n - 1), _grats, max_size=3).map(
+                lambda d: HbarSeries.of(n, {k: PiPoly.const(c) for k, c in d.items()})
+            ),
+        )
+    )
+    return Scalar.of(unit, series), LinForm(coeffs, const_pi, hbar)
+
+
+TWO_SLOTS = SlotSpec((Slot("v", 2, poisson=P2), Slot("l", 1, conjugate_pair=True)), 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((spec_qp(order=3), TWO_SLOTS)), st.data())
+def test_single_term_make_matches_general_path(spec, data):
+    term = data.draw(raw_term(spec))
+    _, other = data.draw(raw_term(spec))
+    form = term[1]
+    assume(other.coeffs != form.coeffs or other.const_pi.re != form.const_pi.re)
+    one = ExpSum.make(spec, [term])
+    # a zero term with another exponent sends the pair down the merge path
+    two = ExpSum.make(spec, [term, (Scalar.zero(spec.order), other)])
+    assert one == two and hash(one) == hash(two) and repr(one) == repr(two)
 
 
 def test_oracle_trivials():
