@@ -149,6 +149,12 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _vectors(rows, n: int, what: str) -> tuple:
     """A list of n-component lists of exact complex rationals."""
     if any(not isinstance(r, list) or len(r) != n for r in _list(rows, what)):
@@ -185,7 +191,7 @@ def parse_config(text: str) -> RunConfig:
     for i, b in enumerate(_list(raw.get("bundles", []), "bundles")):
         if not isinstance(b, dict) or "H" not in b:
             raise ConfigError(f"bundle {i} must be an object with an 'H' field")
-        name = b.get("name", f"bundle{i}")
+        name = _name(b.get("name", f"bundle{i}"), f"bundle {i}: name")
         matrix = _vectors(b["H"], g, f"bundle {name}: H")
         if len(matrix) != g:
             raise ConfigError(f"bundle {name}: H must be g x g")
@@ -201,7 +207,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"bundle {name}: H is not Hermitian")
         if not validate_semicharacter(ns, chi, torus):
             raise ConfigError(f"bundle {name}: Im H not integral on the lattice")
-        bundles.append(Bundle(name, ns, chi, l, b.get("quantizable")))
+        expect = b.get("quantizable")
+        if expect is not None and not isinstance(expect, bool):
+            raise ConfigError(f"bundle {name}: quantizable must be true, false or null")
+        bundles.append(Bundle(name, ns, chi, l, expect))
 
     checks = _list(raw.get("checks", list(SUITES)), "checks")
     for c in checks:
@@ -215,7 +224,8 @@ def parse_config(text: str) -> RunConfig:
         (pt,) = _vectors([sec["s"]], g, f"section {i}: s")
         lser = _vectors(sec.get("l", []), g, f"section {i}: l")
         sections.append((pt, lser))
-    cfg = RunConfig(raw.get("name", "run"), torus, bundles, checks, window, sections)
+    name = _name(raw.get("name", "run"), "name")
+    cfg = RunConfig(name, torus, bundles, checks, window, sections)
     _check_lseries(cfg)
     return cfg
 

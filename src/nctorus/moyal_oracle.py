@@ -18,34 +18,32 @@ is multiplied back in afterwards.  Input expansions go out to
 degree + (order - 1) on the Poisson leg because every application of P
 consumes one derivative per side.  Internally a polynomial is a dict of
 (re, im) Gaussian-integer numerators over one shared denominator, carried
-beside it; a coefficient becomes a rational, and then a Scalar, only on
-the way out, once per monomial and h level.
+beside it, and a term's coefficient is flattened the same way, once.
+No rational is built and no ``Scalar`` is multiplied per monomial.
 
 Results are reported as a two-level mapping
 
-    {symbolic-pi constant -> {monomial -> Scalar}}
+    {symbolic-pi constant -> {monomial -> (unit, den, parts)}}
 
 keyed first by the residual real pi-constant of the exponents (which no
 derivative ever touches) so that a star-product output can be expanded
-with ``taylor_expand`` and compared for exact equality.
+with ``taylor_expand`` and compared for exact equality.  A monomial's
+coefficient is unit * sum of h^k pi^p (re + im i) / den over the
+``((k, p), (re, im))`` entries of ``parts``: ``unit`` is the canonical
+``CircleConst`` of the term's coefficient, ``parts`` is sorted with no
+zero entry, ``den > 0`` and gcd(den, every numerator) = 1.  Each
+Gaussian rational has one reduced form over the lcm of its parts'
+denominators, so two coefficients are equal exactly when their forms
+are; a zero coefficient has no entry.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import add
 
-from .coeff import (
-    CIRCLE_ONE,
-    GRat,
-    HbarSeries,
-    PiPoly,
-    Q,
-    Scalar,
-    gauss_mac,
-    over_lcd,
-)
-from .expalg import ExpSum, SlotSpec, scalar_add
+from .coeff import CoeffError, _flatten, gauss_mac, over_lcd
+from .expalg import ExpSum, SlotSpec
 
 __all__ = ["taylor_star_oracle", "taylor_expand"]
 
@@ -161,14 +159,47 @@ def _deriv_cached(cache, alpha, n):
     raise AssertionError("zero multi-index is always cached")
 
 
-def _accumulate(result, const_key, mono, scalar: Scalar):
+def _form(unit, den, acc):
+    """The canonical (unit, den, parts) of unit * sum of acc[(k, p)] h^k
+    pi^p over den: zero entries dropped, parts sorted, and den and the
+    numerators divided by their gcd."""
+    parts = sorted(kv for kv in acc.items() if kv[1] != (0, 0))
+    g = gcd(den, *[x for _, v in parts for x in v])
+    if g != 1:
+        den //= g
+        parts = [(key, (re // g, im // g)) for key, (re, im) in parts]
+    return unit, den, tuple(parts)
+
+
+def _accumulate(result, const_key, mono, form):
+    """Add a monomial's form into ``result``; equal units add over the
+    lcm of the two denominators, and a sum that cancels drops the
+    monomial.  Forms are canonical, so differing units differ as circle
+    constants and their sum leaves the representable class."""
+    if not form[2]:
+        return
     bucket = result.setdefault(const_key, {})
     old = bucket.get(mono)
-    total = scalar if old is None else scalar_add(old, scalar)
-    if total.is_zero():
-        bucket.pop(mono, None)
-    else:
+    if old is None:
+        bucket[mono] = form
+        return
+    unit, d1, p1 = old
+    if form[0] != unit:
+        raise CoeffError(
+            "sum of scalars with incompatible circle constants is not representable"
+        )
+    d2, p2 = form[1], form[2]
+    den = lcm(d1, d2)
+    acc = {}
+    for parts, d in ((p1, d1), (p2, d2)):
+        s = den // d
+        for key, (re, im) in parts:
+            gauss_mac(acc, key, re, im, s, 0)
+    total = _form(unit, den, acc)
+    if total[2]:
         bucket[mono] = total
+    else:
+        del bucket[mono]
 
 
 def _merge_mono(nvars, pvars, cvars, pm, cm):
@@ -188,7 +219,11 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
     """Moyal product via explicit polynomial differentiation.
 
     Used only as an independent cross-check of ``ExpSum.star``; agreement
-    is through h^(order-1) and total degree ``degree``.
+    is through h^(order-1) and total degree ``degree``.  Returns
+    {real pi-constant -> {monomial -> (unit, den, parts)}}, the canonical
+    forms of the module docstring.  Per term pair the coefficient product
+    is flattened once; per monomial the h-levels are lifted to one
+    denominator, convolved with it on integers and reduced by one gcd.
     """
     spec = f.spec
     if g.spec != spec:
@@ -215,6 +250,7 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
             for cm, cc in comm.items():
                 comm_buckets.setdefault(sum(cm), []).append((cm, cc))
             base = t1.coeff * t2.coeff
+            bden, bparts = _flatten(base.series.coeffs)
             const_key = (t1.form.const_pi + t2.form.const_pi).re
             # level k sums state weights (products of k entries of P, over
             # lp^k) times d^alpha p1 d^beta p2 (over den1 den2) times comm
@@ -259,36 +295,41 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
                 state = {k2: v for k2, v in nxt.items() if v[0] or v[1]}
                 if not state:
                     break
+            # level k is h^k pi^(d + 2k) over dens[k]; lift it to dens[-1]
+            top = dens[-1]
+            lift = [top // dk for dk in dens]
             for mono, levels in local.items():
                 d = sum(mono)
-                coeffs = {
-                    k: PiPoly.pi_power(
-                        d + 2 * k, GRat(Q(re, dens[k]), Q(im, dens[k]))
-                    )
+                lifted = [
+                    (k, d + 2 * k, re * lift[k], im * lift[k])
                     for k, (re, im) in levels.items()
                     if re or im
-                }
-                if not coeffs:
-                    continue
-                scal = base * Scalar(CIRCLE_ONE, HbarSeries.of(order, coeffs))
-                _accumulate(result, const_key, mono, scal)
+                ]
+                acc = {}
+                for kb, pb, br, bi in bparts:
+                    for k, p, re, im in lifted:
+                        if kb + k < order:
+                            gauss_mac(acc, (kb + k, pb + p), br, bi, re, im)
+                _accumulate(result, const_key, mono, _form(base.unit, bden * top, acc))
     return result
 
 
 def taylor_expand(f: ExpSum, degree: int):
-    """Expand an ExpSum into the oracle's polynomial form (no products)."""
-    spec = f.spec
-    n = spec.nvars
-    order = spec.order
+    """Expand an ExpSum up to total degree ``degree`` into the mapping
+    that ``taylor_star_oracle`` returns.
+
+    Each term's coefficient is flattened once; a monomial of degree d
+    with Taylor numerator c contributes c pi^d times each flattened part,
+    over the product of the two denominators, reduced by one gcd.
+    """
+    n = f.spec.nvars
     result = {}
     for t in f.terms:
         poly, den = _exp_poly(_flat_pairs(t.form), n, degree)
+        cden, cparts = _flatten(t.coeff.series.coeffs)
         const_key = t.form.const_pi.re
         for mono, (a, b) in poly.items():
             d = sum(mono)
-            c = GRat(Q(a, den), Q(b, den))
-            scal = t.coeff * Scalar(
-                CIRCLE_ONE, HbarSeries.of(order, {0: PiPoly.pi_power(d, c)})
-            )
-            _accumulate(result, const_key, mono, scal)
+            acc = {(k, p + d): (re * a - im * b, re * b + im * a) for k, p, re, im in cparts}
+            _accumulate(result, const_key, mono, _form(t.coeff.unit, den * cden, acc))
     return result

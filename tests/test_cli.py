@@ -1,8 +1,10 @@
+import copy
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from nctorus import cli
 from nctorus.cli import ConfigError, main, parse_config, run, SUITES
@@ -262,6 +264,11 @@ def _g1_with(path, value):
         (("window",), "x"),
         (("window",), -1),
         (("torus", "lattice", 0, 0), "++1"),
+        (("bundles", 0, "quantizable"), "yes"),
+        (("bundles", 0, "quantizable"), 1),
+        (("bundles", 0, "name"), ["a"]),
+        (("name",), ["a"]),
+        (("name",), 5),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, path, value):
@@ -274,3 +281,46 @@ def test_malformed_config_is_a_config_error(tmp_path, path, value):
     assert res.exit_code == 2
     assert "config error:" in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def _paths(node, prefix=()):
+    """Every path into a parsed JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+_G1 = json.loads(open(fixture_path("g1.json")).read())
+_KEYS = ["torus", "g", "order", "lattice", "poisson", "bundles", "H", "chi", "l", "name", "quantizable", "s", "checks"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-1", "1/2", "i", "1/2 i", "-i", "1+i", "1/0", "0/0", "torus", "fm"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_paths(_G1))), _json_values | st.just(KeyError)), min_size=1, max_size=3))
+def test_fuzzed_config_parses_or_is_a_config_error(edits):
+    raw = copy.deepcopy(_G1)
+    for path, value in edits:
+        *keys, last = path
+        target = raw
+        try:
+            for k in keys:
+                target = target[k]
+            if value is KeyError:
+                del target[last]
+            else:
+                target[last] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed or replaced this path
+    try:
+        parse_config(json.dumps(raw))
+    except ConfigError:
+        pass

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,12 +9,14 @@ from nctorus.coeff import (
     GRAT_ONE,
     GRAT_ZERO,
     CircleConst,
+    CoeffError,
     GRat,
     HbarSeries,
     PI_ONE,
     PiPoly,
     Q,
     Scalar,
+    gauss_mac,
     series_exp,
 )
 from nctorus.expalg import (
@@ -29,6 +32,7 @@ from nctorus.expalg import (
     substitute,
     translate,
 )
+from nctorus import moyal_oracle as mo
 from nctorus.moyal_oracle import taylor_expand, taylor_star_oracle
 
 P2 = ((GRAT_ZERO, GRAT_ONE), (GRat.of(-1), GRAT_ZERO))
@@ -321,3 +325,221 @@ def test_oracle_on_sums():
     f = rnd_term(rng, spec, quarter_units=True) + rnd_term(rng, spec, quarter_units=True)
     g = rnd_term(rng, spec, quarter_units=True)
     assert taylor_expand(f.star(g), 4) == taylor_star_oracle(f, g, 4)
+
+
+# -- the oracle's exact forms against Scalar arithmetic ----------------------
+
+
+def _materialize(form, order):
+    """The Scalar that an oracle form (unit, den, parts) stands for."""
+    unit, den, parts = form
+    levels = {}
+    for (k, p), (re, im) in parts:
+        levels.setdefault(k, {})[p] = GRat(Q(re, den), Q(im, den))
+    return Scalar(unit, HbarSeries.of(order, {k: PiPoly.of(c) for k, c in levels.items()}))
+
+
+def _materialized(result, order):
+    return {
+        c: {m: _materialize(form, order) for m, form in bucket.items()}
+        for c, bucket in result.items()
+    }
+
+
+def _scalar_accumulate(result, const_key, mono, scal):
+    # a zero contribution is no contribution, whatever its unit
+    if scal.is_zero():
+        return
+    bucket = result.setdefault(const_key, {})
+    old = bucket.get(mono)
+    total = scal if old is None else scalar_add(old, scal)
+    if total.is_zero():
+        del bucket[mono]
+    else:
+        bucket[mono] = total
+
+
+def _monomial_times_coeff(t, d, c, order):
+    """t.coeff * Scalar(pi^d c) by Scalar arithmetic."""
+    return t.coeff * Scalar(CIRCLE_ONE, HbarSeries.of(order, {0: PiPoly.pi_power(d, c)}))
+
+
+def _scalar_expand(f, degree):
+    order = f.spec.order
+    result = {}
+    for t in f.terms:
+        poly, den = mo._exp_poly(mo._flat_pairs(t.form), f.spec.nvars, degree)
+        for mono, (a, b) in poly.items():
+            scal = _monomial_times_coeff(t, sum(mono), GRat(Q(a, den), Q(b, den)), order)
+            _scalar_accumulate(result, t.form.const_pi.re, mono, scal)
+    return result
+
+
+def _scalar_oracle(f, g, degree):
+    """The oracle's output as Scalars: each monomial's h-levels become a
+    Scalar over their own denominators, multiplied by the term pair's
+    coefficient product, one Scalar product per monomial."""
+    spec = f.spec
+    n, order = spec.nvars, spec.order
+    pvars, cvars = mo._var_split(spec)
+    np_, nc = len(pvars), len(cvars)
+    entries, lp = mo._pairing_entries(spec, pvars)
+    result = {}
+    for t1 in f.terms:
+        flat1 = mo._flat_pairs(t1.form)
+        p1, den1 = mo._exp_poly([flat1[i] for i in pvars], np_, degree + order - 1)
+        c1, cden1 = mo._exp_poly([flat1[i] for i in cvars], nc, degree)
+        for t2 in g.terms:
+            flat2 = mo._flat_pairs(t2.form)
+            p2, den2 = mo._exp_poly([flat2[i] for i in pvars], np_, degree + order - 1)
+            c2, cden2 = mo._exp_poly([flat2[i] for i in cvars], nc, degree)
+            comm = mo._mul_trunc(c1, c2, degree)
+            cache1, cache2 = {(0,) * np_: p1}, {(0,) * np_: p2}
+            state = {((0,) * np_, (0,) * np_): (1, 0)}
+            dens = [den1 * den2 * cden1 * cden2]
+            local = {}
+            for k in range(order):
+                if k:
+                    dens.append(dens[-1] * lp * k)
+                for (alpha, beta), (wa, wb) in state.items():
+                    da = mo._deriv_cached(cache1, alpha, np_)
+                    db = mo._deriv_cached(cache2, beta, np_)
+                    for pm, (a, b) in mo._mul_trunc(da, db, degree).items():
+                        re, im = a * wa - b * wb, a * wb + b * wa
+                        for cm, (c, d) in comm.items():
+                            if sum(pm) + sum(cm) <= degree:
+                                mono = mo._merge_mono(n, pvars, cvars, pm, cm)
+                                gauss_mac(local.setdefault(mono, {}), k, re, im, c, d)
+                nxt = {}
+                for (alpha, beta), (wa, wb) in state.items():
+                    for i, j, (pa, pb) in entries:
+                        na = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+                        nb = beta[:j] + (beta[j] + 1,) + beta[j + 1 :]
+                        gauss_mac(nxt, (na, nb), wa, wb, pa, pb)
+                state = nxt
+            base = t1.coeff * t2.coeff
+            const_key = (t1.form.const_pi + t2.form.const_pi).re
+            for mono, levels in local.items():
+                coeffs = {
+                    k: PiPoly.pi_power(sum(mono) + 2 * k, GRat(Q(re, dens[k]), Q(im, dens[k])))
+                    for k, (re, im) in levels.items()
+                }
+                scal = base * Scalar(CIRCLE_ONE, HbarSeries.of(order, coeffs))
+                _scalar_accumulate(result, const_key, mono, scal)
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CoeffError as exc:
+        return ("CoeffError", str(exc))
+
+
+@st.composite
+def dense_sum(draw, spec):
+    """An ExpSum of one or two terms with dense coefficients: every h-level
+    holds one to three pi-degrees, and the unit is any multiple of 1/8,
+    often the same for both terms.  The exponents' real pi-constants are
+    0 or 1/2, so two terms often collide on a monomial."""
+    n = spec.order
+    units = [draw(st.integers(0, 15))]
+    units.append(draw(st.one_of(st.just(units[0]), st.integers(0, 15))))
+    terms = []
+    for unit in units[: draw(st.integers(1, 2))]:
+        coeffs = tuple(tuple(draw(_grats) for _ in range(s.nvars)) for s in spec.slots)
+        const = GRat(draw(st.sampled_from((Q(0), Q(1, 2)))), draw(_small))
+        series = HbarSeries.of(
+            n,
+            {
+                k: PiPoly.of(draw(st.dictionaries(st.integers(0, 2), _grats, min_size=1, max_size=3)))
+                for k in range(n)
+            },
+        )
+        assume(not series.is_zero())
+        coeff = Scalar.of(CircleConst.of(Q(unit, 8)), series)
+        terms.append(ExpSum.exponential(spec, LinForm(coeffs, const, None), coeff))
+    if len(terms) == 2:
+        assume(terms[0].terms[0].form.coeffs != terms[1].terms[0].form.coeffs)
+    return sum(terms[1:], terms[0])
+
+
+def _assert_canonical(result):
+    for bucket in result.values():
+        for unit, den, parts in bucket.values():
+            assert parts and den > 0 and unit.q < Q(1, 2)
+            assert list(parts) == sorted(parts) and len({k for k, _ in parts}) == len(parts)
+            assert all(re or im for _, (re, im) in parts)
+            assert gcd(den, *(x for _, v in parts for x in v)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_taylor_expand_matches_scalar_products(data):
+    spec = data.draw(st.sampled_from((spec_qp(order=3), TWO_SLOTS)))
+    f = data.draw(dense_sum(spec))
+    got = _outcome(taylor_expand, f, 3)
+    want = _outcome(_scalar_expand, f, 3)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_canonical(got)
+        assert _materialized(got, spec.order) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_taylor_star_oracle_matches_scalar_products(data):
+    spec = data.draw(st.sampled_from((spec_qp(order=3), TWO_SLOTS)))
+    f, g = data.draw(dense_sum(spec)), data.draw(dense_sum(spec))
+    got = _outcome(taylor_star_oracle, f, g, 2)
+    want = _outcome(_scalar_oracle, f, g, 2)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_canonical(got)
+        assert _materialized(got, spec.order) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((CIRCLE_ONE, CircleConst.of(Q(1, 8)))),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 4)),
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+        min_size=1,
+    ),
+    st.integers(1, 12),
+    st.integers(2, 6),
+)
+def test_oracle_form_is_unique_per_value(unit, acc, den, m):
+    form = mo._form(unit, den, acc)
+    # the same value over the denominator den * m
+    assert mo._form(unit, den * m, {k: (re * m, im * m) for k, (re, im) in acc.items()}) == form
+    if not form[2]:
+        return
+    # a perturbed numerator is another value and another form
+    (key, (re, im)), *rest = form[2]
+    other = (form[0], form[1], ((key, (re + 1, im)), *rest))
+    assert _materialize(other, 4) != _materialize(form, 4)
+    assert mo._form(unit, form[1], dict(other[2])) != form
+
+
+def test_oracle_collisions_of_differing_units_raise():
+    spec = spec_qp()
+    f = ExpSum.exponential(spec, form(spec, (1, 0)), Scalar.of(CircleConst.of(Q(1, 8)), HbarSeries.one(4)))
+    g = ExpSum.exponential(spec, form(spec, (0, 1)), Scalar.of(CircleConst.of(Q(3, 8)), HbarSeries.one(4)))
+    with pytest.raises(CoeffError, match="incompatible circle constants"):
+        taylor_expand(f + g, 2)
+    with pytest.raises(CoeffError, match="incompatible circle constants"):
+        taylor_star_oracle(f + g, ExpSum.one(spec), 2)
+
+
+def test_oracle_cancelling_terms_drop_the_monomial():
+    # E(pi x) - E(-pi x) is odd in x: every even monomial cancels
+    spec = spec_qp()
+    minus = Scalar.from_grat(4, GRat.of(-1))
+    f = exp_of(spec, (1, 0)) + ExpSum.exponential(spec, form(spec, (-1, 0)), minus)
+    one = ExpSum.one(spec)
+    for result in (taylor_expand(f, 4), taylor_star_oracle(f, one, 4)):
+        assert sorted(result[Q(0)]) == [(1, 0), (3, 0)]
