@@ -679,7 +679,7 @@ def run_cmd(config, suites, window, order, out):
 @click.argument("lhs")
 @click.argument("rhs")
 @click.option("--slots", required=True, help="slot specification as JSON")
-@click.option("--degree", type=int, default=4, help="oracle expansion degree")
+@click.option("--degree", type=click.IntRange(min=0), default=4, help="oracle expansion degree")
 def star_cmd(lhs, rhs, slots, degree):
     """Star-multiply two exponential expressions and cross-check."""
     try:

@@ -9,6 +9,15 @@ where pi is a formal transcendental symbol and h is the deformation
 parameter, truncated at a fixed order N.  All arithmetic is exact; there
 is no floating point anywhere in the package.
 
+At the bottom of the tower a Gaussian rational (``GRat``) is one
+canonical integer triple (n, m, d), the value (n + m i)/d with d > 0 and
+gcd(n, m, d) = 1.  The triples of one value are the nonzero multiples of
+a single primitive one, and the two conditions pick that one out; so
+equality, hashing and the zero test compare integers, and every
+arithmetic result is reduced by one gcd.  ``Q`` (``fractions.Fraction``)
+remains the type of circle constants, of the linear algebra and of the
+read-only ``re``/``im`` views of a ``GRat``.
+
 Units of the series ring decompose as a_0 * exp(a_1 h + a_2 h^2 + ...);
 `exp_decompose` computes that decomposition and `series_exp`/`series_log`
 are the two directions of the bijection it rests on.  `exp_hpi2` is the
@@ -68,10 +77,15 @@ class NotRepresentable(CoeffError):
     """Operation leaves the exactly representable class."""
 
 
-def _rat(x) -> "Q":
-    if isinstance(x, (int, str)):
-        return Q(x)  # a string may carry one sign and surrounding spaces
-    return x  # already a Q
+def _rat(x):
+    """An int, a Q, or a string parsed as a Q; a zero denominator in a
+    string is a ``CoeffError``."""
+    if isinstance(x, str):
+        try:
+            return Q(x)  # a string may carry one sign and surrounding spaces
+        except ZeroDivisionError:
+            raise CoeffError(f"zero denominator in {x!r}") from None
+    return x
 
 
 def _mod2(q):
@@ -85,57 +99,98 @@ def _mod2(q):
 # Gaussian rationals
 
 
-_Q_ZERO = Q(0)
+_new = object.__new__
 
 
-def cmul(a, b, c, d):
-    """(re, im) of (a + b i)(c + d i) for rationals a, b, c, d.
+def _grat(n, m, d):
+    """The GRat (n + m i)/d of an already canonical triple."""
+    g = _new(GRat)
+    g.n = n
+    g.m = m
+    g.d = d
+    return g
 
-    The one complex-product kernel.  Each part is formed over a common
-    denominator from numerators and denominators and normalized once, by
-    building it with ``Q``; the schoolbook form pays a normalization for
-    each of its four products, its sum and its difference.  A zero
-    imaginary part on either side skips the products it would zero.
+
+def _reduced(n, m, d):
+    """The GRat (n + m i)/d for integers n, m and d > 0, reduced by one
+    gcd; a zero value comes out as (0, 0, 1)."""
+    if d != 1:
+        g = gcd(n, m, d)
+        if g != 1:
+            return _grat(n // g, m // g, d // g)
+    return _grat(n, m, d)
+
+
+def cmul(x, y):
+    """x * y for Gaussian rationals x and y.
+
+    The one complex-product kernel: one Gaussian-integer product of the
+    numerators over the product of the denominators, reduced by one gcd.
+    A zero imaginary part on either side skips the products it would
+    zero.
     """
-    an, ad = a.numerator, a.denominator
-    cn, cd = c.numerator, c.denominator
-    if not d:
-        if not b:
-            return Q(an * cn, ad * cd), _Q_ZERO
-        bn, bd = b.numerator, b.denominator
-        return Q(an * cn, ad * cd), Q(bn * cn, bd * cd)
-    dn, dd = d.numerator, d.denominator
-    if not b:
-        return Q(an * cn, ad * cd), Q(an * dn, ad * dd)
-    bn, bd = b.numerator, b.denominator
-    p, r = ad * cd, bd * dd
-    s, t = ad * dd, bd * cd
-    return (
-        Q(an * cn * r - bn * dn * p, p * r),
-        Q(an * dn * t + bn * cn * s, s * t),
-    )
+    a, b, p = x.n, x.m, x.d
+    c, e, q = y.n, y.m, y.d
+    if not e:
+        if not c:
+            return GRAT_ZERO
+        n, m = a * c, b * c
+    elif not b:
+        if not a:
+            return GRAT_ZERO
+        n, m = a * c, a * e
+    else:
+        n, m = a * c - b * e, a * e + b * c
+    return _reduced(n, m, p * q)
 
 
 class GRat:
-    """A Gaussian rational re + im*i with exact rational parts.
+    """A Gaussian rational (n + m i)/d, stored as the canonical integer
+    triple with d > 0 and gcd(n, m, d) = 1.
+
+    The integer triples of one value are the nonzero multiples k(n, m, d)
+    of a single primitive one; d > 0 and gcd(n, m, d) = 1 pick it out, so
+    equal values have equal fields, and ``==``, ``hash`` and ``bool``
+    compare integers.  Zero is (0, 0, 1).  Arithmetic works on the
+    integers and reduces each result by one gcd; ``re`` and ``im`` are
+    read-only ``Q`` views of the two parts.
 
     A plain slots class rather than a dataclass: these are created in
     bulk on every arithmetic path.  Treat instances as immutable.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("n", "m", "d")
 
     def __init__(self, re, im):
-        self.re = re
-        self.im = im
+        rn, rd = re.numerator, re.denominator
+        jn, jd = im.numerator, im.denominator
+        if rd == jd:
+            self.n, self.m, self.d = rn, jn, rd
+        else:
+            # over lcm(rd, jd) a prime's full power in d comes from one
+            # part's reduced denominator, and that part's numerator is
+            # prime to it: the triple is canonical
+            d = lcm(rd, jd)
+            self.n, self.m, self.d = rn * (d // rd), jn * (d // jd), d
+
+    @property
+    def re(self) -> Q:
+        return Q(self.n, self.d)
+
+    @property
+    def im(self) -> Q:
+        return Q(self.m, self.d)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, GRat) and self.re == other.re and self.im == other.im
+            isinstance(other, GRat)
+            and self.n == other.n
+            and self.m == other.m
+            and self.d == other.d
         )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.n, self.m, self.d))
 
     def __repr__(self):
         return f"GRat({self.re!r}, {self.im!r})"
@@ -145,49 +200,69 @@ class GRat:
         return GRat(_rat(re), _rat(im))
 
     def __add__(self, other: "GRat") -> "GRat":
-        return GRat(self.re + other.re, self.im + other.im)
+        c, e, q = other.n, other.m, other.d
+        if not (c or e):
+            return self
+        a, b, p = self.n, self.m, self.d
+        if not (a or b):
+            return other
+        if p == q:
+            return _reduced(a + c, b + e, p)
+        g = gcd(p, q)
+        if g == 1:
+            # a prime dividing p does not divide q, so it divides both
+            # numerators only if it divides a and b, which gcd(a, b, p) = 1
+            # rules out; likewise for q: the sum needs no gcd
+            return _grat(a * q + c * p, b * q + e * p, p * q)
+        s, t = q // g, p // g
+        return _reduced(a * s + c * t, b * s + e * t, p * s)
 
     def __sub__(self, other: "GRat") -> "GRat":
-        return GRat(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GRat":
-        return GRat(-self.re, -self.im)
+        return _grat(-self.n, -self.m, self.d)
 
     def __mul__(self, other: "GRat") -> "GRat":
-        return GRat(*cmul(self.re, self.im, other.re, other.im))
+        return cmul(self, other)
 
     def scale(self, q) -> "GRat":
-        return GRat(*cmul(self.re, self.im, _rat(q), _Q_ZERO))
+        """self * q for a rational q."""
+        q = _rat(q)
+        return _reduced(self.n * q.numerator, self.m * q.numerator, self.d * q.denominator)
 
     def inverse(self) -> "GRat":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        n, m, d = self.n, self.m, self.d
+        norm = n * n + m * m
+        if not norm:
             raise NotInvertible("division by zero Gaussian rational")
-        return GRat(self.re / n, -self.im / n)
+        return _reduced(n * d, -m * d, norm)
 
     def __truediv__(self, other: "GRat") -> "GRat":
         return self * other.inverse()
 
     def conj(self) -> "GRat":
-        return GRat(self.re, -self.im)
+        return _grat(self.n, -self.m, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.n or self.m)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.n or self.m)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im} i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)} i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im} i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)} i"
 
     @staticmethod
     def parse(text: str) -> "GRat":
-        """Parse 'a/b', 'c/d i', or 'a/b+c/d i' (also with '-')."""
+        """Parse 'a/b', 'c/d i', or 'a/b+c/d i' (also with '-').  A zero
+        denominator is a ``CoeffError``."""
         s = text.strip().replace(" ", "")
         if not s:
             raise CoeffError("empty Gaussian rational literal")
@@ -200,41 +275,43 @@ class GRat:
                     im_part = im_part.rstrip("*")
                     if im_part in ("+", "-"):
                         im_part += "1"
-                    return GRat(_rat(re_part), _rat(im_part))
+                    return GRat.of(re_part, im_part)
             body = body.rstrip("*")
             if body in ("", "+"):
                 body = "1"
             elif body == "-":
                 body = "-1"
-            return GRat(Q(0), _rat(body))
-        return GRat(_rat(s), Q(0))
+            return GRat.of(0, body)
+        return GRat.of(s)
 
 
 def combine(coeffs, vectors) -> tuple:
     """sum_k coeffs[k] * vectors[k] for rational coeffs and GRat vectors.
 
     The one integer-combination kernel behind the lattice and dual-lattice
-    vectors.  Each part is summed over a running least common denominator
-    and normalized once, when it is built with ``Q``.
+    vectors.  Each entry is summed on Gaussian-integer numerators over a
+    running least common denominator and reduced once, by one gcd.
     """
-    sums = [[0, 1, 0, 1] for _ in vectors[0]]
+    sums = [[0, 0, 1] for _ in vectors[0]]
     for c, vec in zip(coeffs, vectors):
         if not c:
             continue
         cn, cd = c.numerator, c.denominator
         for acc, x in zip(sums, vec):
-            for k, part in ((0, x.re), (2, x.im)):
-                if not part:
-                    continue
-                n, d = cn * part.numerator, cd * part.denominator
-                den = acc[k + 1]
-                if d == den:
-                    acc[k] += n
-                else:
-                    g = gcd(den, d)
-                    acc[k] = acc[k] * (d // g) + n * (den // g)
-                    acc[k + 1] = den * (d // g)
-    return tuple(GRat(Q(rn, rd), Q(jn, jd)) for rn, rd, jn, jd in sums)
+            if not (x.n or x.m):
+                continue
+            d = cd * x.d
+            den = acc[2]
+            if d == den:
+                acc[0] += cn * x.n
+                acc[1] += cn * x.m
+            else:
+                g = gcd(den, d)
+                s, t = d // g, den // g
+                acc[0] = acc[0] * s + cn * x.n * t
+                acc[1] = acc[1] * s + cn * x.m * t
+                acc[2] = den * s
+    return tuple(_reduced(n, m, d) for n, m, d in sums)
 
 
 def bilinear(matrix, x, y) -> GRat:
@@ -255,9 +332,9 @@ def bilinear(matrix, x, y) -> GRat:
     return acc
 
 
-GRAT_ZERO = GRat(Q(0), Q(0))
-GRAT_ONE = GRat(Q(1), Q(0))
-GRAT_I = GRat(Q(0), Q(1))
+GRAT_ZERO = _grat(0, 0, 1)
+GRAT_ONE = _grat(1, 0, 1)
+GRAT_I = _grat(0, 1, 1)
 
 I_POWERS = (GRAT_ONE, GRAT_I, -GRAT_ONE, -GRAT_I)  # i^k for k = 0..3
 
@@ -358,7 +435,7 @@ class PiPoly:
         q = _rat(q)
         if q == 0:
             return PI_ZERO
-        return PiPoly(tuple((d, GRat(x.re * q, x.im * q)) for d, x in self.terms))
+        return PiPoly(tuple((d, x.scale(q)) for d, x in self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -403,14 +480,11 @@ def gauss_mac(acc, key, a, b, c, d):
     acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
 
 
-def over_lcd(pairs):
-    """(lcd, nums) of a list of rational (re, im) pairs: nums holds each
-    pair's integer numerators over lcd, the lcm of every denominator."""
-    lcd = lcm(*(x.denominator for pair in pairs for x in pair))
-    return lcd, [
-        (re.numerator * (lcd // re.denominator), im.numerator * (lcd // im.denominator))
-        for re, im in pairs
-    ]
+def over_lcd(grats):
+    """(lcd, nums) of a list of GRats: nums holds each one's (re, im)
+    integer numerators over lcd, the lcm of every denominator."""
+    lcd = lcm(*(x.d for x in grats))
+    return lcd, [(x.n * (lcd // x.d), x.m * (lcd // x.d)) for x in grats]
 
 
 def _flatten(coeffs):
@@ -418,7 +492,7 @@ def _flatten(coeffs):
     pi-degree, re, im) in increasing h-degree, with integer re and im
     over den (see ``over_lcd``)."""
     keys = [(k, p) for k, a in enumerate(coeffs) for p, _ in a.terms]
-    den, nums = over_lcd([(c.re, c.im) for a in coeffs for _, c in a.terms])
+    den, nums = over_lcd([c for a in coeffs for _, c in a.terms])
     return den, [(k, p, re, im) for (k, p), (re, im) in zip(keys, nums)]
 
 
@@ -495,9 +569,8 @@ class HbarSeries:
         itself when b0 is 1.  Otherwise each operand is flattened once
         into (h-degree, pi-degree, re, im) integer numerators over the
         lcm of its parts' denominators; the convolution runs on Python
-        ints, truncated at h^order, and each output part is normalized
-        once, when it is built with ``Q`` over the product of the two
-        denominators.
+        ints, truncated at h^order, and each output part is reduced over
+        the product of the two denominators by one gcd.
         """
         self._check(other)
         n = self.order
@@ -520,8 +593,7 @@ class HbarSeries:
         out = [[] for _ in range(n)]
         for (k, p), (re, im) in sorted(acc.items()):
             if re or im:
-                c = GRat(Q(re, den) if re else _Q_ZERO, Q(im, den) if im else _Q_ZERO)
-                out[k].append((p, c))
+                out[k].append((p, _reduced(re, im, den)))
         return HbarSeries(
             n, tuple(PiPoly(tuple(t)) if t else PI_ZERO for t in out)
         )
@@ -642,11 +714,6 @@ class CircleConst:
         r = q - Q(k, 2)
         return k % 4, r
 
-    def as_grat(self):
-        """The value as a GRat when q is a multiple of 1/2, else None."""
-        k, r = self.quarter_turns()
-        return I_POWERS[k] if r == 0 else None
-
     def __str__(self) -> str:
         return f"u({self.q})"
 
@@ -656,6 +723,22 @@ CIRCLE_ONE = CircleConst(Q(0))
 
 # ---------------------------------------------------------------------------
 # The full scalar
+
+
+def _quarter_turn(series: HbarSeries, k: int) -> HbarSeries:
+    """series * i^k, as an exact swap and negate of each coefficient's
+    numerators: no product and no gcd, and every triple stays canonical."""
+
+    def turn(c):
+        n, m = c.n, c.m
+        for _ in range(k):
+            n, m = -m, n
+        return _grat(n, m, c.d)
+
+    return HbarSeries(
+        series.order,
+        tuple(PiPoly(tuple((p, turn(c)) for p, c in a.terms)) for a in series.coeffs),
+    )
 
 
 class Scalar:
@@ -685,7 +768,7 @@ class Scalar:
     def of(unit: CircleConst, series: HbarSeries) -> "Scalar":
         k, r = unit.quarter_turns()
         if k:
-            series = series.scale(I_POWERS[k])
+            series = _quarter_turn(series, k)
         return Scalar(CircleConst(r), series)
 
     @staticmethod
@@ -761,7 +844,7 @@ def exp_hpi2(order: int, value: GRat) -> Scalar:
     for k in range(1, order):
         power = power * value
         fact *= k
-        coeffs[k] = PiPoly.pi_power(2 * k, power.scale(Q(1, fact)))
+        coeffs[k] = PiPoly.pi_power(2 * k, _reduced(power.n, power.m, power.d * fact))
     return Scalar(CIRCLE_ONE, HbarSeries.of(order, coeffs))
 
 

@@ -40,6 +40,7 @@ from .coeff import (
     NotInvertible,
     Q,
     Scalar,
+    _reduced,
     bilinear,
     exp_hpi2,
     series_exp,
@@ -350,14 +351,11 @@ def scalar_add(a: Scalar, b: Scalar) -> Scalar:
     """Add two canonical scalars with the same truncation order.
 
     Both are unit*series; addition only stays in the class when the units
-    agree (always true for merged like-exponent terms coming out of
-    normalization) or one side folds to a plain series.
+    agree, as they always do for merged like-exponent terms coming out of
+    normalization.
     """
     if a.unit == b.unit:
         return Scalar(a.unit, a.series + b.series)
-    ga, gb = a.unit.as_grat(), b.unit.as_grat()
-    if ga is not None and gb is not None:
-        return Scalar(CIRCLE_ONE, a.series.scale(ga) + b.series.scale(gb))
     raise CoeffError(
         "sum of scalars with incompatible circle constants is not representable"
     )
@@ -369,10 +367,10 @@ def _normalize(coeff: Scalar, form: LinForm):
     if ch is not None and not ch.is_zero():
         coeff = coeff * Scalar(CIRCLE_ONE, series_exp(ch))
     cp = form.const_pi
-    if cp.im != 0:
-        coeff = coeff.turn(cp.im)
-        cp = GRat(cp.re, Q(0))
-    if form.const_hbar is not None or cp.im != form.const_pi.im:
+    if cp.m:
+        coeff = coeff.turn(Q(cp.m, cp.d))
+        cp = _reduced(cp.n, 0, cp.d)
+    if ch is not None or cp is not form.const_pi:
         form = LinForm(form.coeffs, cp, None)
     return coeff, form
 

@@ -25,16 +25,16 @@ Results are reported as a two-level mapping
 
     {symbolic-pi constant -> {monomial -> (unit, den, parts)}}
 
-keyed first by the residual real pi-constant of the exponents (which no
-derivative ever touches) so that a star-product output can be expanded
-with ``taylor_expand`` and compared for exact equality.  A monomial's
-coefficient is unit * sum of h^k pi^p (re + im i) / den over the
-``((k, p), (re, im))`` entries of ``parts``: ``unit`` is the canonical
-``CircleConst`` of the term's coefficient, ``parts`` is sorted with no
-zero entry, ``den > 0`` and gcd(den, every numerator) = 1.  Each
-Gaussian rational has one reduced form over the lcm of its parts'
-denominators, so two coefficients are equal exactly when their forms
-are; a zero coefficient has no entry.
+keyed first by the residual real pi-constant of the exponents, a real
+``GRat`` (which no derivative ever touches), so that a star-product
+output can be expanded with ``taylor_expand`` and compared for exact
+equality.  A monomial's coefficient is unit * sum of h^k pi^p
+(re + im i) / den over the ``((k, p), (re, im))`` entries of ``parts``:
+``unit`` is the canonical ``CircleConst`` of the term's coefficient,
+``parts`` is sorted with no zero entry, ``den > 0`` and gcd(den, every
+numerator) = 1.  Each Gaussian rational has one reduced form over the
+lcm of its parts' denominators, so two coefficients are equal exactly
+when their forms are; a zero coefficient has no entry.
 """
 
 from __future__ import annotations
@@ -51,14 +51,13 @@ __all__ = ["taylor_star_oracle", "taylor_expand"]
 def _exp_poly(lin, nvars: int, degree: int):
     """Taylor expansion of E(pi * sum lin[i] x_i) to total degree bound.
 
-    ``lin`` holds (re, im) rational pairs.  Returns ``(poly, den)``: poly
-    maps monomials (exponent tuples) to (re, im) integer numerators over
-    den.  Layer m, built from layer m-1 by one more factor sum_i lin[i]
+    ``lin`` holds GRats.  Returns ``(poly, den)``: poly maps monomials
+    (exponent tuples) to (re, im) integer numerators over den.  Layer m, built from layer m-1 by one more factor sum_i lin[i]
     x_i, is over L^m m! for L the lcm of the denominators in ``lin``;
     den is that of the last layer.  A monomial of total degree d carries
     an implicit pi^d tracked by the caller.
     """
-    support = [i for i, (c, d) in enumerate(lin) if c or d]
+    support = [i for i, c in enumerate(lin) if c]
     lcd, nums = over_lcd([lin[i] for i in support])
     step = [(i, c, d) for i, (c, d) in zip(support, nums)]
     layers = [{(0,) * nvars: (1, 0)}]
@@ -130,18 +129,11 @@ def _pairing_entries(spec: SlotSpec, pvars):
     offset = 0
     for s in spec.slots:
         if s.poisson is not None:
-            sign = -1 if s.opposite else 1
             for i in range(s.dim):
                 for j in range(s.dim):
-                    w = s.poisson[i][j]
+                    w = -s.poisson[i][j] if s.opposite else s.poisson[i][j]
                     if w:
-                        entries.append(
-                            (
-                                local[offset + i],
-                                local[offset + j],
-                                (w.re * sign, w.im * sign),
-                            )
-                        )
+                        entries.append((local[offset + i], local[offset + j], w))
         offset += s.nvars
     lp, nums = over_lcd([w for *_, w in entries])
     return [(i, j, w) for (i, j, _), w in zip(entries, nums)], lp
@@ -211,8 +203,8 @@ def _merge_mono(nvars, pvars, cvars, pm, cm):
     return tuple(out)
 
 
-def _flat_pairs(form):
-    return [(a.re, a.im) for s in form.coeffs for a in s]
+def _flat(form):
+    return [a for s in form.coeffs for a in s]
 
 
 def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
@@ -236,12 +228,12 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
     in_degree = degree + order - 1
     result = {}
     for t1 in f.terms:
-        flat1 = _flat_pairs(t1.form)
+        flat1 = _flat(t1.form)
         p1, den1 = _exp_poly([flat1[i] for i in pvars], np_, in_degree)
         c1, cden1 = _exp_poly([flat1[i] for i in cvars], nc, degree)
         d1_cache = {(0,) * np_: p1}
         for t2 in g.terms:
-            flat2 = _flat_pairs(t2.form)
+            flat2 = _flat(t2.form)
             p2, den2 = _exp_poly([flat2[i] for i in pvars], np_, in_degree)
             c2, cden2 = _exp_poly([flat2[i] for i in cvars], nc, degree)
             d2_cache = {(0,) * np_: p2}
@@ -251,7 +243,7 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
                 comm_buckets.setdefault(sum(cm), []).append((cm, cc))
             base = t1.coeff * t2.coeff
             bden, bparts = _flatten(base.series.coeffs)
-            const_key = (t1.form.const_pi + t2.form.const_pi).re
+            const_key = t1.form.const_pi + t2.form.const_pi
             # level k sums state weights (products of k entries of P, over
             # lp^k) times d^alpha p1 d^beta p2 (over den1 den2) times comm
             # (over cden1 cden2), divided by k!
@@ -325,9 +317,9 @@ def taylor_expand(f: ExpSum, degree: int):
     n = f.spec.nvars
     result = {}
     for t in f.terms:
-        poly, den = _exp_poly(_flat_pairs(t.form), n, degree)
+        poly, den = _exp_poly(_flat(t.form), n, degree)
         cden, cparts = _flatten(t.coeff.series.coeffs)
-        const_key = t.form.const_pi.re
+        const_key = t.form.const_pi
         for mono, (a, b) in poly.items():
             d = sum(mono)
             acc = {(k, p + d): (re * a - im * b, re * b + im * a) for k, p, re, im in cparts}

@@ -207,7 +207,7 @@ class _Parser:
         if k == "num":
             self.take()
             exp = self._maybe_power()
-            coeff = coeff.scale(GRat.of(Q(v) ** exp))
+            coeff = coeff.scale(GRat.of(GRat.parse(v).re ** exp))
             return coeff, form
         if k == "name" and v == "i":
             self.take()
@@ -273,7 +273,7 @@ class _Parser:
         if k == "sym" and v in "+-":
             self.take()
             sign = -1 if v == "-" else 1
-        return Q(self.take("num")) * sign
+        return GRat.parse(self.take("num")).re * sign
 
     def _grat_literal(self) -> GRat:
         """(a/b + c/d i) style literal; also plain rationals or i."""
@@ -292,7 +292,7 @@ class _Parser:
                 break
             if k == "num":
                 self.take()
-                mag = Q(v)
+                mag = GRat.parse(v).re
                 k2, v2 = self.peek()
                 if k2 == "sym" and v2 == "*":
                     # tolerate 1*i
@@ -344,7 +344,7 @@ class _Parser:
         if k == "num":
             self.take()
             return LinForm(
-                self.spec.zero_form().coeffs, GRat.of(Q(v)), None
+                self.spec.zero_form().coeffs, GRat.parse(v), None
             )
         if k == "name" and v in self.var_index:
             self.take()
@@ -382,7 +382,7 @@ class _Parser:
             k, v = self.peek()
             if k == "num":
                 self.take()
-                coef = coef * GRat.of(Q(v))
+                coef = coef * GRat.parse(v)
                 k2, v2 = self.peek()
                 if k2 == "sym" and v2 == "*":
                     self.take()
@@ -457,9 +457,9 @@ class _Parser:
                         k3, v3 = self.peek()
                         if k3 == "name" and v3 == "i":
                             self.take()
-                            entries.append(GRat.of(0, Q(num) * sign))
+                            entries.append(GRat.of(0, GRat.parse(num).re * sign))
                         else:
-                            entries.append(GRat.of(Q(num) * sign))
+                            entries.append(GRat.parse(num).scale(sign))
                 if vi + 1 < slot.nvars:
                     self.take("sym", ",")
             coeffs.append(tuple(entries))

@@ -118,6 +118,34 @@ def test_cli_star_and_dual_lattice():
     assert "xi^(1)" in res.output
 
 
+ONE_SLOT = json.dumps({"order": 4, "slots": [{"name": "v", "dim": 1}]})
+
+
+def test_cli_star_zero_denominator_is_a_parse_error():
+    res = CliRunner().invoke(main, ["star", "1/0*E[pi*v]", "E[pi*v]", "--slots", ONE_SLOT])
+    assert res.exit_code == 2
+    assert "parse error:" in res.output and "zero denominator" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_cli_run_zero_denominator_is_a_config_error(tmp_path):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(MINIMAL.replace('"poisson": [["0"]]', '"poisson": [["1/0"]]'))
+    res = CliRunner().invoke(main, ["run", str(cfg)])
+    assert res.exit_code == 2
+    assert "config error:" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_cli_star_rejects_a_negative_degree():
+    args = ["star", "E[pi*v]", "E[pi*v]", "--slots", ONE_SLOT, "--degree", "-1"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert "oracle" not in res.output
+    res = CliRunner().invoke(main, args[:-1] + ["0"])
+    assert res.exit_code == 0 and "oracle[deg<=0]: OK" in res.output
+
+
 def _run_minimal(tmp_path, *args, env=None):
     cfg = tmp_path / "minimal.json"
     cfg.write_text(MINIMAL)

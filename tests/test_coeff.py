@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from nctorus.coeff import (
     CircleConst,
     GRat,
     HbarSeries,
+    I_POWERS,
     NotInvertible,
     NotRepresentable,
     OrderMismatch,
@@ -89,9 +90,6 @@ def test_circle_const_normalization():
     assert CircleConst.of(1) * CircleConst.of(1) == CircleConst.of(0)
     q1, q2 = Q(3, 4), Q(5, 6)
     assert (CircleConst.of(q1) * CircleConst.of(q2)).q == (q1 + q2) % 2
-    assert CircleConst.of(1).as_grat() == GRat.of(-1)
-    assert CircleConst.of(Q(1, 2)).as_grat() == GRat.of(0, 1)
-    assert CircleConst.of(Q(1, 4)).as_grat() is None
 
 
 def test_exp_decompose_examples():
@@ -192,17 +190,17 @@ def test_complex_product_kernel_matches_schoolbook(a, b, c, d):
     def parts(pair):
         return [(x.numerator, x.denominator) for x in pair]
 
-    got = cmul(a, b, c, d)
-    assert parts(got) == parts(want)
-    assert hash(got) == hash(want)
+    got = cmul(GRat(a, b), GRat(c, d))
+    assert parts((got.re, got.im)) == parts(want)
+    assert got == GRat(*want) and hash(got) == hash(GRat(*want))
 
     prod = GRat(a, b) * GRat(c, d)
     assert parts((prod.re, prod.im)) == parts(want)
-    assert prod == GRat(*want) and hash(prod) == hash(GRat(*want))
+    assert prod == got and hash(prod) == hash(got)
 
     # the oracle's product on integer numerators over one denominator each
-    den1, nums1 = over_lcd([(a, b)])
-    den2, nums2 = over_lcd([(c, d)])
+    den1, nums1 = over_lcd([GRat(a, b)])
+    den2, nums2 = over_lcd([GRat(c, d)])
     assert den1 == lcm(a.denominator, b.denominator)
     assert [(Q(x, den1), Q(y, den1)) for x, y in nums1] == [(a, b)]
     pair = _mul_trunc({(0,): nums1[0]}, {(0,): nums2[0]}, 0)
@@ -214,6 +212,89 @@ def test_complex_product_kernel_matches_schoolbook(a, b, c, d):
         assert hash(val) == hash(want)
     else:
         assert pair == {}
+
+
+grats = st.builds(GRat, rationals, rationals)
+
+
+def _schoolbook_str(re, im):
+    """The rendering of re + im i from its two Fraction parts."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im} i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)} i"
+
+
+def _parts(x):
+    return (x.re, x.im)
+
+
+def _canonical(x):
+    fields = (x.n, x.m, x.d)
+    return all(type(f) is int for f in fields) and x.d > 0 and gcd(*fields) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, rationals, rationals, st.one_of(st.integers(-4, 4), rationals))
+def test_grat_triples_match_fraction_schoolbook(a, b, c, d, q):
+    x, y = GRat(a, b), GRat(c, d)
+    for v, (re, im) in ((x, (a, b)), (y, (c, d))):
+        assert _canonical(v)
+        assert type(v.re) is Fraction and type(v.im) is Fraction
+        assert _parts(v) == (re, im)
+        assert str(v) == _schoolbook_str(re, im)
+        assert repr(v) == f"GRat({re!r}, {im!r})"
+    norm = c * c + d * d
+    want = {
+        "+": (a + c, b + d),
+        "-": (a - c, b - d),
+        "*": (a * c - b * d, a * d + b * c),
+        "neg": (-a, -b),
+        "conj": (a, -b),
+        "scale": (a * q, b * q),
+    }
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x, "conj": x.conj(), "scale": x.scale(q)}
+    if norm:
+        want["/"] = ((a * c + b * d) / norm, (b * c - a * d) / norm)
+        want["inverse"] = (c / norm, -d / norm)
+        got["/"] = x / y
+        got["inverse"] = y.inverse()
+    else:
+        with pytest.raises(NotInvertible):
+            y.inverse()
+    for op, v in got.items():
+        assert _canonical(v), op
+        assert _parts(v) == want[op], op
+        # equal values have equal fields, whichever way they were built
+        built = GRat(*want[op])
+        assert (v.n, v.m, v.d) == (built.n, built.m, built.d) and v == built, op
+        assert hash(v) == hash(built) and bool(v) == any(want[op]), op
+        assert GRat.parse(str(v)) == v, op
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    # a sum with a zero side is the other side
+    assert x + GRAT_ZERO is x and x - GRAT_ZERO is x
+    assert GRAT_ZERO + y is (y if y else GRAT_ZERO)
+    assert (x == y) == ((a, b) == (c, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grats, grats)
+def test_grat_hot_operations_build_no_fraction(x, y):
+    built = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting))
+        for u, v in ((x, y), (y, x), (x, x), (x, GRAT_ZERO), (GRAT_ZERO, x)):
+            u + v, u - v, u * v, u == v, hash(u), bool(u)
+        assert built[0] == 0
+        Q(1, 2)  # the guard does see a construction
+        assert built[0] == 1
 
 
 def _grat_product(x, y):
@@ -328,9 +409,19 @@ def test_turn_matches_product_with_circle_constant(s):
 
 
 @settings(max_examples=100, deadline=None)
+@given(sparse_series(N), st.integers(0, 7))
+def test_quarter_turn_fold_matches_product_by_i_power(series, k):
+    # Scalar.of swaps and negates numerators; the reference multiplies by i^k
+    s = Scalar.of(CircleConst.of(Q(k, 2)), series)
+    want = series.scale(I_POWERS[k % 4])
+    assert s.unit == CIRCLE_ONE
+    assert s.series == want and hash(s.series) == hash(want) and repr(s.series) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 5), st.data())
 def test_exp_poly_integer_form_matches_taylor_coefficients(nvars, degree, data):
-    lin = data.draw(st.lists(st.tuples(rationals, rationals), min_size=nvars, max_size=nvars))
+    lin = data.draw(st.lists(st.builds(GRat, rationals, rationals), min_size=nvars, max_size=nvars))
     poly, den = _exp_poly(lin, nvars, degree)
     assert isinstance(den, int) and den > 0
     want = {}
@@ -339,9 +430,9 @@ def test_exp_poly_integer_form_matches_taylor_coefficients(nvars, degree, data):
             continue
         # prod_i lin[i]^alpha_i / alpha_i!
         c = GRAT_ONE
-        for (re, im), e in zip(lin, alpha):
+        for x, e in zip(lin, alpha):
             for _ in range(e):
-                c = _grat_product(c, GRat(re, im))
+                c = _grat_product(c, GRat(x.re, x.im))
             c = GRat(c.re / factorial(e), c.im / factorial(e))
         if c.re or c.im:
             want[alpha] = c

@@ -368,10 +368,10 @@ def _scalar_expand(f, degree):
     order = f.spec.order
     result = {}
     for t in f.terms:
-        poly, den = mo._exp_poly(mo._flat_pairs(t.form), f.spec.nvars, degree)
+        poly, den = mo._exp_poly(mo._flat(t.form), f.spec.nvars, degree)
         for mono, (a, b) in poly.items():
             scal = _monomial_times_coeff(t, sum(mono), GRat(Q(a, den), Q(b, den)), order)
-            _scalar_accumulate(result, t.form.const_pi.re, mono, scal)
+            _scalar_accumulate(result, t.form.const_pi, mono, scal)
     return result
 
 
@@ -386,11 +386,11 @@ def _scalar_oracle(f, g, degree):
     entries, lp = mo._pairing_entries(spec, pvars)
     result = {}
     for t1 in f.terms:
-        flat1 = mo._flat_pairs(t1.form)
+        flat1 = mo._flat(t1.form)
         p1, den1 = mo._exp_poly([flat1[i] for i in pvars], np_, degree + order - 1)
         c1, cden1 = mo._exp_poly([flat1[i] for i in cvars], nc, degree)
         for t2 in g.terms:
-            flat2 = mo._flat_pairs(t2.form)
+            flat2 = mo._flat(t2.form)
             p2, den2 = mo._exp_poly([flat2[i] for i in pvars], np_, degree + order - 1)
             c2, cden2 = mo._exp_poly([flat2[i] for i in cvars], nc, degree)
             comm = mo._mul_trunc(c1, c2, degree)
@@ -418,7 +418,7 @@ def _scalar_oracle(f, g, degree):
                         gauss_mac(nxt, (na, nb), wa, wb, pa, pb)
                 state = nxt
             base = t1.coeff * t2.coeff
-            const_key = (t1.form.const_pi + t2.form.const_pi).re
+            const_key = t1.form.const_pi + t2.form.const_pi
             for mono, levels in local.items():
                 coeffs = {
                     k: PiPoly.pi_power(sum(mono) + 2 * k, GRat(Q(re, dens[k]), Q(im, dens[k])))
@@ -542,4 +542,15 @@ def test_oracle_cancelling_terms_drop_the_monomial():
     f = exp_of(spec, (1, 0)) + ExpSum.exponential(spec, form(spec, (-1, 0)), minus)
     one = ExpSum.one(spec)
     for result in (taylor_expand(f, 4), taylor_star_oracle(f, one, 4)):
-        assert sorted(result[Q(0)]) == [(1, 0), (3, 0)]
+        assert sorted(result[GRAT_ZERO]) == [(1, 0), (3, 0)]
+
+
+def test_scalar_add_of_differing_units_raises():
+    one = Scalar.one(4)
+    with pytest.raises(CoeffError, match="incompatible circle constants"):
+        scalar_add(one, Scalar.from_circle(4, CircleConst.of(Q(1, 4))))
+    # a half-integer unit is folded into the series by Scalar.of, so the
+    # units of canonical scalars agree and the sum stays in the class
+    i = Scalar.from_circle(4, CircleConst.of(Q(1, 2)))
+    assert i.unit == CIRCLE_ONE
+    assert scalar_add(one, i) == Scalar(CIRCLE_ONE, HbarSeries.const(4, GRat.of(1, 1)))
