@@ -29,6 +29,7 @@ from .coeff import (
     PiPoly,
     Q,
     Scalar,
+    combine,
     series_exp,
 )
 from .cohomfm import fm_hh2, fm_square_table
@@ -64,6 +65,7 @@ from .picard import (
     validate_semicharacter,
 )
 from .poincare import (
+    _default_z_choices,
     convolution_window_report,
     make_context,
     restrict_to_section,
@@ -135,7 +137,7 @@ def _rational(value):
 
 def _int(value, what: str, low: int) -> int:
     try:
-        n = int(value)
+        n = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError):
         n = None
     if n is None or n < low:
@@ -409,10 +411,7 @@ def suite_gerbe(cfg: RunConfig):
     out.append(_check_record("gerbe:cocycle-identity", rep))
 
     # group law
-    zs = (
-        Scalar.one(order),
-        Scalar(CIRCLE_ONE, HbarSeries.one(order) + HbarSeries.of(order, {1: PiPoly.pi_power(0)})),
-    )
+    zs = _default_z_choices(order)
     bad = 0
     for _ in range(100):
         es = [
@@ -460,7 +459,7 @@ def suite_gerbe(cfg: RunConfig):
     for _ in range(50):
         x1 = tuple(rng.randint(-1, 1) for _ in range(rank))
         x2 = tuple(rng.randint(-1, 1) for _ in range(rank))
-        w = basis.combination(x1)
+        w = combine(x1, basis.vectors)
         if ctilde(w, x2, B, order) != heisenberg_cocycle(B, x1, x2, order):
             bad += 1
         wr = tuple(random_grat(rng) for _ in range(torus.g))
@@ -698,25 +697,34 @@ def star_cmd(lhs, rhs, slots, degree):
 
 def _slots_from_json(text: str) -> SlotSpec:
     raw = json.loads(text, parse_float=_reject_float)
+    if not isinstance(raw, dict):
+        raise ConfigError("slot specification must be an object with a 'slots' list")
     slots = []
-    for s in raw["slots"]:
+    for i, s in enumerate(_list(raw.get("slots"), "slots")):
+        if not isinstance(s, dict):
+            raise ConfigError(f"slot {i} must be an object")
+        name = _name(s.get("name"), f"slot {i}: name")
+        dim = _int(s.get("dim"), f"slot {name}: dim", 1)
         poisson = None
         if s.get("poisson") is not None:
-            poisson = tuple(tuple(_grat(e) for e in row) for row in s["poisson"])
-        labels = tuple(s["vars"]) if s.get("vars") else None
-        if labels and len(labels) != int(s["dim"]):
-            raise ConfigError("vars must list one name per dimension")
+            poisson = _vectors(s["poisson"], dim, f"slot {name}: poisson")
+        labels = None
+        if s.get("vars"):
+            names = _list(s["vars"], f"slot {name}: vars")
+            labels = tuple(_name(v, f"slot {name}: vars") for v in names)
+            if len(labels) != dim:
+                raise ConfigError("vars must list one name per dimension")
         slots.append(
             Slot(
-                s["name"],
-                int(s["dim"]),
+                name,
+                dim,
                 poisson=poisson,
                 opposite=bool(s.get("opposite", False)),
                 conjugate_pair=bool(s.get("conjugate_pair", False)),
                 labels=labels,
             )
         )
-    return SlotSpec(tuple(slots), int(raw.get("order", 4)))
+    return SlotSpec(tuple(slots), _int(raw.get("order", 4), "order", 1))
 
 
 @main.command("dual-lattice")

@@ -538,10 +538,6 @@ class HbarSeries:
     def zero(order: int) -> "HbarSeries":
         return HbarSeries.of(order, {})
 
-    @staticmethod
-    def const(order: int, c: GRat) -> "HbarSeries":
-        return HbarSeries.of(order, {0: PiPoly.const(c)})
-
     def _check(self, other: "HbarSeries") -> None:
         if self.order != other.order:
             raise OrderMismatch(
@@ -604,12 +600,6 @@ class HbarSeries:
     def scale_rat(self, q) -> "HbarSeries":
         return HbarSeries(self.order, tuple(a.scale_rat(q) for a in self.coeffs))
 
-    def shift(self, k: int) -> "HbarSeries":
-        """Multiply by h^k."""
-        return HbarSeries(
-            self.order, tuple([PI_ZERO] * k + list(self.coeffs[: self.order - k]))
-        )
-
     def is_zero(self) -> bool:
         return all(not a for a in self.coeffs)
 
@@ -632,23 +622,6 @@ class HbarSeries:
                 break
             acc = acc + term
         return acc.scale(cinv)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        out = []
-        for k, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            s = str(a)
-            if " " in s or s.startswith("-"):
-                s = f"({s})"
-            if k == 0:
-                out.append(s)
-            else:
-                p = "h" if k == 1 else f"h^{k}"
-                out.append(p if s == "1" else f"{s}*{p}")
-        return " + ".join(out)
 
 
 def series_exp(a: HbarSeries) -> HbarSeries:
@@ -780,10 +753,6 @@ class Scalar:
         return Scalar(CIRCLE_ONE, HbarSeries.zero(order))
 
     @staticmethod
-    def from_grat(order: int, c: GRat) -> "Scalar":
-        return Scalar(CIRCLE_ONE, HbarSeries.const(order, c))
-
-    @staticmethod
     def from_circle(order: int, u: CircleConst) -> "Scalar":
         return Scalar.of(u, HbarSeries.one(order))
 
@@ -813,19 +782,13 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.series.is_zero()
 
-    def is_one(self) -> bool:
-        return self.unit.is_one() and self.series == HbarSeries.one(self.order)
-
     def inverse(self) -> "Scalar":
         return Scalar.of(self.unit.inverse(), self.series.inverse())
 
     def __str__(self) -> str:
-        s = str(self.series)
-        if " " in s:
-            s = f"({s})"
-        if self.unit.is_one():
-            return s
-        return f"{self.unit}*{s}"
+        from .textfmt import scalar_str
+
+        return scalar_str(self)
 
 
 def exp_hpi2(order: int, value: GRat) -> Scalar:

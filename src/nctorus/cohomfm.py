@@ -64,10 +64,6 @@ class ExtClass:
     def unit(ngen: int) -> "ExtClass":
         return ExtClass.of(ngen, {(): GRat.of(1)})
 
-    @staticmethod
-    def generator(ngen: int, k: int) -> "ExtClass":
-        return ExtClass.of(ngen, {(k,): GRat.of(1)})
-
     def __add__(self, other: "ExtClass") -> "ExtClass":
         acc = dict(self.terms)
         for m, c in other.terms:

@@ -403,18 +403,6 @@ class AffineMap:
         )
         return AffineMap(spec, spec, eye, tuple([GRAT_ZERO] * n))
 
-    @staticmethod
-    def translation(spec: SlotSpec, slot_name: str, vec) -> "AffineMap":
-        """v -> v + vec on one slot (complex dim-vector, conjugate-aware)."""
-        base = AffineMap.identity(spec)
-        idx = spec.slot_index(slot_name)
-        slot = spec.slots[idx]
-        offset = sum(s.nvars for s in spec.slots[:idx])
-        shift = list(base.shift)
-        for k, v in enumerate(slot.shift_vector(vec)):
-            shift[offset + k] = v
-        return AffineMap(spec, spec, base.matrix, tuple(shift))
-
 
 def substitute(f: ExpSum, m: AffineMap) -> ExpSum:
     """Pull back f along the affine map: E(l) -> normalize(E(l o m))."""
@@ -449,7 +437,8 @@ def substitute(f: ExpSum, m: AffineMap) -> ExpSum:
 def translate(f: ExpSum, slot_name: str, vec) -> ExpSum:
     """Substitute along v -> v + vec on the named slot.
 
-    Equivalent to ``substitute`` along the translation map, but computed
+    Equivalent to ``substitute`` along an ``AffineMap`` with the identity
+    matrix and the slot's ``shift_vector(vec)`` as its shift, but computed
     directly: only the exponent constants move.
     """
     spec = f.spec

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
 
-from .coeff import CoeffError, Scalar, exp_hpi2
+from .coeff import CoeffError, Scalar, combine, exp_hpi2
 from .torus import BForm
 
 __all__ = [
     "GammaElement",
     "FiberFunction",
+    "fiber_point",
     "heisenberg_cocycle",
     "gamma_mul",
     "gamma_inverse",
@@ -80,7 +81,7 @@ def ctilde(w, xi, B: BForm, order: int) -> Scalar:
     """Multiplicative extension of c to arbitrary exact base points:
     ctilde(w, xi) = exp(h pi^2 B(xi, w)), with w a GRat coefficient
     vector in the dual space and xi integer dual coordinates."""
-    xivec = B.basis.combination(xi)
+    xivec = combine(xi, B.basis.vectors)
     return exp_hpi2(order, B.value(xivec, w))
 
 
@@ -102,9 +103,11 @@ class FiberFunction:
     def as_dict(self) -> dict:
         return dict(self.values)
 
-    def point(self, offset, basis) -> tuple:
-        shift = basis.combination(offset)
-        return tuple(a + b for a, b in zip(self.base, shift))
+
+def fiber_point(base, offset, basis) -> tuple:
+    """The point w_n = s + sum_k n_k xi^(k) of F_s at the integer offset n,
+    for s = ``base`` and the dual lattice ``basis``."""
+    return tuple(a + b for a, b in zip(base, combine(offset, basis.vectors)))
 
 
 def coordinate_window(rank: int, radius: int):
@@ -170,7 +173,7 @@ def rho_act(a: GammaElement, f: FiberFunction, B: BForm, order: int) -> FiberFun
         src = tuple(o - x for o, x in zip(offset, a.xi))
         if src not in vals:
             continue  # the window shrinks by the shift
-        w = f.point(offset, B.basis)
+        w = fiber_point(f.base, offset, B.basis)
         out[offset] = zinv * ctilde(w, a.xi, B, order) * vals[src]
     if vals and not out:
         raise CoeffError("fiber window too small for this shift")

@@ -165,14 +165,8 @@ class LatticeGroup:
     def compose(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def inverse(self, a):
-        return tuple(-x for x in a)
-
-    def vector(self, a) -> tuple:
-        return combine(a, self.torus.lattice)
-
     def act(self, value: ExpSum, a) -> ExpSum:
-        return translate(value, self.slot_name, self.vector(a))
+        return translate(value, self.slot_name, combine(a, self.torus.lattice))
 
     def window(self, radius: int = 1):
         return coordinate_window(self.rank, radius)
@@ -303,56 +297,45 @@ def validate_semicharacter(ns: NSData, chi: Semicharacter, torus: TorusData) -> 
 # the factors
 
 
-def _ah_term(ns: NSData, unit: CircleConst, torus: TorusData, lam, spec: SlotSpec, lseries=None):
-    """chi-part * E(pi H(v,lam) + (pi/2) H(lam,lam) [+ sum h^j pi <l_j,lam>])."""
-    row = ns.row_form(lam)
-    hll = ns.value(lam, lam)
-    if hll.im != 0:
-        raise CoeffError("H(lam, lam) must be real for Hermitian H")
-    const = GRat(hll.re / 2, Q(0))
-    const_hbar = None
-    if lseries:
-        coeffs = {}
-        for j, lj in enumerate(lseries, start=1):
-            if lj is None:
-                continue
-            val = pairing(lj, lam)
-            if val:
-                coeffs[j] = PiPoly.pi_power(1, val)
-        if coeffs:
-            const_hbar = HbarSeries.of(spec.order, coeffs)
-    form = LinForm((row,), const, const_hbar)
-    return ExpSum.exponential(spec, form, Scalar.from_circle(spec.order, unit))
+def l_series(lseries, lam, order: int):
+    """sum_j h^j pi <l_j, lam> as an h-series, or None when every term is 0."""
+    coeffs = {}
+    for j, lj in enumerate(lseries, start=1):
+        val = pairing(lj, lam)
+        if val:
+            coeffs[j] = PiPoly.pi_power(1, val)
+    return HbarSeries.of(order, coeffs) if coeffs else None
 
 
-def ah_factor(ns: NSData, chi: Semicharacter, torus: TorusData, spec: SlotSpec = None) -> Factor:
-    """The classical Appell-Humbert factor of automorphy."""
+def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData, spec: SlotSpec) -> Factor:
+    """lam -> chi(lam) E(pi H(v,lam) + (pi/2) H(lam,lam) + sum_j h^j pi <l_j,lam>)."""
     if spec is None:
         spec = lattice_slotspec(torus)
-    grp = LatticeGroup(torus, spec)
     imt = _im_table(ns, torus)
 
     def fn(coords):
         unit = semicharacter_value(ns, chi, torus, coords, imt)
-        return _ah_term(ns, unit, torus, grp.vector(coords), spec)
+        lam = combine(coords, torus.lattice)
+        hll = ns.value(lam, lam)
+        if hll.im != 0:
+            raise CoeffError("H(lam, lam) must be real for Hermitian H")
+        const = GRat(hll.re / 2, Q(0))
+        form = LinForm((ns.row_form(lam),), const, l_series(lseries, lam, spec.order))
+        return ExpSum.exponential(spec, form, Scalar.from_circle(spec.order, unit))
 
-    return Factor(grp, fn)
+    return Factor(LatticeGroup(torus, spec), fn)
+
+
+def ah_factor(ns: NSData, chi: Semicharacter, torus: TorusData, spec: SlotSpec = None) -> Factor:
+    """The classical Appell-Humbert factor of automorphy."""
+    return _ah_factor(ns, chi, (), torus, spec)
 
 
 def qah_factor(data: QAHData, torus: TorusData, spec: SlotSpec = None) -> Factor:
     """The quantum Appell-Humbert cocycle; requires vanishing obstruction."""
     if not is_quantizable(data.ns, torus):
         raise CoeffError("obstructed Neron-Severi class cannot be quantized")
-    if spec is None:
-        spec = lattice_slotspec(torus)
-    grp = LatticeGroup(torus, spec)
-    imt = _im_table(data.ns, torus)
-
-    def fn(coords):
-        unit = semicharacter_value(data.ns, data.chi, torus, coords, imt)
-        return _ah_term(data.ns, unit, torus, grp.vector(coords), spec, data.l)
-
-    return Factor(grp, fn)
+    return _ah_factor(data.ns, data.chi, data.l, torus, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +480,7 @@ def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
     rows = []
     rhs = []
     for j, e in enumerate(gens):
-        lam = grp.vector(e)
+        lam = combine(e, lat)
         hll = ns.value(lam, lam)
         r = terms[j].form.const_pi - GRat(hll.re / 2, Q(0))
         if r.im != 0:
@@ -513,7 +496,7 @@ def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
     chi_vals = []
     log_rows = {}
     for j, e in enumerate(gens):
-        lam = grp.vector(e)
+        lam = combine(e, lat)
         hrow = ns.row_form(lam)
         corr = GRAT_ZERO
         for i in range(g):

@@ -58,7 +58,15 @@ from .expalg import (
     substitute,
     translate,
 )
-from .gerbe import check_cases, coordinate_window, ctilde, heisenberg_cocycle, nonzero, sample_window
+from .gerbe import (
+    check_cases,
+    coordinate_window,
+    ctilde,
+    fiber_point,
+    heisenberg_cocycle,
+    nonzero,
+    sample_window,
+)
 from .picard import (
     Factor,
     NSData,
@@ -66,6 +74,7 @@ from .picard import (
     Semicharacter,
     coboundary_twist,
     cocycle_holds,
+    l_series,
     lattice_slotspec,
 )
 from .torus import BForm, DualLatticeBasis, TorusData, bfield, dual_lattice, pairing
@@ -75,7 +84,6 @@ __all__ = [
     "make_context",
     "PoincareGroup",
     "poincare_factor",
-    "poincare_dual_factor",
     "verify_poincare_cocycle",
     "translation_coboundary",
     "convolution_factor_check",
@@ -152,25 +160,10 @@ class PoincareGroup:
             z1 * z2 * self.cocycle(x1, x2),
         )
 
-    def inverse(self, e):
-        m, x, z = e
-        nx = tuple(-a for a in x)
-        return (
-            tuple(-a for a in m),
-            nx,
-            z.inverse() * self.cocycle(x, nx).inverse(),
-        )
-
-    def lattice_vector(self, m):
-        return combine(m, self.ctx.torus.lattice)
-
-    def dual_vector(self, x):
-        return self.ctx.dual.combination(x)
-
     def act(self, value: ExpSum, e) -> ExpSum:
         m, x, _ = e
-        out = translate(value, "v", self.lattice_vector(m))
-        return translate(out, "l", self.dual_vector(x))
+        out = translate(value, "v", combine(m, self.ctx.torus.lattice))
+        return translate(out, "l", combine(x, self.ctx.dual.vectors))
 
     def window(self, radius: int = 1, z_choices=None):
         if z_choices is None:
@@ -189,8 +182,8 @@ def poincare_factor(ctx: PoincareContext, flip_cocycle: bool = False) -> Factor:
 
     @cache
     def base(m, x):
-        lam = grp.lattice_vector(m)
-        xi = grp.dual_vector(x)
+        lam = combine(m, ctx.torus.lattice)
+        xi = combine(x, ctx.dual.vectors)
         vcoef = tuple(a.conj() for a in xi)
         lcoef = tuple(l.conj() for l in lam) + tuple([GRAT_ZERO] * g)
         return ExpSum.exponential(spec, LinForm((vcoef, lcoef), pairing(xi, lam), None))
@@ -198,37 +191,6 @@ def poincare_factor(ctx: PoincareContext, flip_cocycle: bool = False) -> Factor:
     def fn(e):
         m, x, z = e
         return base(m, x).scale(z)
-
-    return Factor(grp, fn)
-
-
-def poincare_dual_factor(ctx: PoincareContext) -> Factor:
-    """The dual kernel's factor on the transposed slots (dual space first):
-
-    ((xi, z); mu) -> z^{-1} E(pi(-<xi,mu> - <l,mu> + conj<xi,v>)).
-    """
-    g = ctx.torus.g
-    spec = SlotSpec(
-        (Slot("l", g, conjugate_pair=True), Slot("v", g, poisson=ctx.torus.poisson)),
-        ctx.torus.order,
-    )
-
-    class DualGroup(PoincareGroup):
-        def act(self, value: ExpSum, e) -> ExpSum:
-            m, x, _ = e
-            out = translate(value, "l", self.dual_vector(x))
-            return translate(out, "v", self.lattice_vector(m))
-
-    grp = DualGroup(ctx)
-
-    def fn(e):
-        m, x, z = e
-        mu = grp.lattice_vector(m)
-        xi = grp.dual_vector(x)
-        lcoef = tuple((-l.conj() for l in mu)) + tuple([GRAT_ZERO] * g)
-        vcoef = tuple(a.conj() for a in xi)
-        const = -pairing(xi, mu)
-        return ExpSum.exponential(spec, LinForm((lcoef, vcoef), const, None), z.inverse())
 
     return Factor(grp, fn)
 
@@ -260,7 +222,7 @@ def verify_poincare_cocycle(
 
     coords = coordinate_window(grp.rank, radius)
     pairs = list(iproduct(coords, coords))
-    xi = {x: grp.dual_vector(x) for x in coords}
+    xi = {x: combine(x, ctx.dual.vectors) for x in coords}
     # f_xi = pi conj<xi, v> on the two-slot algebra
     zero_l = (GRAT_ZERO,) * (2 * ctx.torus.g)
     f = {x: LinForm((tuple(a.conj() for a in xi[x]), zero_l), GRAT_ZERO, None) for x in coords}
@@ -281,7 +243,7 @@ def verify_poincare_cocycle(
     def split_agrees(p):
         # the unsimplified first line: split constants agree on lattice pairs
         m, x = p
-        q = pairing(xi[x], grp.lattice_vector(m))
+        q = pairing(xi[x], combine(m, ctx.torus.lattice))
         if q.im.denominator != 1:
             return False
         zero = ctx.spec2.zero_form().coeffs
@@ -363,12 +325,11 @@ def convolution_factor_check(ctx: PoincareContext, element) -> dict:
     back along diff(v, x, w) = (v - w, x).  Exact ExpSum equality.
     """
     m, x, z, mu = element
-    grp = PoincareGroup(ctx)
     g = ctx.torus.g
     spec3 = ctx.spec3
-    lam = grp.lattice_vector(m)
-    xi = grp.dual_vector(x)
-    muv = grp.lattice_vector(mu)
+    lam = combine(m, ctx.torus.lattice)
+    xi = combine(x, ctx.dual.vectors)
+    muv = combine(mu, ctx.torus.lattice)
     zero_v = tuple([GRAT_ZERO] * g)
     zero_x = tuple([GRAT_ZERO] * (2 * g))
 
@@ -404,7 +365,7 @@ def convolution_factor_check(ctx: PoincareContext, element) -> dict:
     left = q_part.star(p_part)
 
     diff_m = tuple(a - b for a, b in zip(m, mu))
-    lam_diff = grp.lattice_vector(diff_m)
+    lam_diff = combine(diff_m, ctx.torus.lattice)
     classical = ExpSum.exponential(
         ctx.spec2,
         LinForm(
@@ -470,42 +431,31 @@ def restrict_to_section(
     torus = ctx.torus
     g = torus.g
     order = torus.order
-    grp = PoincareGroup(ctx)
     vspec = lattice_slotspec(torus)
 
-    def fiber_point(offset):
-        shift = ctx.dual.combination(offset)
-        return tuple(a + b for a, b in zip(s, shift))
-
     def l_fold(lam) -> Scalar:
-        coeffs = {}
-        for j, lj in enumerate(lseries, start=1):
-            val = pairing(lj, lam)
-            if val:
-                coeffs[j] = PiPoly.pi_power(1, val)
-        if not coeffs:
-            return Scalar.one(order)
-        return Scalar(CIRCLE_ONE, series_exp(HbarSeries.of(order, coeffs)))
+        log = l_series(lseries, lam, order)
+        return Scalar.one(order) if log is None else Scalar(CIRCLE_ONE, series_exp(log))
 
     def b_value(e, offset) -> ExpSum:
         m, x = e
-        lam = grp.lattice_vector(m)
-        w = fiber_point(offset)
+        lam = combine(m, torus.lattice)
+        w = fiber_point(s, offset, ctx.dual)
         im = pairing(w, lam).im
         return ExpSum.scalar(vspec, l_fold(lam).turn(2 * im))
 
     def ca_value(e, offset) -> ExpSum:
         m, x = e
-        lam = grp.lattice_vector(m)
-        xi = grp.dual_vector(x)
-        w = fiber_point(offset)
+        lam = combine(m, torus.lattice)
+        xi = combine(x, ctx.dual.vectors)
+        w = fiber_point(s, offset, ctx.dual)
         const = pairing(tuple(a + b for a, b in zip(xi, w)), lam)
         scal = ctilde(w, x, ctx.B, order) * l_fold(lam)
         vcoef = tuple(a.conj() for a in xi)
         return ExpSum.exponential(vspec, LinForm((vcoef,), const, None), scal)
 
     def iota(offset) -> ExpSum:
-        w = fiber_point(offset)
+        w = fiber_point(s, offset, ctx.dual)
         vcoef = tuple(-a.conj() for a in w)
         return ExpSum.exponential(vspec, LinForm((vcoef,), GRAT_ZERO, None))
 
@@ -514,7 +464,7 @@ def restrict_to_section(
         m, x = e
         shifted = tuple(a + b for a, b in zip(o, x))
         rhs = star_inverse(iota(o)).star(ca_value(e, o)).star(
-            translate(iota(shifted), "v", grp.lattice_vector(m))
+            translate(iota(shifted), "v", combine(m, torus.lattice))
         )
         return b_value(e, o) == rhs
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import GRAT_ZERO, CoeffError, GRat, Q, bilinear, combine
+from .coeff import GRAT_ZERO, CoeffError, GRat, Q, bilinear
 from .linalg import grat_rank, rat_det, rat_inverse
 
 __all__ = [
@@ -80,10 +80,6 @@ class DualLatticeBasis:
     """2g coefficient vectors xi^(k); Im<xi^(k), lambda_j> = delta_kj."""
 
     vectors: tuple  # 2g tuples of g GRat
-
-    def combination(self, coords) -> tuple:
-        """Integer/rational combination sum_k coords[k] * xi^(k)."""
-        return combine(coords, self.vectors)
 
 
 @dataclass(frozen=True)

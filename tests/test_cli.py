@@ -146,6 +146,25 @@ def test_cli_star_rejects_a_negative_degree():
     assert res.exit_code == 0 and "oracle[deg<=0]: OK" in res.output
 
 
+@pytest.mark.parametrize(
+    "slots",
+    [
+        {},
+        {"slots": 5},
+        [1],
+        {"slots": [{"name": "v"}]},
+        {"slots": [{"name": "v", "dim": "x"}]},
+        {"slots": [{"name": "v", "dim": 0}]},
+        {"order": "a", "slots": [{"name": "v", "dim": 1}]},
+    ],
+)
+def test_cli_star_malformed_slots_is_a_parse_error(slots):
+    res = CliRunner().invoke(main, ["star", "E[pi*v]", "E[pi*v]", "--slots", json.dumps(slots)])
+    assert res.exit_code == 2
+    assert "parse error:" in res.output and "bad exponent piece" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def _run_minimal(tmp_path, *args, env=None):
     cfg = tmp_path / "minimal.json"
     cfg.write_text(MINIMAL)
@@ -297,6 +316,8 @@ def _g1_with(path, value):
         (("bundles", 0, "name"), ["a"]),
         (("name",), ["a"]),
         (("name",), 5),
+        (("window",), True),
+        (("torus", "g"), True),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, path, value):

@@ -116,7 +116,7 @@ def test_exp_decompose_examples():
 
 
 def test_exp_decompose_raw_leading_coefficient():
-    u = Scalar.from_grat(N, GRat.of(1, 2))  # not a circle constant times q>0
+    u = Scalar.one(N).scale(GRat.of(1, 2))  # not a circle constant times q>0
     d = exp_decompose(u)
     assert d.magnitude == GRat.of(1, 2)
     assert d.recompose() == u
@@ -346,7 +346,7 @@ def test_series_product_kernel_matches_schoolbook(order, data):
             sparse_series(order),
             st.just(HbarSeries.zero(order)),
             st.just(HbarSeries.one(order)),
-            grats.map(lambda c: HbarSeries.const(order, c)),  # constant in h
+            grats.map(lambda c: HbarSeries.one(order).scale(c)),  # constant in h
             sparse_series(order).map(lambda s: HbarSeries.of(order, {0: s.coeffs[0]})),
             st.just(_reflect(a)),  # odd parts cancel
         )

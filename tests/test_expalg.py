@@ -62,7 +62,7 @@ def test_mul_examples():
         spec, LinForm(spec.zero_form().coeffs, GRat.of(0, Q(1, 2)), None)
     )
     sq = half_i * half_i
-    assert sq == ExpSum.scalar(spec, Scalar.from_grat(4, GRat.of(-1)))
+    assert sq == ExpSum.scalar(spec, Scalar.one(4).scale(GRat.of(-1)))
     g, m, n = exp_of(spec, (1, 0)), exp_of(spec, (0, 1)), exp_of(spec, (1, 1))
     assert (g + m) * n == g * n + m * n
 
@@ -168,10 +168,10 @@ def test_conjugate_pair_translation():
         spec, LinForm(((GRAT_ZERO, GRAT_ONE),), GRAT_ZERO, None)
     )
     t = translate(f, "l", (GRat.of(0, 1),))  # xi = i
-    assert t.single_term().coeff == Scalar.from_grat(4, GRat.of(-1))
+    assert t.single_term().coeff == Scalar.one(4).scale(GRat.of(-1))
     g = ExpSum.exponential(spec, LinForm(((GRAT_ONE, GRAT_ZERO),), GRAT_ZERO, None))
     tg = translate(g, "l", (GRat.of(0, 1),))
-    assert tg.single_term().coeff == Scalar.from_grat(4, GRat.of(-1))
+    assert tg.single_term().coeff == Scalar.one(4).scale(GRat.of(-1))
 
 
 def test_addition_map_is_star_homomorphism():
@@ -538,7 +538,7 @@ def test_oracle_collisions_of_differing_units_raise():
 def test_oracle_cancelling_terms_drop_the_monomial():
     # E(pi x) - E(-pi x) is odd in x: every even monomial cancels
     spec = spec_qp()
-    minus = Scalar.from_grat(4, GRat.of(-1))
+    minus = Scalar.one(4).scale(GRat.of(-1))
     f = exp_of(spec, (1, 0)) + ExpSum.exponential(spec, form(spec, (-1, 0)), minus)
     one = ExpSum.one(spec)
     for result in (taylor_expand(f, 4), taylor_star_oracle(f, one, 4)):
@@ -553,4 +553,4 @@ def test_scalar_add_of_differing_units_raises():
     # units of canonical scalars agree and the sum stays in the class
     i = Scalar.from_circle(4, CircleConst.of(Q(1, 2)))
     assert i.unit == CIRCLE_ONE
-    assert scalar_add(one, i) == Scalar(CIRCLE_ONE, HbarSeries.const(4, GRat.of(1, 1)))
+    assert scalar_add(one, i) == Scalar(CIRCLE_ONE, HbarSeries.one(4).scale(GRat.of(1, 1)))

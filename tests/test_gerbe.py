@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from nctorus.coeff import (
     PiPoly,
     Q,
     Scalar,
+    combine,
 )
 from nctorus import cli, poincare
 from nctorus.gerbe import (
@@ -120,7 +122,7 @@ def test_ctilde_examples():
     for _ in range(30):
         x1 = tuple(rng.randint(-1, 1) for _ in range(RANK))
         x2 = tuple(rng.randint(-1, 1) for _ in range(RANK))
-        w = B.basis.combination(x1)
+        w = combine(x1, B.basis.vectors)
         assert ctilde(w, x2, B, N) == heisenberg_cocycle(B, x1, x2, N)
     # additivity in the lattice argument
     w = tuple(random_grat(rng) for _ in range(2))
@@ -199,6 +201,31 @@ def test_check_loop_reports_the_first_failure():
         "failing": None,
     }
     assert check_cases([], lambda c: True) == {"status": "FAIL", "checked": 0, "failing": None}
+
+
+def test_inverted_ctilde_fails_the_records_that_rest_on_it(monkeypatch):
+    # negative control: rho composition and the section twist both use
+    # ctilde, so replacing it by its inverse must flip their PASS to FAIL
+    from nctorus import gerbe
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures", "e1xe2.json")) as fh:
+        cfg = cli.parse_config(fh.read())
+    cfg.window = 1
+    names = ("gerbe:rho-composition", "cohomology:section-0-iota", "cohomology:section-1-iota")
+
+    def statuses():
+        records = cli.suite_gerbe(cfg) + cli.suite_cohomology(cfg)
+        return {r["name"]: r["status"] for r in records if r["name"] in names}
+
+    assert statuses() == dict.fromkeys(names, "PASS")
+    true_ctilde = gerbe.ctilde
+
+    def inverted(w, xi, B, order):
+        return true_ctilde(w, xi, B, order).inverse()
+
+    monkeypatch.setattr(gerbe, "ctilde", inverted)
+    monkeypatch.setattr(poincare, "ctilde", inverted)
+    assert statuses() == dict.fromkeys(names, "FAIL")
 
 
 def _window_counts(monkeypatch, g, radius):

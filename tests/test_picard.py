@@ -84,13 +84,14 @@ def test_semicharacter_extension_and_validity():
 def _semicharacter_pair_loop(ns, chi, torus):
     """The identity chi(a+b) = chi(a) chi(b) exp(pi i Im H(lam_a, lam_b))
     checked on every pair of the radius-1 coordinate window."""
+    from nctorus.coeff import combine
     from nctorus.gerbe import coordinate_window
     from nctorus.picard import LatticeGroup, _im_table
 
     window = coordinate_window(2 * torus.g, 1)
     grp = LatticeGroup(torus, lattice_slotspec(torus))
     imt = _im_table(ns, torus)
-    vec = {a: grp.vector(a) for a in window}
+    vec = {a: combine(a, torus.lattice) for a in window}
     chi_at = {a: semicharacter_value(ns, chi, torus, a, imt) for a in window}
     for a in window:
         for b in window:
@@ -253,7 +254,7 @@ def test_reduce_rejects_non_cocycles():
     def broken(e):
         v = f.value(e)
         if e == (1, 0, 0, 0):
-            return v.scale(Scalar.from_grat(4, G(2)))
+            return v.scale(Scalar.one(4).scale(G(2)))
         return v
     from nctorus.picard import Factor
 

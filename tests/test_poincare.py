@@ -11,6 +11,7 @@ from nctorus.coeff import (
     PI_ONE,
     Q,
     Scalar,
+    combine,
 )
 from nctorus.expalg import ExpSum, star_inverse, translate
 from nctorus.picard import cocycle_defect, cocycle_holds
@@ -19,7 +20,6 @@ from nctorus.poincare import (
     convolution_factor_check,
     convolution_window_report,
     make_context,
-    poincare_dual_factor,
     poincare_factor,
     restrict_to_section,
     translation_coboundary,
@@ -42,7 +42,7 @@ def test_factor_identity_and_pure_gamma():
     # (0, (xi, z)): z * exp(pi conj<xi, v>), no l-dependence
     e = ((0, 0), (1, 0), Z1H4)
     t = f.value(e).single_term()
-    xi = grp.dual_vector((1, 0))
+    xi = combine((1, 0), CTX1.dual.vectors)
     assert t.form.coeffs[0] == tuple(a.conj() for a in xi)
     assert all(not c for c in t.form.coeffs[1])
     assert not t.form.const_pi
@@ -78,23 +78,6 @@ def test_negative_control_needs_no_window():
     # window, which holds only the zero vector, still has one
     rep = verify_poincare_cocycle(CTX2, radius=0)
     assert all(v["status"] == "PASS" for v in rep.values()), rep
-
-
-def test_dual_factor_shape():
-    fq = poincare_dual_factor(CTX2)
-    grp = fq.group
-    e = ((0, 0, 1, 0), (0, 1, 0, 0), Z1H4)
-    t = fq.value(e).single_term()
-    # z enters inversely
-    assert t.coeff.series == Z1H4.inverse().series
-    # product with the direct factor at matching arguments kills the
-    # l-dependence pointwise
-    fp = poincare_factor(CTX2)
-    tp = fp.value(e).single_term()
-    l_sum = tuple(
-        a + b for a, b in zip(t.form.coeffs[0], tp.form.coeffs[1])
-    )
-    assert all(not c for c in l_sum)
 
 
 def test_translation_coboundary_examples():
