@@ -17,11 +17,13 @@ import time
 import traceback
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 import click
 
 from .coeff import (
     CIRCLE_ONE,
+    GRAT_ZERO,
     CircleConst,
     CoeffError,
     GRat,
@@ -33,7 +35,7 @@ from .coeff import (
     series_exp,
 )
 from .cohomfm import fm_hh2, fm_square_table
-from .expalg import ExpSum, Slot, SlotSpec
+from .expalg import ExpSum, LinForm, Slot, SlotSpec
 from .gerbe import (
     FiberFunction,
     GammaElement,
@@ -143,6 +145,12 @@ def _int(value, what: str, low: int) -> int:
     if n is None or n < low:
         raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
     return n
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _list(value, what: str) -> list:
@@ -339,8 +347,6 @@ def suite_qpic(cfg: RunConfig):
     trials = 5
     bad = 0
     spec = lattice_slotspec(torus)
-    from .expalg import LinForm
-
     for _ in range(trials):
         data = random_qah(rng, torus)
         f = qah_factor(data, torus, spec)
@@ -510,21 +516,17 @@ def suite_fm(cfg: RunConfig):
 def suite_cohomology(cfg: RunConfig):
     torus = cfg.torus
     g = torus.g
-    zero = GRat.of(0)
-    hzero = NSData(tuple(tuple(zero for _ in range(g)) for _ in range(g)))
-    one = CircleConst.of(0)
+    hzero = NSData(tuple(tuple(GRAT_ZERO for _ in range(g)) for _ in range(g)))
     out = []
 
     chi_nontriv = Semicharacter(
-        tuple(CircleConst.of(Q(1, 2)) if k == 0 else one for k in range(2 * g))
+        tuple(CircleConst.of(Q(1, 2)) if k == 0 else CIRCLE_ONE for k in range(2 * g))
     )
     v = classify_cohomology(QAHData(hzero, chi_nontriv, ()), torus)
     out.append(_record("cohomology:nontrivial-character", "PASS" if v.kind == "AllVanish" else "FAIL"))
 
-    chi1 = Semicharacter(tuple(one for _ in range(2 * g)))
+    chi1 = Semicharacter(tuple(CIRCLE_ONE for _ in range(2 * g)))
     v = classify_cohomology(QAHData(hzero, chi1, ()), torus)
-    from math import comb
-
     want = tuple(comb(g, k) for k in range(g + 1))
     out.append(
         _record(
@@ -543,26 +545,25 @@ def suite_cohomology(cfg: RunConfig):
         )
     )
 
+    # the degree-zero data of each constant section, from its restriction
+    ctx = make_context(torus)
+    restricted = [restrict_to_section(ctx, s, ls, radius=cfg.window) for s, ls in cfg.sections]
     # hom orthogonality between distinct constant sections
-    if cfg.sections:
+    if restricted:
         ok = True
         pairs = 0
-        for i, (s, ls) in enumerate(cfg.sections):
-            for j, (t, lt) in enumerate(cfg.sections):
+        for i, (ds, _) in enumerate(restricted):
+            for j, (dt, _) in enumerate(restricted):
                 if i == j:
                     continue
-                diff = tuple(a - b for a, b in zip(t, s))
                 chi_d = Semicharacter(
-                    tuple(
-                        CircleConst.of(2 * pairing(diff, lam).im)
-                        for lam in torus.lattice
-                    )
+                    tuple(ct * cs.inverse() for ct, cs in zip(dt.chi.values, ds.chi.values))
                 )
-                depth = max(len(ls), len(lt))
+                ls, lt = ds.l, dt.l
                 ldiff = []
-                for k in range(depth):
-                    a = lt[k] if k < len(lt) else tuple([zero] * g)
-                    b = ls[k] if k < len(ls) else tuple([zero] * g)
+                for k in range(max(len(ls), len(lt))):
+                    a = lt[k] if k < len(lt) else (GRAT_ZERO,) * g
+                    b = ls[k] if k < len(ls) else (GRAT_ZERO,) * g
                     ldiff.append(tuple(x - y for x, y in zip(a, b)))
                 vd = classify_cohomology(QAHData(hzero, chi_d, tuple(ldiff)), torus)
                 pairs += 1
@@ -576,9 +577,7 @@ def suite_cohomology(cfg: RunConfig):
             )
         )
     # section restriction comparison
-    ctx = make_context(torus)
-    for i, (s, ls) in enumerate(cfg.sections):
-        data, rep = restrict_to_section(ctx, s, ls, radius=cfg.window)
+    for i, (_, rep) in enumerate(restricted):
         out.append(_check_record(f"cohomology:section-{i}-iota", rep))
     return out
 
@@ -719,8 +718,8 @@ def _slots_from_json(text: str) -> SlotSpec:
                 name,
                 dim,
                 poisson=poisson,
-                opposite=bool(s.get("opposite", False)),
-                conjugate_pair=bool(s.get("conjugate_pair", False)),
+                opposite=_flag(s.get("opposite", False), f"slot {name}: opposite"),
+                conjugate_pair=_flag(s.get("conjugate_pair", False), f"slot {name}: conjugate_pair"),
                 labels=labels,
             )
         )

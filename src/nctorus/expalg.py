@@ -394,15 +394,6 @@ class AffineMap:
     matrix: tuple  # target.nvars rows, each of source.nvars GRat entries
     shift: tuple  # target.nvars GRat entries
 
-    @staticmethod
-    def identity(spec: SlotSpec) -> "AffineMap":
-        n = spec.nvars
-        eye = tuple(
-            tuple(GRat.of(1) if i == j else GRAT_ZERO for j in range(n))
-            for i in range(n)
-        )
-        return AffineMap(spec, spec, eye, tuple([GRAT_ZERO] * n))
-
 
 def substitute(f: ExpSum, m: AffineMap) -> ExpSum:
     """Pull back f along the affine map: E(l) -> normalize(E(l o m))."""

@@ -158,10 +158,6 @@ class LatticeGroup:
     def rank(self) -> int:
         return 2 * self.torus.g
 
-    @property
-    def identity(self):
-        return (0,) * self.rank
-
     def compose(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 

@@ -14,16 +14,20 @@ Its noncommutative cocycle identity reduces to
 whose star correction is exp(h {f_xi2, f_xi1}) = exp(h pi^2 B(xi2, xi1)),
 pinning the sign convention of the Heisenberg cocycle.
 
-The convolution check compares the combined factor of the pulled-back
-kernel pair on the triple product V x dual x V (opposite Moyal structure
-on the third slot) against the pullback of the classical Poincare factor
-along the difference map (v, x, w) -> (v - w, x): the central parts
-cancel, the dual-pairing constants merge, and the difference map splits
-the conjugate pairing, giving exact equality of exponential sums.
+The convolution identity is the factor pulled back along three maps
+from the triple product V x dual x V (opposite Moyal structure on the
+third slot) to V x dual: p12(v, x, w) = (v, x), p23(v, x, w) = (w, x) and
+diff(v, x, w) = (v - w, x).  The star-inverted p23 pullback of
+phi(mu, (xi, z)) times the p12 pullback of phi(lam, (xi, z)) is the diff
+pullback of phi(lam - mu, (xi, 1)): the central parts cancel, the
+dual-pairing constants merge, and the difference map splits the
+conjugate pairing, giving exact equality of exponential sums.
 
-Restriction to a constant dual section s compares the two natural
-factors for the resulting quantum line bundle over the fiber s + dual
-lattice and exhibits the explicit cochain iota_w = E(-pi conj<w, v>)
+Restriction to a constant dual section s evaluates the same factor,
+translated on the dual slot to a point w of the fiber s + dual lattice
+and pulled back along the zero section v -> (v, 0).  It compares the two
+natural factors for the resulting quantum line bundle over the fiber
+and exhibits the explicit cochain iota_w = E(-pi conj<w, v>)
 twisting one into the other, returning canonical degree-zero data.
 """
 
@@ -99,6 +103,18 @@ class PoincareContext:
     B: BForm
     spec2: SlotSpec  # v (Moyal) then l (commutative, conjugate pair)
     spec3: SlotSpec  # v (Moyal), x (commutative), w (opposite Moyal)
+    pullbacks: tuple  # spec3 -> spec2: p12 (v, x), p23 (w, x), diff (v - w, x)
+
+
+def _linear_map(source: SlotSpec, target: SlotSpec, rows) -> AffineMap:
+    """The map taking target variable i to sum c * y_j over (j, c) in rows[i]."""
+    matrix = []
+    for row in rows:
+        entries = [GRAT_ZERO] * source.nvars
+        for j, c in row:
+            entries[j] = GRat.of(c)
+        matrix.append(tuple(entries))
+    return AffineMap(source, target, tuple(matrix), (GRAT_ZERO,) * target.nvars)
 
 
 def make_context(torus: TorusData) -> PoincareContext:
@@ -109,13 +125,17 @@ def make_context(torus: TorusData) -> PoincareContext:
     l = Slot("l", g, conjugate_pair=True)
     x = Slot("x", g, conjugate_pair=True)
     w = Slot("w", g, poisson=torus.poisson, opposite=True)
-    return PoincareContext(
-        torus,
-        dual,
-        B,
-        SlotSpec((v, l), torus.order),
-        SlotSpec((v, x, w), torus.order),
-    )
+    spec2 = SlotSpec((v, l), torus.order)
+    spec3 = SlotSpec((v, x, w), torus.order)
+    # spec3 variables: v from 0, x from g, w from 3g; x lands on l
+    x_rows = [[(g + k, 1)] for k in range(2 * g)]
+
+    def pullback(*v_terms):
+        v_rows = [[(start + i, c) for start, c in v_terms] for i in range(g)]
+        return _linear_map(spec3, spec2, v_rows + x_rows)
+
+    pullbacks = (pullback((0, 1)), pullback((3 * g, 1)), pullback((0, 1), (3 * g, -1)))
+    return PoincareContext(torus, dual, B, spec2, spec3, pullbacks)
 
 
 def _default_z_choices(order: int):
@@ -136,10 +156,6 @@ class PoincareGroup:
     @property
     def rank(self) -> int:
         return 2 * self.ctx.torus.g
-
-    @property
-    def identity(self):
-        return ((0,) * self.rank, (0,) * self.rank, Scalar.one(self.ctx.torus.order))
 
     def cocycle(self, x1, x2) -> Scalar:
         key = (x1, x2)
@@ -223,9 +239,9 @@ def verify_poincare_cocycle(
     coords = coordinate_window(grp.rank, radius)
     pairs = list(iproduct(coords, coords))
     xi = {x: combine(x, ctx.dual.vectors) for x in coords}
-    # f_xi = pi conj<xi, v> on the two-slot algebra
-    zero_l = (GRAT_ZERO,) * (2 * ctx.torus.g)
-    f = {x: LinForm((tuple(a.conj() for a in xi[x]), zero_l), GRAT_ZERO, None) for x in coords}
+    # f_xi = pi conj<xi, v>, the exponent of phi(0, (xi, 1))
+    origin, one = (0,) * grp.rank, Scalar.one(ctx.torus.order)
+    f = {x: factor.value((origin, x, one)).single_term().form for x in coords}
 
     def needtoshow(p):
         # c(x1,x2) E(pi conj<x1+x2, v>) = E(pi conj<x2,v>) * E(pi conj<x1,v>)
@@ -298,15 +314,9 @@ def translation_coboundary(ctx: PoincareContext, w, radius: int = 1) -> ExpSum:
     )
     translated = factor.translated("v", w)
     twisted = coboundary_twist(factor, u)
-    z_choices = _default_z_choices(ctx.torus.order)
-    for m in coordinate_window(grp.rank, radius):
-        for x in coordinate_window(grp.rank, radius):
-            for z in z_choices:
-                e = (m, x, z)
-                if translated.value(e) != twisted.value(e):
-                    raise CoeffError(
-                        f"translation coboundary witness fails at {e}"
-                    )
+    for e in grp.window(radius):
+        if translated.value(e) != twisted.value(e):
+            raise CoeffError(f"translation coboundary witness fails at {e}")
     return u
 
 
@@ -314,93 +324,24 @@ def translation_coboundary(ctx: PoincareContext, w, radius: int = 1) -> ExpSum:
 # the convolution identity
 
 
-def convolution_factor_check(ctx: PoincareContext, element) -> dict:
-    """Factor-level kernel convolution identity at one group element
-    (m, x, z, mu) of Lambda x Gamma x Lambda.
+def convolution_factor_check(factor: Factor, element) -> dict:
+    """Factor-level kernel convolution identity of the Poincare factor phi
+    at one group element (m, x, z, mu) of Lambda x Gamma x Lambda.
 
-    Left: the pulled-back Poincare and dual factors combined per the
-    left-right module convention (the third-slot exponential enters with
-    the star-inverted exponent; central parts multiply).  Right: the
-    classical Poincare factor of the difference group element pulled
-    back along diff(v, x, w) = (v - w, x).  Exact ExpSum equality.
+    Left: p23^*(phi(mu, x, z))^{-1} * p12^*(phi(m, x, z)); the dual factor
+    enters by left multiplication, i.e. star-inverted, and the central
+    parts cancel.  Right: diff^*(phi(m - mu, x, 1)).  Exact ExpSum
+    equality.
     """
     m, x, z, mu = element
-    g = ctx.torus.g
-    spec3 = ctx.spec3
-    lam = combine(m, ctx.torus.lattice)
-    xi = combine(x, ctx.dual.vectors)
-    muv = combine(mu, ctx.torus.lattice)
-    zero_v = tuple([GRAT_ZERO] * g)
-    zero_x = tuple([GRAT_ZERO] * (2 * g))
-
-    # pulled-back Poincare factor on slots (v, x)
-    p_part = ExpSum.exponential(
-        spec3,
-        LinForm(
-            (
-                tuple(a.conj() for a in xi),
-                tuple(l.conj() for l in lam) + zero_v,
-                zero_v,
-            ),
-            pairing(xi, lam),
-            None,
-        ),
-        z,
+    ctx = factor.group.ctx
+    p12, p23, diff = ctx.pullbacks
+    left = substitute(star_inverse(factor.value((mu, x, z))), p23).star(
+        substitute(factor.value((m, x, z)), p12)
     )
-    # pulled-back dual factor on slots (x, w); the w-exponential enters
-    # by left multiplication, i.e. with the star-inverted exponent
-    q_part = ExpSum.exponential(
-        spec3,
-        LinForm(
-            (
-                zero_v,
-                tuple(-l.conj() for l in muv) + zero_v,
-                tuple(-a.conj() for a in xi),
-            ),
-            -pairing(xi, muv),
-            None,
-        ),
-        z.inverse(),
-    )
-    left = q_part.star(p_part)
-
     diff_m = tuple(a - b for a, b in zip(m, mu))
-    lam_diff = combine(diff_m, ctx.torus.lattice)
-    classical = ExpSum.exponential(
-        ctx.spec2,
-        LinForm(
-            (
-                tuple(a.conj() for a in xi),
-                tuple(l.conj() for l in lam_diff) + zero_v,
-            ),
-            pairing(xi, lam_diff),
-            None,
-        ),
-    )
-    # diff: (v, x, w) -> (v - w, x)
-    n2, n3 = ctx.spec2.nvars, spec3.nvars
-    matrix = []
-    shift = tuple([GRAT_ZERO] * n2)
-    one = GRat.of(1)
-    neg = GRat.of(-1)
-    for i in range(g):  # rows for v'
-        row = [GRAT_ZERO] * n3
-        row[i] = one
-        row[3 * g + i] = neg
-        matrix.append(tuple(row))
-    for i in range(2 * g):  # rows for x'
-        row = [GRAT_ZERO] * n3
-        row[g + i] = one
-        matrix.append(tuple(row))
-    diff_map = AffineMap(spec3, ctx.spec2, tuple(matrix), shift)
-    right = substitute(classical, diff_map)
-
-    return {
-        "element": element,
-        "equal": left == right,
-        "left": left,
-        "right": right,
-    }
+    right = substitute(factor.value((diff_m, x, Scalar.one(ctx.torus.order))), diff)
+    return {"element": element, "equal": left == right, "left": left, "right": right}
 
 
 def convolution_window_report(ctx: PoincareContext, radius: int = 1, z_choices=None) -> dict:
@@ -410,7 +351,8 @@ def convolution_window_report(ctx: PoincareContext, radius: int = 1, z_choices=N
         z_choices = _default_z_choices(ctx.torus.order)
     coords = coordinate_window(2 * ctx.torus.g, radius)
     elements = sample_window([coords, coords, z_choices, coords], 10000, 2, 300, random.Random(173))
-    return check_cases(elements, lambda e: convolution_factor_check(ctx, e)["equal"])
+    phi = poincare_factor(ctx).cached()
+    return check_cases(elements, lambda e: convolution_factor_check(phi, e)["equal"])
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +374,10 @@ def restrict_to_section(
     g = torus.g
     order = torus.order
     vspec = lattice_slotspec(torus)
+    phi = poincare_factor(ctx)
+    one = Scalar.one(order)
+    # the zero section v -> (v, 0) of V x dual
+    section = _linear_map(vspec, ctx.spec2, [[(i, 1)] for i in range(g)] + [[]] * (2 * g))
 
     def l_fold(lam) -> Scalar:
         log = l_series(lseries, lam, order)
@@ -446,13 +392,9 @@ def restrict_to_section(
 
     def ca_value(e, offset) -> ExpSum:
         m, x = e
-        lam = combine(m, torus.lattice)
-        xi = combine(x, ctx.dual.vectors)
         w = fiber_point(s, offset, ctx.dual)
-        const = pairing(tuple(a + b for a, b in zip(xi, w)), lam)
-        scal = ctilde(w, x, ctx.B, order) * l_fold(lam)
-        vcoef = tuple(a.conj() for a in xi)
-        return ExpSum.exponential(vspec, LinForm((vcoef,), const, None), scal)
+        restricted = substitute(translate(phi.value((m, x, one)), "l", w), section)
+        return restricted.scale(ctilde(w, x, ctx.B, order) * l_fold(combine(m, torus.lattice)))
 
     def iota(offset) -> ExpSum:
         w = fiber_point(s, offset, ctx.dual)

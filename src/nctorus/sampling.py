@@ -10,7 +10,6 @@ from __future__ import annotations
 from math import gcd
 
 from .coeff import CircleConst, GRat, HbarSeries, PiPoly, Q, Scalar
-from .expalg import ExpSum, LinForm, SlotSpec
 from .picard import NSData, QAHData, Semicharacter
 from .torus import TorusData, gaussian_product_torus
 
@@ -21,7 +20,6 @@ __all__ = [
     "random_quantizable_ns",
     "random_semicharacter",
     "random_qah",
-    "random_exp_term",
     "gaussian_product_torus",
 ]
 
@@ -86,18 +84,3 @@ def random_qah(rng, torus: TorusData, tail_orders: int = None) -> QAHData:
         tuple(random_grat(rng) for _ in range(torus.g)) for _ in range(tail_orders)
     )
     return QAHData(ns, chi, l)
-
-
-def random_exp_term(rng, spec: SlotSpec, with_tail: bool = True) -> ExpSum:
-    """A random single exponential term over the given slots."""
-    coeffs = tuple(
-        tuple(random_grat(rng) for _ in range(s.nvars)) for s in spec.slots
-    )
-    const = GRat(random_rational(rng), random_rational(rng))
-    const_h = None
-    if with_tail and spec.order > 1:
-        const_h = HbarSeries.of(
-            spec.order, {1: PiPoly.const(random_grat(rng))}
-        )
-    coeff = random_unit_scalar(rng, spec.order) if with_tail else Scalar.one(spec.order)
-    return ExpSum.exponential(spec, LinForm(coeffs, const, const_h), coeff)

@@ -30,7 +30,7 @@ from .coeff import (
 )
 from .expalg import ExpSum, LinForm, SlotSpec, scalar_add
 
-__all__ = ["scalar_str", "expsum_str", "parse_scalar", "parse_expsum"]
+__all__ = ["scalar_str", "expsum_str", "parse_expsum"]
 
 
 def _join_signed(parts) -> str:
@@ -474,11 +474,3 @@ def parse_expsum(text: str, spec: SlotSpec) -> ExpSum:
     if not p.at_end():
         raise CoeffError(f"trailing input near token {p.peek()[1]!r}")
     return ExpSum.make(spec, terms)
-
-
-def parse_scalar(text: str, order: int) -> Scalar:
-    spec = SlotSpec((), order)
-    f = parse_expsum(text, spec)
-    if f.is_zero():
-        return Scalar.zero(order)
-    return f.single_term().coeff

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nctorus import cli
 from nctorus.cli import ConfigError, main, parse_config, run, SUITES
+from nctorus.coeff import CoeffError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures")
 
@@ -156,6 +157,8 @@ def test_cli_star_rejects_a_negative_degree():
         {"slots": [{"name": "v", "dim": "x"}]},
         {"slots": [{"name": "v", "dim": 0}]},
         {"order": "a", "slots": [{"name": "v", "dim": 1}]},
+        {"slots": [{"name": "v", "dim": 1, "opposite": "no"}]},
+        {"slots": [{"name": "v", "dim": 1, "conjugate_pair": "false"}]},
     ],
 )
 def test_cli_star_malformed_slots_is_a_parse_error(slots):
@@ -373,3 +376,32 @@ def test_fuzzed_config_parses_or_is_a_config_error(edits):
         parse_config(json.dumps(raw))
     except ConfigError:
         pass
+
+
+_SLOT_FLAGS = ("opposite", "conjugate_pair")
+_SLOT_KEYS = ("name", "dim", "poisson", "vars") + _SLOT_FLAGS
+# a well-formed slot, then up to two of its keys overwritten with random JSON
+_slot = st.builds(
+    lambda slot, junk: {**slot, **junk},
+    st.fixed_dictionaries(
+        {"name": st.sampled_from(["v", "w"]), "dim": st.integers(1, 2)},
+        optional={k: st.booleans() | _json_values for k in _SLOT_FLAGS},
+    ),
+    st.dictionaries(st.sampled_from(_SLOT_KEYS), _json_values, max_size=2),
+)
+_slot_specs = st.fixed_dictionaries(
+    {"slots": st.lists(_slot, max_size=3)}, optional={"order": st.integers(0, 5) | _json_values}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_specs | _json_values)
+def test_fuzzed_slots_give_a_spec_or_a_parse_error(raw):
+    # star_cmd turns exactly these errors into "parse error:" and exit 2
+    try:
+        spec = cli._slots_from_json(json.dumps(raw))
+    except (ConfigError, CoeffError, json.JSONDecodeError):
+        return
+    for slot, given_slot in zip(spec.slots, raw["slots"], strict=True):
+        for flag in _SLOT_FLAGS:
+            assert getattr(slot, flag) is given_slot.get(flag, False)

@@ -149,7 +149,9 @@ def test_slot_mismatch():
 def test_substitute_identity_and_translate():
     spec = spec_qp()
     f = exp_of(spec, (1, 2), const=Q(1, 3))
-    assert substitute(f, AffineMap.identity(spec)) == f
+    n = spec.nvars
+    eye = tuple(tuple(GRat.of(int(i == j)) for j in range(n)) for i in range(n))
+    assert substitute(f, AffineMap(spec, spec, eye, (GRAT_ZERO,) * n)) == f
     assert translate(f, "v", (GRAT_ZERO, GRAT_ZERO)) == f
     t = translate(f, "v", (GRat.of(1), GRat.of(0, 1)))
     # exponent constant picks up 1*1 + 2*i -> real part symbolic, im to unit

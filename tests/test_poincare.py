@@ -13,10 +13,10 @@ from nctorus.coeff import (
     Scalar,
     combine,
 )
-from nctorus.expalg import ExpSum, star_inverse, translate
-from nctorus.picard import cocycle_defect, cocycle_holds
+from nctorus import poincare
+from nctorus.expalg import ExpSum, LinForm, star_inverse, translate
+from nctorus.picard import Factor, cocycle_defect, cocycle_holds
 from nctorus.poincare import (
-    PoincareGroup,
     convolution_factor_check,
     convolution_window_report,
     make_context,
@@ -37,8 +37,7 @@ Z1H4 = Scalar(CIRCLE_ONE, HbarSeries.one(4) + HbarSeries.of(4, {1: PI_ONE}))
 
 def test_factor_identity_and_pure_gamma():
     f = poincare_factor(CTX1)
-    grp = f.group
-    assert f.value(grp.identity) == ExpSum.one(CTX1.spec2)
+    assert f.value(((0, 0), (0, 0), Scalar.one(4))) == ExpSum.one(CTX1.spec2)
     # (0, (xi, z)): z * exp(pi conj<xi, v>), no l-dependence
     e = ((0, 0), (1, 0), Z1H4)
     t = f.value(e).single_term()
@@ -91,10 +90,9 @@ def test_translation_coboundary_examples():
 
 
 def test_convolution_identity_element():
-    grp = PoincareGroup(CTX1)
     zero = (0, 0)
     res = convolution_factor_check(
-        CTX1, (zero, zero, Scalar.one(4), zero)
+        poincare_factor(CTX1), (zero, zero, Scalar.one(4), zero)
     )
     assert res["equal"]
     assert res["left"] == ExpSum.one(CTX1.spec3)
@@ -103,7 +101,7 @@ def test_convolution_identity_element():
 def test_convolution_l_dependence_drops_when_lambda_equals_mu():
     m = (1, -1)
     e = (m, (1, 0), Z1H4, m)
-    res = convolution_factor_check(CTX1, e)
+    res = convolution_factor_check(poincare_factor(CTX1), e)
     assert res["equal"]
     t = res["right"].single_term()
     # the x-slot coefficients vanish: <l + xi, lam - mu> = <l + xi, 0>
@@ -140,3 +138,28 @@ def test_restrict_to_section_g2_with_l():
     assert rep["status"] == "PASS"
     assert data.l == lser
     assert all(not e for row in data.ns.matrix for e in row)
+
+
+def test_convolution_and_sections_evaluate_the_poincare_factor(monkeypatch):
+    # both identities are statements about the one factor: a mutant factor
+    # with conj(lam) added to its v-coefficients must break them
+    s = (G(Q(1, 2)),)
+    assert convolution_window_report(CTX1)["status"] == "PASS"
+    assert restrict_to_section(CTX1, s)[1]["status"] == "PASS"
+    real = poincare.poincare_factor
+
+    def mutant(ctx, flip_cocycle=False):
+        f = real(ctx, flip_cocycle)
+
+        def fn(e):
+            t = f.value(e).single_term()
+            lam = combine(e[0], ctx.torus.lattice)
+            vcoef = tuple(a + b.conj() for a, b in zip(t.form.coeffs[0], lam))
+            form = LinForm((vcoef,) + t.form.coeffs[1:], t.form.const_pi, None)
+            return ExpSum.exponential(ctx.spec2, form, t.coeff)
+
+        return Factor(f.group, fn)
+
+    monkeypatch.setattr(poincare, "poincare_factor", mutant)
+    assert convolution_window_report(CTX1)["status"] == "FAIL"
+    assert restrict_to_section(CTX1, s)[1]["status"] == "FAIL"

@@ -12,13 +12,25 @@ from nctorus.coeff import (
     Q,
     Scalar,
 )
-from nctorus.expalg import Slot, SlotSpec
-from nctorus.sampling import random_exp_term
-from nctorus.textfmt import expsum_str, parse_expsum, parse_scalar, scalar_str
+from nctorus.expalg import ExpSum, LinForm, Slot, SlotSpec
+from nctorus.sampling import random_grat, random_rational, random_unit_scalar
+from nctorus.textfmt import expsum_str, parse_expsum, scalar_str
 
 G = GRat.of
 P2 = ((G(0), G(1)), (G(-1), G(0)))
 SPEC = SlotSpec((Slot("v", 2, poisson=P2), Slot("l", 1, conjugate_pair=True)), 4)
+SCALARS = SlotSpec((), 4)
+
+
+def random_exp_term(rng, spec: SlotSpec) -> ExpSum:
+    """A random single exponential term over the given slots."""
+    coeffs = tuple(
+        tuple(random_grat(rng) for _ in range(s.nvars)) for s in spec.slots
+    )
+    const = GRat(random_rational(rng), random_rational(rng))
+    const_h = HbarSeries.of(spec.order, {1: PiPoly.const(random_grat(rng))})
+    coeff = random_unit_scalar(rng, spec.order)
+    return ExpSum.exponential(spec, LinForm(coeffs, const, const_h), coeff)
 
 
 def test_scalar_roundtrip_golden():
@@ -35,7 +47,7 @@ def test_scalar_roundtrip_golden():
     )
     text = scalar_str(s)
     assert text == "u(1/4)*(1 + pi^2*h + (1/2+1/3 i)*pi^4*h^2)"
-    assert parse_scalar(text, 4) == s
+    assert parse_expsum(text, SCALARS).single_term().coeff == s
 
 
 def test_expsum_golden_and_roundtrip():
@@ -71,4 +83,4 @@ def test_parse_errors():
     with pytest.raises(CoeffError):
         parse_expsum("0.5*E[pi*(v1)]", SPEC)
     with pytest.raises(CoeffError):
-        parse_scalar("E[pi*(v1)]", 4)
+        parse_expsum("E[pi*(v1)]", SCALARS)
