@@ -130,8 +130,16 @@ class SlotSpec:
     order: int
 
     def __post_init__(self):
+        """Also refuses names the text format could not read back."""
         for slot in self.slots:
             _check_poisson(slot)
+        if len({s.name for s in self.slots}) != len(self.slots):
+            raise SlotMismatch("two slots share a name")
+        names = self.var_names()
+        if len(set(names)) != len(names):
+            raise SlotMismatch("two variables share a name")
+        if {"i", "pi"} & set(names):
+            raise SlotMismatch("a variable may not be named i or pi")
 
     @property
     def nvars(self) -> int:

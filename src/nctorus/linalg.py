@@ -8,7 +8,7 @@ lists of rationals (``coeff.Q`` values).
 
 from __future__ import annotations
 
-from .coeff import GRat, Q
+from .coeff import Q
 
 __all__ = ["rat_det", "rat_inverse", "rat_solve", "rat_rank", "grat_rank"]
 

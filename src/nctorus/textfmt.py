@@ -10,22 +10,39 @@ Variable names come from the slot specification (``v1``, ``v2``, ...;
 conjugate-pair slots append ``~`` for the conjugated half).  Rendering is
 deterministic, and everything rendered parses back to an equal value
 (bit-stable golden forms).
+
+The parser reads one grammar, with the same rules everywhere::
+
+    sum     := [+|-] product {(+|-) product}
+    product := factor {[*] factor}
+    factor  := atom [^ n]
+    atom    := rational | i | pi | h | u(sum) | E[sum] | variable | (sum)
+
+``n`` is a whole number, ``rational`` is ``a`` or ``a/b``, and ``u(q)``
+takes a sum that reads as a real rational q.  Variables exist only inside
+``E[...]``: there ``i`` and ``pi`` are the constants, any other name the
+slots define is a variable, and every term must be a Gaussian rational
+times exactly one ``pi``.  Outside ``E[...]`` a parenthesized sum must be
+a scalar.  A group whose first entry is followed by ``,`` or ``|`` lists
+one Gaussian rational per slot variable, ``,`` between the variables of a
+slot and ``|`` between slots: ``E[pi*(1, 2 i | 0)]``.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .coeff import (
     CIRCLE_ONE,
+    GRAT_I,
+    GRAT_ONE,
     GRAT_ZERO,
-    I_POWERS,
     PI_ONE,
     CoeffError,
     GRat,
     HbarSeries,
     PiPoly,
-    Q,
     Scalar,
 )
 from .expalg import ExpSum, LinForm, SlotSpec, scalar_add
@@ -109,7 +126,8 @@ def expsum_str(f: ExpSum) -> str:
         if coeff == "1":
             out.append(exp)
         else:
-            if " + " in coeff:
+            # a sum of terms is bracketed; "u(q)*(...)" is already a product
+            if " + " in coeff or " - " in coeff and t.coeff.unit.is_one():
                 coeff = f"({coeff})"
             out.append(f"{coeff}*{exp}")
     return _join_signed(out)
@@ -119,358 +137,203 @@ def expsum_str(f: ExpSum) -> str:
 # parsing
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*~?)"
-    r"|(?P<sym>[-+*^()\[\]|,]))"
+    r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*~?)"
+    r"|(?P<sym>[-+*^()\[\]|,])|(?P<bad>\S)"
 )
+_MINUS_ONE = -GRAT_ONE
+_SCALAR = (None, None)  # the key of a term with no variable and a zero form
 
 
 def _tokenize(text: str):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise CoeffError(f"cannot tokenize {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup:
-            out.append((m.lastgroup, m.group(m.lastgroup)))
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise CoeffError(f"cannot tokenize {text[m.start():]!r}")
+        out.append((m.lastgroup, m.group()))
     return out
 
 
+def _gaussian(c: Scalar, pi_degree: int, what: str) -> GRat:
+    """g where c is the Gaussian rational g times pi^pi_degree."""
+    head, *tail = c.series.coeffs
+    if not c.unit.is_one() or any(tail) or any(d != pi_degree for d, _ in head.terms):
+        raise CoeffError(f"{what} must be a Gaussian rational{' times pi' * pi_degree}")
+    return head.terms[0][1] if head.terms else GRAT_ZERO
+
+
+def _nonzero(form: LinForm):
+    """The form as a key: None for the zero form."""
+    return None if form.is_zero() else form
+
+
 class _Parser:
+    """Recursive descent over the grammar of the module docstring.
+
+    Every reader returns a sum: a dict that maps (variable index or None,
+    exponent form or None for the zero form) to its ``Scalar``
+    coefficient.  Variables are read only inside ``E[...]``.
+    """
+
     def __init__(self, text: str, spec: SlotSpec):
         self.toks = _tokenize(text)
         self.pos = 0
         self.spec = spec
-        names = spec.var_names()
-        self.var_index = {n: i for i, n in enumerate(names)}
+        self.var_index = {n: i for i, n in enumerate(spec.var_names())}
+        self.in_exp = False
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
 
     def take(self, kind=None, value=None):
         k, v = self.peek()
+        if k is None:
+            raise CoeffError(f"unexpected end of input (wanted {value or kind or 'more'})")
         if kind and k != kind or value and v != value:
             raise CoeffError(f"unexpected token {v!r} (wanted {value or kind})")
         self.pos += 1
         return v
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    # -- scalar-with-exponential grammar --------------------------------
-
-    def parse_sum(self):
-        terms = [self.parse_signed_product(allow_lead_sign=True)]
-        while True:
-            k, v = self.peek()
-            if k == "sym" and v in "+-":
-                self.take()
-                coeff, form = self.parse_product()
-                if v == "-":
-                    coeff = coeff.scale(GRat.of(-1))
-                terms.append((coeff, form))
-            else:
-                break
-        return terms
-
-    def parse_signed_product(self, allow_lead_sign=False):
+    def at(self, syms: str) -> bool:
         k, v = self.peek()
-        sign = 1
-        if allow_lead_sign and k == "sym" and v in "+-":
-            self.take()
-            sign = -1 if v == "-" else 1
-        coeff, form = self.parse_product()
-        if sign < 0:
-            coeff = coeff.scale(GRat.of(-1))
-        return coeff, form
+        return k == "sym" and v in syms
 
-    def parse_product(self):
-        order = self.spec.order
-        coeff = Scalar.one(order)
-        form = self.spec.zero_form()
+    def scalar(self, series: dict) -> dict:
+        return {_SCALAR: Scalar(CIRCLE_ONE, HbarSeries.of(self.spec.order, series))}
+
+    def sum(self) -> dict:
+        """sum := [+|-] product {(+|-) product}"""
+        acc = {}
+        sign = self.take() if self.at("+-") else "+"
         while True:
-            k, v = self.peek()
-            if k is None or (k == "sym" and v in "+-)]|,"):
-                break
-            if k == "sym" and v == "*":
-                self.take()
-                continue
-            coeff, form = self._apply_atom(coeff, form)
-        return coeff, form
+            for key, c in self.product().items():
+                if sign == "-":
+                    c = c.scale(_MINUS_ONE)
+                acc[key] = scalar_add(acc[key], c) if key in acc else c
+            if not self.at("+-"):
+                return acc
+            sign = self.take()
 
-    def _apply_atom(self, coeff: Scalar, form: LinForm):
-        order = self.spec.order
+    def product(self) -> dict:
+        """product := factor {[*] factor}"""
+        acc = self.factor()
+        while self.pos < len(self.toks) and not self.at("+-)]|,"):
+            if self.at("*"):
+                self.take()
+            acc = self.times(acc, self.factor())
+        return acc
+
+    def factor(self) -> dict:
+        """factor := atom [^ n], with n a whole number (by squaring)"""
+        base = self.atom()
+        if not self.at("^"):
+            return base
+        self.take()
+        n = self.take("num")
+        if not n.isdigit():
+            raise CoeffError(f"power {n!r} is not a whole number")
+        out = {_SCALAR: Scalar.one(self.spec.order)}
+        n = int(n)
+        while n:
+            if n & 1:
+                out = self.times(out, base)
+            n >>= 1
+            if n:
+                base = self.times(base, base)
+        return out
+
+    def atom(self) -> dict:
+        """atom := rational | i | pi | h | u(sum) | E[sum] | variable | (sum)"""
         k, v = self.peek()
+        self.take()
         if k == "num":
-            self.take()
-            exp = self._maybe_power()
-            coeff = coeff.scale(GRat.of(GRat.parse(v).re ** exp))
-            return coeff, form
-        if k == "name" and v == "i":
-            self.take()
-            exp = self._maybe_power()
-            g = I_POWERS[exp % 4]
-            return coeff.scale(g), form
-        if k == "name" and v == "pi":
-            self.take()
-            exp = self._maybe_power()
-            piece = PiPoly.pi_power(exp)
-            coeff = coeff * Scalar(CIRCLE_ONE, HbarSeries.of(order, {0: piece}))
-            return coeff, form
-        if k == "name" and v == "h":
-            self.take()
-            exp = self._maybe_power()
-            if exp >= order:
-                coeff = coeff.scale(GRAT_ZERO)
-                return coeff, form
-            series = HbarSeries.of(order, {exp: PI_ONE})
-            coeff = coeff * Scalar(CIRCLE_ONE, series)
-            return coeff, form
-        if k == "name" and v == "u":
-            self.take()
+            return self.scalar({0: PiPoly.const(GRat.parse(v))})
+        if v == "(":
+            group = self.sum()
+            if self.at(",|"):
+                group = self.coefficient_list(group)
+            self.take("sym", ")")
+            if not self.in_exp and list(group) != [_SCALAR]:
+                raise CoeffError("parenthesized factor must be scalar")
+            return group
+        if k != "name":
+            raise CoeffError(f"unexpected token {v!r}")
+        if self.in_exp and v in self.var_index:  # never i or pi (SlotSpec)
+            return {(self.var_index[v], None): Scalar.one(self.spec.order)}
+        if v == "i":
+            return self.scalar({0: PiPoly.const(GRAT_I)})
+        if v == "pi":
+            return self.scalar({0: PiPoly.pi_power(1)})
+        if v == "h":
+            return self.scalar({1: PI_ONE})
+        if v == "u":
             self.take("sym", "(")
-            num = self._signed_rational()
+            q = self.number(self.sum(), "u(...)")
             self.take("sym", ")")
-            coeff = coeff.turn(num)
-            return coeff, form
-        if k == "name" and v == "E":
-            self.take()
+            if q.m:
+                raise CoeffError("u(...) takes a real rational")
+            return {_SCALAR: Scalar.one(self.spec.order).turn(q.re)}
+        if v == "E":
             self.take("sym", "[")
-            form = form + self._parse_exponent()
+            outer, self.in_exp = self.in_exp, True
+            form = self.exponent(self.sum())
+            self.in_exp = outer
             self.take("sym", "]")
-            return coeff, form
-        if k == "sym" and v == "(":
-            self.take()
-            sub = self.parse_sum()
-            self.take("sym", ")")
-            exp = self._maybe_power()
-            acc = None
-            for c2, f2 in sub:
-                if not f2.is_zero():
-                    raise CoeffError("parenthesized factor must be scalar")
-                acc = c2 if acc is None else scalar_add(acc, c2)
-            if acc is None:
-                acc = Scalar.zero(order)
-            powered = Scalar.one(order)
-            for _ in range(exp):
-                powered = powered * acc
-            return coeff * powered, form
-        raise CoeffError(f"unexpected token {v!r} in scalar expression")
+            return {(None, _nonzero(form)): Scalar.one(self.spec.order)}
+        raise CoeffError(f"unknown name {v!r}")
 
-    def _maybe_power(self) -> int:
-        k, v = self.peek()
-        if k == "sym" and v == "^":
-            self.take()
-            return int(self.take("num"))
-        return 1
-
-    def _signed_rational(self):
-        k, v = self.peek()
-        sign = 1
-        if k == "sym" and v in "+-":
-            self.take()
-            sign = -1 if v == "-" else 1
-        return GRat.parse(self.take("num")).re * sign
-
-    def _grat_literal(self) -> GRat:
-        """(a/b + c/d i) style literal; also plain rationals or i."""
-        re_part, im_part = Q(0), Q(0)
-        first = True
-        while True:
-            k, v = self.peek()
-            if k == "sym" and v in ")]":
-                break
-            sign = 1
-            if k == "sym" and v in "+-":
-                self.take()
-                sign = -1 if v == "-" else 1
-                k, v = self.peek()
-            elif not first:
-                break
-            if k == "num":
-                self.take()
-                mag = GRat.parse(v).re
-                k2, v2 = self.peek()
-                if k2 == "sym" and v2 == "*":
-                    # tolerate 1*i
-                    k3, v3 = self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else (None, None)
-                    if k3 == "name" and v3 == "i":
-                        self.take()
-                        k2, v2 = self.peek()
-                if k2 == "name" and v2 == "i":
-                    self.take()
-                    im_part += sign * mag
-                else:
-                    re_part += sign * mag
-            elif k == "name" and v == "i":
-                self.take()
-                im_part += sign
-            else:
-                raise CoeffError(f"bad complex literal near {v!r}")
-            first = False
-        return GRat(re_part, im_part)
-
-    # -- exponent bodies -------------------------------------------------
-
-    def _parse_exponent(self) -> LinForm:
-        """Sum of pieces 'pi*<linear>' or 'pi*<rational>' inside E[...]."""
-        total = self.spec.zero_form()
-        while True:
-            k, v = self.peek()
-            if k == "sym" and v == "]":
-                break
-            sign = 1
-            if k == "sym" and v in "+-":
-                self.take()
-                sign = -1 if v == "-" else 1
-            self.take("name", "pi")
-            self.take("sym", "*")
-            piece = self._pi_factor()
-            if sign < 0:
-                piece = -piece
-            total = total + piece
-        return total
-
-    def _pi_factor(self) -> LinForm:
-        k, v = self.peek()
-        if k == "sym" and v == "(":
-            self.take()
-            inner = self._linear_body()
-            self.take("sym", ")")
-            return inner
-        if k == "num":
-            self.take()
-            return LinForm(
-                self.spec.zero_form().coeffs, GRat.parse(v), None
-            )
-        if k == "name" and v in self.var_index:
-            self.take()
-            return self._var_form(v, GRat.of(1))
-        raise CoeffError(f"bad exponent piece near {v!r}")
-
-    def _var_form(self, name: str, c: GRat) -> LinForm:
-        idx = self.var_index[name]
-        flat = [GRAT_ZERO] * self.spec.nvars
-        flat[idx] = c
-        coeffs = []
-        pos = 0
-        for s in self.spec.slots:
-            coeffs.append(tuple(flat[pos : pos + s.nvars]))
-            pos += s.nvars
-        return LinForm(tuple(coeffs), GRAT_ZERO, None)
-
-    def _linear_body(self) -> LinForm:
-        """Named linear combination or |-separated coefficient vectors."""
-        if self._looks_like_vectors():
-            return self._vector_body()
-        total = self.spec.zero_form()
-        first = True
-        while True:
-            k, v = self.peek()
-            if k == "sym" and v == ")":
-                break
-            sign = 1
-            if k == "sym" and v in "+-":
-                self.take()
-                sign = -1 if v == "-" else 1
-            elif not first:
-                raise CoeffError("expected + or - in linear form")
-            coef = GRat.of(sign)
-            k, v = self.peek()
-            if k == "num":
-                self.take()
-                coef = coef * GRat.parse(v)
-                k2, v2 = self.peek()
-                if k2 == "sym" and v2 == "*":
-                    self.take()
-                    k, v = self.peek()
-                else:
-                    total = total + LinForm(
-                        self.spec.zero_form().coeffs, coef, None
-                    )
-                    first = False
-                    continue
-            elif k == "sym" and v == "(":
-                self.take()
-                coef = coef * self._grat_literal()
-                self.take("sym", ")")
-                self.take("sym", "*")
-                k, v = self.peek()
-            elif k == "name" and v == "i":
-                self.take()
-                coef = coef * GRat.of(0, 1)
-                k2, v2 = self.peek()
-                if k2 == "sym" and v2 == "*":
-                    self.take()
-                    k, v = self.peek()
-                else:
-                    total = total + LinForm(
-                        self.spec.zero_form().coeffs, coef, None
-                    )
-                    first = False
-                    continue
-            if k == "name" and v in self.var_index:
-                self.take()
-                total = total + self._var_form(v, coef)
-            else:
-                raise CoeffError(f"expected a variable name, got {v!r}")
-            first = False
-        return total
-
-    def _looks_like_vectors(self) -> bool:
-        depth = 0
-        for k, v in self.toks[self.pos :]:
-            if k == "sym" and v == "(":
-                depth += 1
-            elif k == "sym" and v == ")":
-                if depth == 0:
-                    return False
-                depth -= 1
-            elif k == "sym" and v in ",|" and depth == 0:
-                return True
-        return False
-
-    def _vector_body(self) -> LinForm:
-        coeffs = []
-        for si, slot in enumerate(self.spec.slots):
-            entries = []
+    def coefficient_list(self, first: dict) -> dict:
+        """(c, c | c, ...): one coefficient per slot variable, ``,`` between
+        the variables of a slot and ``|`` between slots; ``first`` is the
+        entry already read."""
+        out, entry = {}, first
+        for slot in self.spec.slots:
             for vi in range(slot.nvars):
-                k, v = self.peek()
-                if k == "sym" and v == "(":
-                    self.take()
-                    entries.append(self._grat_literal())
-                    self.take("sym", ")")
-                else:
-                    sign = 1
-                    if k == "sym" and v in "+-":
-                        self.take()
-                        sign = -1 if v == "-" else 1
-                    k2, v2 = self.peek()
-                    if k2 == "name" and v2 == "i":
-                        self.take()
-                        entries.append(GRat.of(0, sign))
-                    else:
-                        num = self.take("num")
-                        k3, v3 = self.peek()
-                        if k3 == "name" and v3 == "i":
-                            self.take()
-                            entries.append(GRat.of(0, GRat.parse(num).re * sign))
-                        else:
-                            entries.append(GRat.parse(num).scale(sign))
-                if vi + 1 < slot.nvars:
-                    self.take("sym", ",")
-            coeffs.append(tuple(entries))
-            if si + 1 < len(self.spec.slots):
-                self.take("sym", "|")
-        return LinForm(tuple(coeffs), GRAT_ZERO, None)
+                if out:
+                    self.take("sym", "," if vi else "|")
+                    entry = self.sum()
+                self.number(entry, "a coefficient")
+                out[(len(out), None)] = entry[_SCALAR]
+        return out
+
+    def number(self, terms: dict, what: str) -> GRat:
+        if list(terms) != [_SCALAR]:
+            raise CoeffError(f"{what} must be a number")
+        return _gaussian(terms[_SCALAR], 0, what)
+
+    def exponent(self, terms: dict) -> LinForm:
+        """The form of an E[...] body, whose every term is a Gaussian
+        rational times one pi."""
+        flat = [GRAT_ZERO] * self.spec.nvars
+        const = GRAT_ZERO
+        for (var, form), c in terms.items():
+            if form is not None:
+                raise CoeffError("E[...] inside an exponent")
+            g = _gaussian(c, 1, "an exponent term")
+            if var is None:
+                const = g
+            else:
+                flat[var] = g
+        it = iter(flat)
+        return LinForm(tuple(tuple(islice(it, s.nvars)) for s in self.spec.slots), const, None)
+
+    def times(self, a: dict, b: dict) -> dict:
+        """The product of two sums; a variable meets only constants."""
+        out = {}
+        for (va, fa), ca in a.items():
+            for (vb, fb), cb in b.items():
+                if va is not None and vb is not None:
+                    raise CoeffError("a product of two variables is not linear")
+                form = fa if fb is None else fb if fa is None else _nonzero(fa + fb)
+                key = (vb if va is None else va, form)
+                c = ca * cb
+                out[key] = scalar_add(out[key], c) if key in out else c
+        return out
 
 
 def parse_expsum(text: str, spec: SlotSpec) -> ExpSum:
     p = _Parser(text, spec)
-    terms = p.parse_sum()
-    if not p.at_end():
+    terms = p.sum()
+    if p.pos < len(p.toks):
         raise CoeffError(f"trailing input near token {p.peek()[1]!r}")
-    return ExpSum.make(spec, terms)
+    zero = spec.zero_form()
+    return ExpSum.make(spec, [(c, form or zero) for (_, form), c in terms.items()])

@@ -5,7 +5,6 @@ criteria complete; every check is an exact equality at the stated
 truncation order and window.
 """
 
-import json
 import os
 import random
 import time
@@ -30,7 +29,6 @@ from nctorus.gerbe import (
     FiberFunction,
     GammaElement,
     coordinate_window,
-    gamma_inverse,
     gamma_mul,
     heisenberg_cocycle,
     rho_act,

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from nctorus import cli
-from nctorus.cli import ConfigError, main, parse_config, run, SUITES
+from nctorus.cli import ConfigError, main, parse_config, run
 from nctorus.coeff import CoeffError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures")
@@ -159,12 +159,27 @@ def test_cli_star_rejects_a_negative_degree():
         {"order": "a", "slots": [{"name": "v", "dim": 1}]},
         {"slots": [{"name": "v", "dim": 1, "opposite": "no"}]},
         {"slots": [{"name": "v", "dim": 1, "conjugate_pair": "false"}]},
+        # names the text format cannot read back
+        {"slots": [{"name": "v", "dim": 2, "vars": ["a", "a"]}]},
+        {"slots": [{"name": "v", "dim": 1, "vars": ["i"]}]},
+        {"slots": [{"name": "v", "dim": 1}, {"name": "v", "dim": 2}]},
     ],
 )
 def test_cli_star_malformed_slots_is_a_parse_error(slots):
     res = CliRunner().invoke(main, ["star", "E[pi*v]", "E[pi*v]", "--slots", json.dumps(slots)])
     assert res.exit_code == 2
     assert "parse error:" in res.output and "bad exponent piece" not in res.output
+    assert isinstance(res.exception, SystemExit)
+    # the specification itself is refused, before any operand is read
+    with pytest.raises((ConfigError, CoeffError)):
+        cli._slots_from_json(json.dumps(slots))
+
+
+@pytest.mark.parametrize("lhs, rhs", [("2^3/2*E[pi*v]", "E[pi*v]"), ("", "+")])
+def test_cli_star_malformed_operand_is_a_parse_error(lhs, rhs):
+    res = CliRunner().invoke(main, ["star", lhs, rhs, "--slots", ONE_SLOT])
+    assert res.exit_code == 2
+    assert "parse error:" in res.output
     assert isinstance(res.exception, SystemExit)
 
 

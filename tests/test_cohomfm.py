@@ -11,7 +11,7 @@ from nctorus.cohomfm import (
     fm_transform,
 )
 from nctorus.sampling import gaussian_product_torus
-from nctorus.torus import TorusData, bfield
+from nctorus.torus import bfield
 
 G = GRat.of
 T1 = gaussian_product_torus(1)

@@ -30,7 +30,7 @@ from nctorus.gerbe import (
 )
 from nctorus.picard import LatticeGroup, lattice_pairs, lattice_slotspec
 from nctorus.sampling import gaussian_product_torus, random_grat
-from nctorus.torus import bfield
+from nctorus.torus import BForm, bfield
 
 G = GRat.of
 PI2 = ((G(0), G(1)), (G(-1), G(0)))
@@ -203,14 +203,19 @@ def test_check_loop_reports_the_first_failure():
     assert check_cases([], lambda c: True) == {"status": "FAIL", "checked": 0, "failing": None}
 
 
+def _e1xe2_window_1():
+    with open(os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures", "e1xe2.json")) as fh:
+        cfg = cli.parse_config(fh.read())
+    cfg.window = 1
+    return cfg
+
+
 def test_inverted_ctilde_fails_the_records_that_rest_on_it(monkeypatch):
     # negative control: rho composition and the section twist both use
     # ctilde, so replacing it by its inverse must flip their PASS to FAIL
     from nctorus import gerbe
 
-    with open(os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures", "e1xe2.json")) as fh:
-        cfg = cli.parse_config(fh.read())
-    cfg.window = 1
+    cfg = _e1xe2_window_1()
     names = ("gerbe:rho-composition", "cohomology:section-0-iota", "cohomology:section-1-iota")
 
     def statuses():
@@ -226,6 +231,28 @@ def test_inverted_ctilde_fails_the_records_that_rest_on_it(monkeypatch):
     monkeypatch.setattr(gerbe, "ctilde", inverted)
     monkeypatch.setattr(poincare, "ctilde", inverted)
     assert statuses() == dict.fromkeys(names, "FAIL")
+
+
+def test_perturbed_b_fails_the_records_that_read_its_bivector(monkeypatch):
+    # negative control: double B's dual-basis matrix but keep its bivector;
+    # rho composition and ctilde read both and must FAIL, while the other
+    # records read only the matrix, on which any bilinear form passes
+    cfg = _e1xe2_window_1()
+
+    def statuses():
+        return {r["name"]: r["status"] for r in cli.suite_gerbe(cfg)}
+
+    names = ("cocycle-identity", "group-law", "rho-composition", "ctilde", "cocycle-expansion")
+    assert statuses() == {f"gerbe:{n}": "PASS" for n in names}
+    true_bfield = cli.bfield
+
+    def doubled(torus, basis=None):
+        B = true_bfield(torus, basis)
+        return BForm(B.poisson, B.basis, tuple(tuple(a + a for a in row) for row in B.matrix))
+
+    monkeypatch.setattr(cli, "bfield", doubled)
+    failing = ("rho-composition", "ctilde")
+    assert statuses() == {f"gerbe:{n}": "FAIL" if n in failing else "PASS" for n in names}
 
 
 def _window_counts(monkeypatch, g, radius):

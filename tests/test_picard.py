@@ -15,7 +15,6 @@ from nctorus.coeff import (
 )
 from nctorus.expalg import ExpSum, LinForm
 from nctorus.picard import (
-    CohomologyVerdict,
     NSData,
     QAHData,
     Semicharacter,

@@ -1,11 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from nctorus.coeff import (
     CIRCLE_ONE,
-    CircleConst,
-    CoeffError,
     GRat,
     HbarSeries,
     PI_ONE,
@@ -14,8 +13,8 @@ from nctorus.coeff import (
     combine,
 )
 from nctorus import poincare
-from nctorus.expalg import ExpSum, LinForm, star_inverse, translate
-from nctorus.picard import Factor, cocycle_defect, cocycle_holds
+from nctorus.expalg import ExpSum, LinForm
+from nctorus.picard import Factor
 from nctorus.poincare import (
     convolution_factor_check,
     convolution_window_report,
@@ -138,6 +137,23 @@ def test_restrict_to_section_g2_with_l():
     assert rep["status"] == "PASS"
     assert data.l == lser
     assert all(not e for row in data.ns.matrix for e in row)
+
+
+@pytest.mark.parametrize("ctx", [CTX1, CTX2], ids=["g1", "g2"])
+def test_convolution_fails_along_the_sum_map(ctx):
+    # negative control: pull the dual kernel back along (v + w, x) in place
+    # of the difference map (v - w, x)
+    g = ctx.torus.g
+    p12, p23, diff = ctx.pullbacks
+
+    def pullback(sign):
+        v_rows = [[(i, 1), (3 * g + i, sign)] for i in range(g)]
+        return poincare._linear_map(ctx.spec3, ctx.spec2, v_rows + [[(g + k, 1)] for k in range(2 * g)])
+
+    assert pullback(-1) == diff
+    wrong = pullback(1)
+    assert convolution_window_report(ctx)["status"] == "PASS"
+    assert convolution_window_report(replace(ctx, pullbacks=(p12, p23, wrong)))["status"] == "FAIL"
 
 
 def test_convolution_and_sections_evaluate_the_poincare_factor(monkeypatch):
