@@ -333,7 +333,7 @@ def suite_qpic(cfg: RunConfig):
         rep = check_cases(lattice_pairs(f.group, cfg.window), lambda p: cocycle_holds(f, *p), "pairs")
         out.append(_record(f"qpic:{b.name}:cocycle", **rep))
         try:
-            table = extension_obstruction(f, torus.order - 2, radius=1)
+            table = extension_obstruction(f, torus.order - 2)
             flat = all(p.is_zero() for p in table.values())
             out.append(
                 _record(

@@ -30,6 +30,7 @@ commutator normalization with any induced-bracket convention.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .coeff import (
@@ -54,6 +55,7 @@ __all__ = [
     "ExpSum",
     "AffineMap",
     "SlotMismatch",
+    "VAR_NAME",
     "poisson_pairing",
     "star_inverse",
     "substitute",
@@ -64,6 +66,10 @@ __all__ = [
 
 class SlotMismatch(CoeffError):
     """Operands live over different slot specifications."""
+
+
+# a variable name as the text format reads it
+VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*~?")
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,9 @@ class SlotSpec:
         names = self.var_names()
         if len(set(names)) != len(names):
             raise SlotMismatch("two variables share a name")
-        if {"i", "pi"} & set(names):
-            raise SlotMismatch("a variable may not be named i or pi")
+        for name in names:
+            if name in ("i", "pi") or not VAR_NAME.fullmatch(name):
+                raise SlotMismatch(f"the text format cannot read back a variable named {name!r}")
 
     @property
     def nvars(self) -> int:

@@ -51,7 +51,6 @@ from .coeff import (
     bilinear,
     combine,
     exp_decompose,
-    exp_hpi2,
 )
 from .expalg import (
     ExpSum,
@@ -62,7 +61,7 @@ from .expalg import (
     translate,
 )
 from .gerbe import coordinate_window, sample_window
-from .linalg import rat_solve
+from .linalg import grat_solve, rat_solve
 from .torus import TorusData, pairing
 
 __all__ = [
@@ -138,8 +137,8 @@ class QAHData:
     l: tuple  # entries: dual coefficient vectors for h^1 .. h^{order-1}
 
 
-def lattice_slotspec(torus: TorusData, slot_name: str = "v") -> SlotSpec:
-    return SlotSpec((Slot(slot_name, torus.g, poisson=torus.poisson),), torus.order)
+def lattice_slotspec(torus: TorusData) -> SlotSpec:
+    return SlotSpec((Slot("v", torus.g, poisson=torus.poisson),), torus.order)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,6 @@ class LatticeGroup:
 
     torus: TorusData
     spec: SlotSpec
-    slot_name: str = "v"
 
     @property
     def rank(self) -> int:
@@ -162,7 +160,7 @@ class LatticeGroup:
         return tuple(x + y for x, y in zip(a, b))
 
     def act(self, value: ExpSum, a) -> ExpSum:
-        return translate(value, self.slot_name, combine(a, self.torus.lattice))
+        return translate(value, "v", combine(a, self.torus.lattice))
 
     def window(self, radius: int = 1):
         return coordinate_window(self.rank, radius)
@@ -359,7 +357,7 @@ def is_quantizable(ns: NSData, torus: TorusData) -> bool:
     return all(p.is_zero() for row in obstruction0(ns, torus) for p in row)
 
 
-def extension_obstruction(factor: Factor, n: int, radius: int = 1):
+def extension_obstruction(factor: Factor, n: int):
     """Order-(n+1) defect table of a factor satisfying the cocycle
     condition modulo h^{n+1}.
 
@@ -368,7 +366,7 @@ def extension_obstruction(factor: Factor, n: int, radius: int = 1):
     a defect at some order <= n.
     """
     grp = factor.group
-    pairs = sample_window([grp.window(radius)] * 2, 4000, 2, 0, None, per_part=True)
+    pairs = sample_window([grp.window()] * 2, 4000, 2, 0, None, per_part=True)
     win = list(dict.fromkeys(a for a, _ in pairs))
     table = {}
     for a, b in pairs:
@@ -415,55 +413,37 @@ def extension_obstruction(factor: Factor, n: int, radius: int = 1):
 # canonicalization
 
 
-def _solve_complex_rows(columns, rhs_rows, g):
-    """Solve sum_k X_k columns[j][k] = rhs[j] for a complex g-vector X,
-    splitting into real parts.  columns: per-j list of g GRat known
-    coefficients; rhs_rows: per-j GRat.  Returns tuple of GRat or None."""
-    m = []
-    rhs = []
-    for j, row in enumerate(columns):
-        re_row = [c.re for c in row] + [-c.im for c in row]
-        im_row = [c.im for c in row] + [c.re for c in row]
-        m.append(re_row)
-        m.append(im_row)
-        rhs.append([rhs_rows[j].re])
-        rhs.append([rhs_rows[j].im])
-    sol = rat_solve(m, rhs)
-    if sol is None:
-        return None
-    return tuple(GRat(sol[k][0], sol[g + k][0]) for k in range(g))
-
-
-def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
+def reduce_to_qah(factor: Factor, torus: TorusData):
     """Canonicalize an exponential-class lattice cocycle.
 
     Returns (QAHData, witness) with
 
         factor(el) = witness^{-1} * qah(el) * (witness . el)
 
-    exactly on the window; the witness is the normalized single
-    exponential E(pi b.v).  Raises when the input is not cohomologous to
-    quantum Appell-Humbert data within the exponential class.
+    exactly on the radius-1 window; the witness is the normalized single
+    exponential E(pi b.v).  H comes from the v-linear parts and b from the
+    residual real constants; chi and the l-series are then read off the
+    scalars of ``coboundary_twist(factor, witness^{-1})``, the twist that
+    takes the factor back to qah.  Raises when the input is not
+    cohomologous to quantum Appell-Humbert data within the exponential
+    class.
     """
     grp = factor.group
     g = torus.g
     spec = grp.spec
-    gens = []
     n = 2 * g
-    for k in range(n):
-        gens.append(tuple(1 if i == k else 0 for i in range(n)))
+    gens = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     terms = [factor.value(e).single_term() for e in gens]
 
     # H from the v-linear parts: a_j = H(. , lam_j)
     lat = torus.lattice
+    conj_lat = [[c.conj() for c in lam] for lam in lat]
     hmat = []
     for i in range(g):
-        cols = [[lam[k].conj() for k in range(g)] for lam in lat]
-        rhs = [terms[j].form.coeffs[0][i] for j in range(n)]
-        row = _solve_complex_rows(cols, rhs, g)
+        row = grat_solve(conj_lat, [t.form.coeffs[0][i] for t in terms])
         if row is None:
             raise CoeffError("v-linear parts are not Neron-Severi consistent")
-        hmat.append(tuple(row))
+        hmat.append(row)
     ns = NSData(tuple(hmat))
     if not ns.is_hermitian():
         raise CoeffError("recovered form is not Hermitian")
@@ -475,10 +455,9 @@ def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
     # witness from the residual symbolic constants: Re(b . lam_j) = r_j
     rows = []
     rhs = []
-    for j, e in enumerate(gens):
-        lam = combine(e, lat)
+    for t, lam in zip(terms, lat):
         hll = ns.value(lam, lam)
-        r = terms[j].form.const_pi - GRat(hll.re / 2, Q(0))
+        r = t.form.const_pi - GRat(hll.re / 2, Q(0))
         if r.im != 0:
             raise CoeffError("exponent constants are not normalized")
         rows.append([lam[i].re for i in range(g)] + [-lam[i].im for i in range(g)])
@@ -487,22 +466,14 @@ def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
     if sol is None:
         raise CoeffError("residual constants are not a coboundary")
     b = tuple(GRat(sol[i][0], sol[g + i][0]) for i in range(g))
+    witness = ExpSum.exponential(spec, LinForm((b,), GRAT_ZERO, None))
 
-    # untwist the scalars: chi and the l-series
+    # chi and the l-series from the scalars of the untwisted factor
+    untwisted = coboundary_twist(factor, star_inverse(witness))
     chi_vals = []
     log_rows = {}
-    for j, e in enumerate(gens):
-        lam = combine(e, lat)
-        hrow = ns.row_form(lam)
-        corr = GRAT_ZERO
-        for i in range(g):
-            if b[i]:
-                corr = corr + b[i] * lam[i]
-        br = bilinear(torus.poisson, hrow, b)
-        s = terms[j].coeff.turn(-corr.im)
-        if br:
-            s = s * exp_hpi2(spec.order, br.scale(Q(-2)))
-        dec = exp_decompose(s)
+    for e in gens:
+        dec = exp_decompose(untwisted.value(e).single_term().coeff)
         if dec.magnitude != GRat.of(1):
             raise CoeffError("scalar part is not a circle constant times exp")
         chi_vals.append(dec.unit)
@@ -523,19 +494,14 @@ def reduce_to_qah(factor: Factor, torus: TorusData, radius: int = 1):
         if all(not v for v in vals):
             lout.append(tuple([GRAT_ZERO] * g))
             continue
-        cols = [[lam[i].conj() for i in range(g)] for lam in lat]
-        lk = _solve_complex_rows(cols, vals, g)
+        lk = grat_solve(conj_lat, vals)
         if lk is None:
             raise CoeffError("h-series constants are not conjugate-linear in the lattice")
         lout.append(lk)
 
     data = QAHData(ns, Semicharacter(tuple(chi_vals)), tuple(lout))
-    witness = ExpSum.exponential(
-        spec, LinForm((tuple(b),), GRAT_ZERO, None)
-    )
-    canonical = qah_factor(data, torus, spec)
-    twisted = coboundary_twist(canonical, witness)
-    for a in grp.window(radius):
+    twisted = coboundary_twist(qah_factor(data, torus, spec), witness)
+    for a in grp.window():
         if factor.value(a) != twisted.value(a):
             raise CoeffError("roundtrip verification failed: not cohomologous")
     return data, witness

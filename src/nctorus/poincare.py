@@ -49,7 +49,6 @@ from .coeff import (
     Q,
     Scalar,
     combine,
-    series_exp,
 )
 from .expalg import (
     AffineMap,
@@ -78,8 +77,8 @@ from .picard import (
     Semicharacter,
     coboundary_twist,
     cocycle_holds,
-    l_series,
     lattice_slotspec,
+    qah_factor,
 )
 from .torus import BForm, DualLatticeBasis, TorusData, bfield, dual_lattice, pairing
 
@@ -220,14 +219,11 @@ def cocycle_pairs(grp: PoincareGroup, radius: int, z_choices):
     return sample_window([grp.window(radius, z_choices)] * 2, 40000, 2, 500, random.Random(170))
 
 
-def verify_poincare_cocycle(
-    ctx: PoincareContext, radius: int = 1, z_choices=None
-) -> dict:
+def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
     """Exact cocycle verification for the Poincare factor, the
     needtoshow sub-identity, the split-constant consistency of the
     unsimplified formula, and the sign-flip negative control."""
-    if z_choices is None:
-        z_choices = _default_z_choices(ctx.torus.order)
+    z_choices = _default_z_choices(ctx.torus.order)
     factor = poincare_factor(ctx).cached()
     grp = factor.group
     report = {
@@ -301,7 +297,7 @@ def verify_poincare_cocycle(
 # translation coboundary
 
 
-def translation_coboundary(ctx: PoincareContext, w, radius: int = 1) -> ExpSum:
+def translation_coboundary(ctx: PoincareContext, w) -> ExpSum:
     """Witness u with translate(phi, v += w) = u^{-1} * phi * (u . el):
     u = E(pi conj<l, w>), expressed through the conjugated dual-slot
     coordinates.  Verified exactly on the window before returning."""
@@ -314,7 +310,7 @@ def translation_coboundary(ctx: PoincareContext, w, radius: int = 1) -> ExpSum:
     )
     translated = factor.translated("v", w)
     twisted = coboundary_twist(factor, u)
-    for e in grp.window(radius):
+    for e in grp.window():
         if translated.value(e) != twisted.value(e):
             raise CoeffError(f"translation coboundary witness fails at {e}")
     return u
@@ -344,11 +340,10 @@ def convolution_factor_check(factor: Factor, element) -> dict:
     return {"element": element, "equal": left == right, "left": left, "right": right}
 
 
-def convolution_window_report(ctx: PoincareContext, radius: int = 1, z_choices=None) -> dict:
+def convolution_window_report(ctx: PoincareContext, radius: int = 1) -> dict:
     """Run the convolution identity over the (m, x, z, mu) window
     (policy: ``gerbe.sample_window``)."""
-    if z_choices is None:
-        z_choices = _default_z_choices(ctx.torus.order)
+    z_choices = _default_z_choices(ctx.torus.order)
     coords = coordinate_window(2 * ctx.torus.g, radius)
     elements = sample_window([coords, coords, z_choices, coords], 10000, 2, 300, random.Random(173))
     phi = poincare_factor(ctx).cached()
@@ -359,16 +354,21 @@ def convolution_window_report(ctx: PoincareContext, radius: int = 1, z_choices=N
 # section restriction
 
 
-def restrict_to_section(
-    ctx: PoincareContext, s, lseries=(), radius: int = 1, fiber_radius: int = 1
-):
+def restrict_to_section(ctx: PoincareContext, s, lseries=(), radius: int = 1):
     """Compare the two factors of the restricted kernel over the fiber
     F_s and verify the iota witness twists one into the other; returns
     (degree-zero QAHData, report).
 
     ``s`` is an exact dual-space coefficient vector; ``lseries`` the
     h-series of conjugate-linear functionals.  The fiber window is
-    indexed by integer dual offsets; the group is Lambda x dual lattice.
+    indexed by integer dual offsets of at most one unit; the group is
+    Lambda x dual lattice.  One side is the H = 0 quantum Appell-Humbert
+    factor of the returned data, chi_s(lam) = exp(2 pi i Im<s, lam>); the
+    other is the Poincare factor translated to the fiber point and pulled
+    back along the zero section, times ctilde.  The l-fold
+    exp(sum_j h^j pi <l_j, lam>) is a central invertible scalar on both
+    sides, so it cancels from the comparison: ``lseries`` is returned as
+    given, and only chi is checked.
     """
     torus = ctx.torus
     g = torus.g
@@ -378,23 +378,15 @@ def restrict_to_section(
     one = Scalar.one(order)
     # the zero section v -> (v, 0) of V x dual
     section = _linear_map(vspec, ctx.spec2, [[(i, 1)] for i in range(g)] + [[]] * (2 * g))
-
-    def l_fold(lam) -> Scalar:
-        log = l_series(lseries, lam, order)
-        return Scalar.one(order) if log is None else Scalar(CIRCLE_ONE, series_exp(log))
-
-    def b_value(e, offset) -> ExpSum:
-        m, x = e
-        lam = combine(m, torus.lattice)
-        w = fiber_point(s, offset, ctx.dual)
-        im = pairing(w, lam).im
-        return ExpSum.scalar(vspec, l_fold(lam).turn(2 * im))
+    chi = Semicharacter(tuple(CircleConst.of(2 * pairing(s, lam).im) for lam in torus.lattice))
+    hzero = NSData(tuple(tuple(GRAT_ZERO for _ in range(g)) for _ in range(g)))
+    canon = qah_factor(QAHData(hzero, chi, ()), torus, vspec)
 
     def ca_value(e, offset) -> ExpSum:
         m, x = e
         w = fiber_point(s, offset, ctx.dual)
         restricted = substitute(translate(phi.value((m, x, one)), "l", w), section)
-        return restricted.scale(ctilde(w, x, ctx.B, order) * l_fold(combine(m, torus.lattice)))
+        return restricted.scale(ctilde(w, x, ctx.B, order))
 
     def iota(offset) -> ExpSum:
         w = fiber_point(s, offset, ctx.dual)
@@ -405,22 +397,11 @@ def restrict_to_section(
         e, o = case
         m, x = e
         shifted = tuple(a + b for a, b in zip(o, x))
-        rhs = star_inverse(iota(o)).star(ca_value(e, o)).star(
-            translate(iota(shifted), "v", combine(m, torus.lattice))
-        )
-        return b_value(e, o) == rhs
+        rhs = star_inverse(iota(o)).star(ca_value(e, o)).star(canon.group.act(iota(shifted), m))
+        return canon.value(m) == rhs
 
     coords = coordinate_window(2 * g, radius)
     elements = sample_window([coords, coords], 400, 2, 200, random.Random(172))
-    offsets = [o for o in coordinate_window(2 * g, fiber_radius) if nonzero(o) <= 1]
+    offsets = [o for o in coordinate_window(2 * g, 1) if nonzero(o) <= 1]
     report = check_cases(list(iproduct(elements, offsets)), iota_twists)
-
-    chi = Semicharacter(
-        tuple(
-            CircleConst.of(2 * pairing(s, lam).im) for lam in torus.lattice
-        )
-    )
-    zero = GRAT_ZERO
-    hzero = NSData(tuple(tuple(zero for _ in range(g)) for _ in range(g)))
-    lout = tuple(tuple(lj) for lj in lseries)
-    return QAHData(hzero, chi, lout), report
+    return QAHData(hzero, chi, lseries), report

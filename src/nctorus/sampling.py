@@ -24,12 +24,12 @@ __all__ = [
 ]
 
 
-def random_rational(rng, lo=-2, hi=2, den=2):
-    return Q(rng.randint(lo, hi), rng.randint(1, den))
+def random_rational(rng):
+    return Q(rng.randint(-2, 2), rng.randint(1, 2))
 
 
-def random_grat(rng, lo=-2, hi=2, den=2) -> GRat:
-    return GRat(random_rational(rng, lo, hi, den), random_rational(rng, lo, hi, den))
+def random_grat(rng) -> GRat:
+    return GRat(random_rational(rng), random_rational(rng))
 
 
 def random_unit_scalar(rng, order: int) -> Scalar:
@@ -74,13 +74,11 @@ def random_semicharacter(rng, torus: TorusData) -> Semicharacter:
     )
 
 
-def random_qah(rng, torus: TorusData, tail_orders: int = None) -> QAHData:
+def random_qah(rng, torus: TorusData) -> QAHData:
     """Random valid quantum Appell-Humbert data on the torus."""
-    if tail_orders is None:
-        tail_orders = torus.order - 1
     ns = random_quantizable_ns(rng, torus)
     chi = random_semicharacter(rng, torus)
     l = tuple(
-        tuple(random_grat(rng) for _ in range(torus.g)) for _ in range(tail_orders)
+        tuple(random_grat(rng) for _ in range(torus.g)) for _ in range(torus.order - 1)
     )
     return QAHData(ns, chi, l)

@@ -45,7 +45,7 @@ from .coeff import (
     PiPoly,
     Scalar,
 )
-from .expalg import ExpSum, LinForm, SlotSpec, scalar_add
+from .expalg import VAR_NAME, ExpSum, LinForm, SlotSpec, scalar_add
 
 __all__ = ["scalar_str", "expsum_str", "parse_expsum"]
 
@@ -137,7 +137,7 @@ def expsum_str(f: ExpSum) -> str:
 # parsing
 
 _TOKEN = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*~?)"
+    rf"(?P<num>\d+(?:/\d+)?)|(?P<name>{VAR_NAME.pattern})"
     r"|(?P<sym>[-+*^()\[\]|,])|(?P<bad>\S)"
 )
 _MINUS_ONE = -GRAT_ONE

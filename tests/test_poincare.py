@@ -5,6 +5,7 @@ import pytest
 
 from nctorus.coeff import (
     CIRCLE_ONE,
+    CircleConst,
     GRat,
     HbarSeries,
     PI_ONE,
@@ -14,7 +15,7 @@ from nctorus.coeff import (
 )
 from nctorus import poincare
 from nctorus.expalg import ExpSum, LinForm
-from nctorus.picard import Factor
+from nctorus.picard import Factor, Semicharacter
 from nctorus.poincare import (
     convolution_factor_check,
     convolution_window_report,
@@ -179,3 +180,30 @@ def test_convolution_and_sections_evaluate_the_poincare_factor(monkeypatch):
     monkeypatch.setattr(poincare, "poincare_factor", mutant)
     assert convolution_window_report(CTX1)["status"] == "FAIL"
     assert restrict_to_section(CTX1, s)[1]["status"] == "FAIL"
+
+
+SECTIONS = [(CTX1, (G(Q(1, 2)),)), (CTX2, (G(Q(1, 2)), G(0)))]
+
+
+@pytest.mark.parametrize("ctx, s", SECTIONS, ids=["g1", "g2"])
+def test_sections_fail_with_chi_turned_on_the_first_generator(ctx, s, monkeypatch):
+    # negative control: chi_s times u(1) = -1 on lambda_1 is not the
+    # character the restricted kernel carries
+    assert restrict_to_section(ctx, s)[1]["status"] == "PASS"
+    real = poincare.qah_factor
+
+    def turned(data, torus, spec=None):
+        first, *rest = data.chi.values
+        chi = Semicharacter((first * CircleConst.of(Q(1)), *rest))
+        return real(replace(data, chi=chi), torus, spec)
+
+    monkeypatch.setattr(poincare, "qah_factor", turned)
+    assert restrict_to_section(ctx, s)[1]["status"] == "FAIL"
+
+
+@pytest.mark.parametrize("ctx, s", SECTIONS, ids=["g1", "g2"])
+def test_sections_fail_with_the_wrong_iota_sign(ctx, s, monkeypatch):
+    # negative control: iota_w in place of iota_w^{-1} on the left
+    assert restrict_to_section(ctx, s)[1]["status"] == "PASS"
+    monkeypatch.setattr(poincare, "star_inverse", lambda f: f)
+    assert restrict_to_section(ctx, s)[1]["status"] == "FAIL"
