@@ -16,7 +16,6 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 
 import click
@@ -179,6 +178,8 @@ def parse_config(text: str) -> RunConfig:
         raise
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("malformed JSON: nested too deeply")
     if not isinstance(raw, dict) or "torus" not in raw:
         raise ConfigError("configuration must be an object with a 'torus' field")
     t = raw["torus"]
@@ -263,9 +264,10 @@ def _record(name, status, **extra):
 
 
 def _check_record(name, rep):
-    """The record of a ``check_cases`` report, its failing case as text."""
-    failing = rep["failing"]
-    return _record(name, **{**rep, "failing": str(failing) if failing else None})
+    """The record of a report; a ``check_cases`` failing case as text."""
+    if rep.get("failing"):
+        rep = {**rep, "failing": str(rep["failing"])}
+    return _record(name, **rep)
 
 
 def suite_torus(cfg: RunConfig):
@@ -372,11 +374,7 @@ def suite_qpic(cfg: RunConfig):
 def suite_poincare(cfg: RunConfig):
     ctx = make_context(cfg.torus)
     rep = verify_poincare_cocycle(ctx, radius=cfg.window)
-    out = []
-    for key, val in rep.items():
-        rec = {k: v for k, v in val.items() if k != "status"}
-        rec = {k: (str(v) if not isinstance(v, (int, type(None))) else v) for k, v in rec.items()}
-        out.append(_record(f"poincare:{key}", val["status"], **rec))
+    out = [_check_record(f"poincare:{key}", val) for key, val in rep.items()]
     try:
         translation_coboundary(ctx, tuple(GRat.of(Q(1, 3), Q(1, 5)) for _ in range(cfg.torus.g)))
         out.append(_record("poincare:translation-coboundary", "PASS"))
@@ -402,15 +400,12 @@ def suite_gerbe(cfg: RunConfig):
     # 2-cocycle identity
     window = coordinate_window(rank, cfg.window)
 
-    @cache
-    def coc(x, y):
-        return heisenberg_cocycle(B, x, y, order)
-
     def cocycle_identity(t):
         a, b, c = t
         ab = tuple(x + y for x, y in zip(a, b))
         bc = tuple(x + y for x, y in zip(b, c))
-        return coc(a, b) * coc(ab, c) == coc(b, c) * coc(a, bc)
+        lhs = heisenberg_cocycle(B, a, b, order) * heisenberg_cocycle(B, ab, c, order)
+        return lhs == heisenberg_cocycle(B, b, c, order) * heisenberg_cocycle(B, a, bc, order)
 
     triples = sample_window([window] * 3, 30000, 1, 500, rng, per_part=True)
     rep = check_cases(triples, cocycle_identity, "triples")
@@ -549,7 +544,7 @@ def suite_cohomology(cfg: RunConfig):
     ctx = make_context(torus)
     restricted = [restrict_to_section(ctx, s, ls, radius=cfg.window) for s, ls in cfg.sections]
     # hom orthogonality between distinct constant sections
-    if restricted:
+    if len(restricted) > 1:
         ok = True
         pairs = 0
         for i, (ds, _) in enumerate(restricted):
@@ -655,7 +650,7 @@ def run_cmd(config, suites, window, order, out):
             t = cfg.torus
             cfg.torus = TorusData(t.g, t.lattice, t.poisson, _int(order, "order", 2))
             _check_lseries(cfg)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     report = run(cfg)
@@ -684,7 +679,7 @@ def star_cmd(lhs, rhs, slots, degree):
         spec = _slots_from_json(slots)
         f = parse_expsum(lhs, spec)
         g = parse_expsum(rhs, spec)
-    except (ConfigError, CoeffError, json.JSONDecodeError) as exc:
+    except (ConfigError, CoeffError, json.JSONDecodeError, RecursionError) as exc:
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(2)
     prod = f.star(g)
@@ -708,7 +703,7 @@ def _slots_from_json(text: str) -> SlotSpec:
         if s.get("poisson") is not None:
             poisson = _vectors(s["poisson"], dim, f"slot {name}: poisson")
         labels = None
-        if s.get("vars"):
+        if s.get("vars") is not None:
             names = _list(s["vars"], f"slot {name}: vars")
             labels = tuple(_name(v, f"slot {name}: vars") for v in names)
             if len(labels) != dim:
@@ -733,7 +728,7 @@ def dual_cmd(config):
     try:
         with open(config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     basis = dual_lattice(cfg.torus)

@@ -280,10 +280,6 @@ class ExpSum:
         return ExpSum(spec, terms)
 
     @staticmethod
-    def zero(spec: SlotSpec) -> "ExpSum":
-        return ExpSum(spec, ())
-
-    @staticmethod
     def one(spec: SlotSpec) -> "ExpSum":
         return ExpSum.make(spec, [(Scalar.one(spec.order), spec.zero_form())])
 

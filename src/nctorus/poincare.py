@@ -34,8 +34,8 @@ twisting one into the other, returning canonical degree-zero data.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import cache, partial
 from itertools import product as iproduct
 
 from .coeff import (
@@ -143,28 +143,18 @@ def _default_z_choices(order: int):
     return (one, oneph)
 
 
-@dataclass(frozen=True)
 class PoincareGroup:
     """Lambda x Gamma: elements (m, x, z) with m, x integer coordinate
-    tuples and z a central invertible scalar."""
+    tuples and z a central invertible scalar.  The Heisenberg cocycle
+    c(x1, x2) is memoized per group: a window re-uses few (x1, x2)."""
 
-    ctx: PoincareContext
-    flip_cocycle: bool = False  # negative control: wrong sign in c
-    _ccache: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, ctx: PoincareContext):
+        self.ctx = ctx
+        self.cocycle = cache(partial(heisenberg_cocycle, ctx.B, order=ctx.torus.order))
 
     @property
     def rank(self) -> int:
         return 2 * self.ctx.torus.g
-
-    def cocycle(self, x1, x2) -> Scalar:
-        key = (x1, x2)
-        c = self._ccache.get(key)
-        if c is None:
-            c = heisenberg_cocycle(self.ctx.B, x1, x2, self.ctx.torus.order)
-            if self.flip_cocycle:
-                c = c.inverse()
-            self._ccache[key] = c
-        return c
 
     def compose(self, e1, e2):
         m1, x1, z1 = e1
@@ -184,30 +174,23 @@ class PoincareGroup:
         if z_choices is None:
             z_choices = _default_z_choices(self.ctx.torus.order)
         coords = coordinate_window(self.rank, radius)
-        return [
-            (m, x, z) for m in coords for x in coords for z in z_choices
-        ]
+        return [(m, x, z) for m in coords for x in coords for z in z_choices]
 
 
-def poincare_factor(ctx: PoincareContext, flip_cocycle: bool = False) -> Factor:
-    """phi(lam, (xi, z)) = z E(pi(<l + xi, lam> + conj<xi, v>))."""
-    grp = PoincareGroup(ctx, flip_cocycle)
+def poincare_factor(ctx: PoincareContext) -> Factor:
+    """phi(lam, (xi, z)) = z E(pi(<l + xi, lam> + conj<xi, v>)), evaluated
+    afresh each time: a loop over a window asks for ``.cached()``."""
     g = ctx.torus.g
-    spec = ctx.spec2
 
-    @cache
-    def base(m, x):
+    def fn(e):
+        m, x, z = e
         lam = combine(m, ctx.torus.lattice)
         xi = combine(x, ctx.dual.vectors)
         vcoef = tuple(a.conj() for a in xi)
         lcoef = tuple(l.conj() for l in lam) + tuple([GRAT_ZERO] * g)
-        return ExpSum.exponential(spec, LinForm((vcoef, lcoef), pairing(xi, lam), None))
+        return ExpSum.exponential(ctx.spec2, LinForm((vcoef, lcoef), pairing(xi, lam), None), z)
 
-    def fn(e):
-        m, x, z = e
-        return base(m, x).scale(z)
-
-    return Factor(grp, fn)
+    return Factor(PoincareGroup(ctx), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +205,7 @@ def cocycle_pairs(grp: PoincareGroup, radius: int, z_choices):
 def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
     """Exact cocycle verification for the Poincare factor, the
     needtoshow sub-identity, the split-constant consistency of the
-    unsimplified formula, and the sign-flip negative control."""
+    unsimplified formula, and the negated-B (c^{-1}) negative control."""
     z_choices = _default_z_choices(ctx.torus.order)
     factor = poincare_factor(ctx).cached()
     grp = factor.group
@@ -279,7 +262,9 @@ def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
         ((x1, x2) for x1 in gens for x2 in gens if ctx.B.on_coords(x2, x1)), None
     )
     if control is not None:
-        bad = poincare_factor(ctx, flip_cocycle=True)
+        # the cocycle reads B through its matrix only: negated, c becomes c^{-1}
+        negated = tuple(tuple(-b for b in row) for row in ctx.B.matrix)
+        bad = poincare_factor(replace(ctx, B=replace(ctx.B, matrix=negated)))
         a, b = (((0,) * n, x, z_choices[0]) for x in control)
         report["negative_control"] = {
             "status": "FAIL" if cocycle_holds(bad, a, b) else "PASS",
@@ -374,7 +359,7 @@ def restrict_to_section(ctx: PoincareContext, s, lseries=(), radius: int = 1):
     g = torus.g
     order = torus.order
     vspec = lattice_slotspec(torus)
-    phi = poincare_factor(ctx)
+    phi = poincare_factor(ctx).cached()
     one = Scalar.one(order)
     # the zero section v -> (v, 0) of V x dual
     section = _linear_map(vspec, ctx.spec2, [[(i, 1)] for i in range(g)] + [[]] * (2 * g))

@@ -2,14 +2,15 @@ import copy
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nctorus import cli
+from nctorus import cli, picard
 from nctorus.cli import ConfigError, main, parse_config, run
-from nctorus.coeff import CoeffError
+from nctorus.coeff import CircleConst, CoeffError, Q
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXTURES = os.path.join(ROOT, "src", "nctorus", "fixtures")
@@ -168,6 +169,12 @@ def test_cli_star_rejects_a_negative_degree():
         {"slots": [{"name": "v", "dim": 2, "vars": ["a-b", "c"]}]},
         {"slots": [{"name": "v", "dim": 1, "vars": ["2x"]}]},
         {"slots": [{"name": "v", "dim": 1, "vars": ["v 1"]}]},
+        # a falsy vars is not an absent one
+        {"slots": [{"name": "v", "dim": 1, "vars": False}]},
+        {"slots": [{"name": "v", "dim": 1, "vars": 0}]},
+        {"slots": [{"name": "v", "dim": 1, "vars": ""}]},
+        {"slots": [{"name": "v", "dim": 1, "vars": []}]},
+        {"slots": [{"name": "v", "dim": 1, "vars": {}}]},
     ],
 )
 def test_cli_star_malformed_slots_is_a_parse_error(slots):
@@ -186,6 +193,35 @@ def test_cli_star_malformed_operand_is_a_parse_error(lhs, rhs):
     assert res.exit_code == 2
     assert "parse error:" in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+_DEEP_SLOTS = "[" * 100_000
+_DEEP_OPERAND = "(" * 5000 + "1" + ")" * 5000
+
+
+@pytest.mark.parametrize(
+    "args, data, prefix",
+    [
+        (["run"], b"[" * 200_000, "config error:"),
+        (["dual-lattice"], b"[" * 200_000, "config error:"),
+        (["run"], b"\xff\xfe{", "config error:"),
+        (["dual-lattice"], b"\xff\xfe{", "config error:"),
+        (["star", "1", "1", "--slots", _DEEP_SLOTS], None, "parse error:"),
+        (["star", _DEEP_OPERAND, "1", "--slots", ONE_SLOT], None, "parse error:"),
+    ],
+    ids=["run-deep", "dual-deep", "run-not-utf8", "dual-not-utf8", "star-deep-slots", "star-deep-operand"],
+)
+def test_deep_or_undecodable_input_exits_2(tmp_path, args, data, prefix):
+    # inputs the JSON-value fuzz cannot produce: nesting beyond the
+    # recursion limit, and bytes that are not UTF-8
+    if data is not None:
+        path = tmp_path / "raw.json"
+        path.write_bytes(data)
+        args = args + [str(path)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert prefix in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def _run_minimal(tmp_path, *args, env=None):
@@ -294,6 +330,57 @@ def test_cocycle_expansion_checks_the_closed_form(monkeypatch):
     closed_form = gerbe.exp_hpi2
     monkeypatch.setattr(gerbe, "exp_hpi2", lambda order, b: closed_form(order, b + b))
     assert expansion(cfg) == "FAIL"
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_counted_records_with_nothing_counted_do_not_pass(count):
+    # one section has no distinct pair to be orthogonal to
+    with open(fixture_path("g1.json")) as fh:
+        cfg = parse_config(fh.read())
+    cfg.sections = cfg.sections[:count]
+    records = cli.suite_cohomology(cfg)
+    assert len([r for r in records if r["name"].endswith("-iota")]) == count
+    for rec in records:
+        if any(rec.get(k) == 0 for k in ("pairs", "checked", "triples", "trials")):
+            assert rec["status"] != "PASS", rec
+
+
+def _qpic_statuses(name="g1.json"):
+    with open(fixture_path(name)) as fh:
+        cfg = parse_config(fh.read())
+    return {r["name"]: r for r in cli.suite_qpic(cfg)}
+
+
+def test_qpic_fails_without_the_semicharacter_cross_term(monkeypatch):
+    # negative control: chi extended without exp(pi i sum_{k<m} n_k n_m E_km)
+    # is no semicharacter once Im H is nonzero, as for g1's theta bundle
+    assert all(r["status"] == "PASS" for r in _qpic_statuses().values())
+
+    def no_cross_term(ns, chi, torus, coords, imt=None):
+        return CircleConst.of(sum((chi.values[k].q * n for k, n in enumerate(coords)), Q(0)))
+
+    monkeypatch.setattr(picard, "semicharacter_value", no_cross_term)
+    recs = _qpic_statuses()
+    assert recs["qpic:theta:cocycle"]["status"] == "FAIL"
+    assert recs["qpic:theta:extension-ladder"]["status"] == "FAIL"
+    for bundle in ("flat", "deformed"):
+        assert recs[f"qpic:{bundle}:cocycle"]["status"] == "PASS"
+        assert recs[f"qpic:{bundle}:extension-ladder"]["status"] == "PASS"
+
+
+def test_qpic_canonicalization_fails_with_the_wrong_l(monkeypatch):
+    # negative control: reading off -l in place of l
+    assert _qpic_statuses()["qpic:canonicalization"]["status"] == "PASS"
+    real = cli.reduce_to_qah
+
+    def negated_l(factor, torus):
+        data, witness = real(factor, torus)
+        l = tuple(tuple(-a for a in lj) for lj in data.l)
+        return replace(data, l=l), witness
+
+    monkeypatch.setattr(cli, "reduce_to_qah", negated_l)
+    rec = _qpic_statuses()["qpic:canonicalization"]
+    assert rec["status"] == "FAIL" and rec["failures"] == 5
 
 
 def _g1_with(path, value):
@@ -416,6 +503,10 @@ _slot_specs = st.fixed_dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(_slot_specs | _json_values)
+# the random specs rarely parse with a vars key, so name its cases
+@example({"slots": [{"name": "v", "dim": 2, "vars": ["a", "b"]}]})
+@example({"slots": [{"name": "v", "dim": 1, "vars": False}]})
+@example({"slots": [{"name": "v", "dim": 1, "vars": None}]})
 def test_fuzzed_slots_give_a_spec_or_a_parse_error(raw):
     # star_cmd turns exactly these errors into "parse error:" and exit 2
     try:
@@ -425,6 +516,8 @@ def test_fuzzed_slots_give_a_spec_or_a_parse_error(raw):
     for slot, given_slot in zip(spec.slots, raw["slots"], strict=True):
         for flag in _SLOT_FLAGS:
             assert getattr(slot, flag) is given_slot.get(flag, False)
+        if given_slot.get("vars") is not None:
+            assert slot.labels == tuple(given_slot["vars"])
 
 
 @pytest.mark.parametrize("name", ["g1.json", "e1xe2.json"])

@@ -165,8 +165,8 @@ def test_convolution_and_sections_evaluate_the_poincare_factor(monkeypatch):
     assert restrict_to_section(CTX1, s)[1]["status"] == "PASS"
     real = poincare.poincare_factor
 
-    def mutant(ctx, flip_cocycle=False):
-        f = real(ctx, flip_cocycle)
+    def mutant(ctx):
+        f = real(ctx)
 
         def fn(e):
             t = f.value(e).single_term()
