@@ -14,9 +14,10 @@ canonical integer triple (n, m, d), the value (n + m i)/d with d > 0 and
 gcd(n, m, d) = 1.  The triples of one value are the nonzero multiples of
 a single primitive one, and the two conditions pick that one out; so
 equality, hashing and the zero test compare integers, and every
-arithmetic result is reduced by one gcd.  ``Q`` (``fractions.Fraction``)
-remains the type of circle constants, of the linear algebra and of the
-read-only ``re``/``im`` views of a ``GRat``.
+arithmetic result is reduced by one gcd.  A circle constant
+(``CircleConst``) is likewise one canonical integer pair (n, d), the
+angle n/d mod 2.  ``Q`` (``fractions.Fraction``) remains the type of the
+linear algebra and of the read-only ``re``/``im`` and ``q`` views.
 
 Units of the series ring decompose as a_0 * exp(a_1 h + a_2 h^2 + ...);
 `exp_decompose` computes that decomposition and `series_exp`/`series_log`
@@ -86,13 +87,6 @@ def _rat(x):
         except ZeroDivisionError:
             raise CoeffError(f"zero denominator in {x!r}") from None
     return x
-
-
-def _mod2(q):
-    """Reduce a rational into [0, 2)."""
-    q = _rat(q)
-    n, d = q.numerator, q.denominator
-    return Q(n % (2 * d), d)
 
 
 # ---------------------------------------------------------------------------
@@ -658,40 +652,79 @@ def series_log(u: HbarSeries) -> HbarSeries:
 # Exactly representable unit-circle constants
 
 
-@dataclass(frozen=True)
-class CircleConst:
-    """exp(pi*i*q) for a rational q, stored modulo 2."""
+def _circle(n, d):
+    """The CircleConst exp(pi i n/d) for integers n and d > 0: n is
+    reduced mod 2d, then the pair by one gcd."""
+    n %= 2 * d
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    c = _new(CircleConst)
+    c.n = n
+    c.d = d
+    return c
 
-    q: object
+
+class CircleConst:
+    """exp(pi i n/d), stored as the canonical integer pair with
+    0 <= n < 2d and gcd(n, d) = 1.
+
+    The angle n/d is taken mod 2 and reduced, so equal constants have
+    equal fields, and ``==`` and ``hash`` compare integers.  ``q`` is the
+    read-only ``Q`` view of the angle.  Built by ``of`` from a rational
+    or by ``_circle`` from an integer pair; in the ``GRat`` idiom, a
+    plain slots class.  Treat instances as immutable.
+    """
+
+    __slots__ = ("n", "d")
+
+    @property
+    def q(self) -> Q:
+        return Q(self.n, self.d)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CircleConst) and self.n == other.n and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.n, self.d))
+
+    def __repr__(self):
+        return f"CircleConst.of({self.q!r})"
 
     @staticmethod
     def of(q) -> "CircleConst":
-        return CircleConst(_mod2(q))
+        """exp(pi i q) for an int, a Q or a string read as a Q."""
+        q = _rat(q)
+        return _circle(q.numerator, q.denominator)
 
     def __mul__(self, other: "CircleConst") -> "CircleConst":
-        return CircleConst(_mod2(self.q + other.q))
+        return _circle(self.n * other.d + other.n * self.d, self.d * other.d)
 
     def inverse(self) -> "CircleConst":
-        return CircleConst(_mod2(-self.q))
+        return _circle(-self.n, self.d)
 
     def conj(self) -> "CircleConst":
         return self.inverse()
 
     def is_one(self) -> bool:
-        return self.q == 0
+        return not self.n
 
     def quarter_turns(self):
-        """(k, r) with q = k/2 + r, 0 <= r < 1/2; i^k is the foldable part."""
-        q = self.q
-        k = (2 * q.numerator) // q.denominator
-        r = q - Q(k, 2)
-        return k % 4, r
+        """(k, r) with q = k/2 + r, 0 <= r < 1/2, and r a CircleConst;
+        i^k is the foldable part."""
+        n, d = self.n, self.d
+        k = 2 * n // d
+        if not k:
+            return 0, self
+        return k, _circle(2 * n - k * d, 2 * d)
 
     def __str__(self) -> str:
         return f"u({self.q})"
 
 
-CIRCLE_ONE = CircleConst(Q(0))
+CIRCLE_ONE = _circle(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +749,7 @@ def _quarter_turn(series: HbarSeries, k: int) -> HbarSeries:
 
 class Scalar:
     """unit * series, canonicalized: quarter turns of the unit are folded
-    into the series, so unit.q always lies in [0, 1/2)."""
+    into the series, so the unit's angle n/d always lies in [0, 1/2)."""
 
     __slots__ = ("unit", "series")
 
@@ -742,7 +775,7 @@ class Scalar:
         k, r = unit.quarter_turns()
         if k:
             series = _quarter_turn(series, k)
-        return Scalar(CircleConst(r), series)
+        return Scalar(r, series)
 
     @staticmethod
     def one(order: int) -> "Scalar":
@@ -765,16 +798,18 @@ class Scalar:
         unit as it is; otherwise the unit product is folded again."""
         u1, u2 = self.unit, other.unit
         series = self.series * other.series
-        if not u1.q:
+        if not u1.n:
             return Scalar(u2, series)
-        if not u2.q:
+        if not u2.n:
             return Scalar(u1, series)
         return Scalar.of(u1 * u2, series)
 
-    def turn(self, q) -> "Scalar":
-        """self * exp(pi i q): the circle constant goes into the unit and
-        its quarter turns into the series, with no series product."""
-        return Scalar.of(CircleConst.of(self.unit.q + q), self.series)
+    def turn(self, n: int, d: int = 1) -> "Scalar":
+        """self * exp(pi i n/d) for integers n and d > 0: the circle
+        constant goes into the unit and its quarter turns into the series,
+        with no series product."""
+        u = self.unit
+        return Scalar.of(_circle(u.n * d + n * u.d, u.d * d), self.series)
 
     def scale(self, c: GRat) -> "Scalar":
         return Scalar(self.unit, self.series.scale(c))
@@ -834,17 +869,17 @@ def exp_decompose(u: Scalar) -> UnitDecomposition:
         raise NotInvertible("exp_decompose needs an invertible scalar")
     c = c0.constant_part()
     unit = u.unit
-    if c.im == 0 and c.re > 0:
+    if not c.m and c.n > 0:
         magnitude = c
-    elif c.im == 0 and c.re < 0:
-        unit = unit * CircleConst(Q(1))
+    elif not c.m and c.n < 0:
+        unit = unit * _circle(1, 1)
         magnitude = -c
-    elif c.re == 0 and c.im > 0:
-        unit = unit * CircleConst(Q(1, 2))
-        magnitude = GRat(c.im, Q(0))
-    elif c.re == 0 and c.im < 0:
-        unit = unit * CircleConst(Q(3, 2))
-        magnitude = GRat(-c.im, Q(0))
+    elif not c.n and c.m > 0:
+        unit = unit * _circle(1, 2)
+        magnitude = _grat(c.m, 0, c.d)
+    elif not c.n and c.m < 0:
+        unit = unit * _circle(3, 2)
+        magnitude = _grat(-c.m, 0, c.d)
     else:
         magnitude = c
     normalized = u.series.scale(c.inverse())

@@ -39,7 +39,6 @@ from .coeff import (
     CoeffError,
     GRat,
     NotInvertible,
-    Q,
     Scalar,
     _reduced,
     bilinear,
@@ -379,7 +378,7 @@ def _normalize(coeff: Scalar, form: LinForm):
         coeff = coeff * Scalar(CIRCLE_ONE, series_exp(ch))
     cp = form.const_pi
     if cp.m:
-        coeff = coeff.turn(Q(cp.m, cp.d))
+        coeff = coeff.turn(cp.m, cp.d)
         cp = _reduced(cp.n, 0, cp.d)
     if ch is not None or cp is not form.const_pi:
         form = LinForm(form.coeffs, cp, None)
@@ -436,25 +435,33 @@ def substitute(f: ExpSum, m: AffineMap) -> ExpSum:
     return ExpSum.make(src, out)
 
 
-def translate(f: ExpSum, slot_name: str, vec) -> ExpSum:
-    """Substitute along v -> v + vec on the named slot.
+def translate(f: ExpSum, shifts) -> ExpSum:
+    """Substitute along v -> v + vec on every slot of ``shifts``, a map
+    {slot_name: vec, ...}.
 
     Equivalent to ``substitute`` along an ``AffineMap`` with the identity
-    matrix and the slot's ``shift_vector(vec)`` as its shift, but computed
-    directly: only the exponent constants move.
+    matrix and each named slot's ``shift_vector(vec)`` as its part of the
+    shift, but computed directly: only the exponent constants move, every
+    slot's shift is added in one pass, and the result is built by one
+    ``ExpSum.make``.
     """
     spec = f.spec
-    idx = spec.slot_index(slot_name)
-    shift = spec.slots[idx].shift_vector(vec)
-    if all(not s for s in shift):
+    moves = []
+    for name, vec in shifts.items():
+        idx = spec.slot_index(name)
+        shift = spec.slots[idx].shift_vector(vec)
+        if any(shift):
+            moves.append((idx, shift))
+    if not moves:
         return f
     out = []
     for t in f.terms:
-        add = GRAT_ZERO
-        for a, s in zip(t.form.coeffs[idx], shift):
-            if a and s:
-                add = add + a * s
         form = t.form
+        add = GRAT_ZERO
+        for idx, shift in moves:
+            for a, s in zip(form.coeffs[idx], shift):
+                if a and s:
+                    add = add + a * s
         if add:
             form = LinForm(form.coeffs, form.const_pi + add, form.const_hbar)
         out.append((t.coeff, form))

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 from .coeff import (
     GRAT_ZERO,
@@ -48,6 +48,7 @@ from .coeff import (
     PiPoly,
     Q,
     Scalar,
+    _circle,
     bilinear,
     combine,
     exp_decompose,
@@ -160,7 +161,7 @@ class LatticeGroup:
         return tuple(x + y for x, y in zip(a, b))
 
     def act(self, value: ExpSum, a) -> ExpSum:
-        return translate(value, "v", combine(a, self.torus.lattice))
+        return translate(value, {"v": combine(a, self.torus.lattice)})
 
     def window(self, radius: int = 1):
         return coordinate_window(self.rank, radius)
@@ -182,7 +183,7 @@ class Factor:
 
     def translated(self, slot_name: str, w) -> "Factor":
         """Pull the factor back along translation by w on one slot."""
-        return Factor(self.group, lambda e: translate(self.value(e), slot_name, w))
+        return Factor(self.group, lambda e: translate(self.value(e), {slot_name: w}))
 
 
 def lattice_pairs(grp: LatticeGroup, radius: int = 1):
@@ -255,14 +256,19 @@ def semicharacter_value(
     """
     if imt is None:
         imt = _im_table(ns, torus)
-    q = Q(0)
+    # the angle is num/den, summed on integers over one common denominator
+    values = chi.values
+    den = lcm(*(c.d for c in values), *(e.denominator for row in imt for e in row))
+    num = 0
     for k, n in enumerate(coords):
         if n:
-            q += chi.values[k].q * n
+            c = values[k]
+            num += c.n * (den // c.d) * n
             for m in range(k + 1, len(coords)):
                 if coords[m]:
-                    q += Q(n * coords[m]) * imt[k][m]
-    return CircleConst.of(q)
+                    e = imt[k][m]
+                    num += e.numerator * (den // e.denominator) * n * coords[m]
+    return _circle(num, den)
 
 
 def validate_semicharacter(ns: NSData, chi: Semicharacter, torus: TorusData) -> bool:

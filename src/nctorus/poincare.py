@@ -166,9 +166,12 @@ class PoincareGroup:
         )
 
     def act(self, value: ExpSum, e) -> ExpSum:
+        """value . (m, x, z): translation by lam(m) on the V slot and by
+        xi(x) on the dual slot, both in one ``translate``; z acts trivially."""
         m, x, _ = e
-        out = translate(value, "v", combine(m, self.ctx.torus.lattice))
-        return translate(out, "l", combine(x, self.ctx.dual.vectors))
+        return translate(
+            value, {"v": combine(m, self.ctx.torus.lattice), "l": combine(x, self.ctx.dual.vectors)}
+        )
 
     def window(self, radius: int = 1, z_choices=None):
         if z_choices is None:
@@ -370,7 +373,7 @@ def restrict_to_section(ctx: PoincareContext, s, lseries=(), radius: int = 1):
     def ca_value(e, offset) -> ExpSum:
         m, x = e
         w = fiber_point(s, offset, ctx.dual)
-        restricted = substitute(translate(phi.value((m, x, one)), "l", w), section)
+        restricted = substitute(translate(phi.value((m, x, one)), {"l": w}), section)
         return restricted.scale(ctilde(w, x, ctx.B, order))
 
     def iota(offset) -> ExpSum:

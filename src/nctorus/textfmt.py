@@ -271,7 +271,7 @@ class _Parser:
             self.take("sym", ")")
             if q.m:
                 raise CoeffError("u(...) takes a real rational")
-            return {_SCALAR: Scalar.one(self.spec.order).turn(q.re)}
+            return {_SCALAR: Scalar.one(self.spec.order).turn(q.n, q.d)}
         if v == "E":
             self.take("sym", "[")
             outer, self.in_exp = self.in_exp, True

@@ -487,23 +487,47 @@ def test_fuzzed_config_parses_or_is_a_config_error(edits):
 
 _SLOT_FLAGS = ("opposite", "conjugate_pair")
 _SLOT_KEYS = ("name", "dim", "poisson", "vars") + _SLOT_FLAGS
-# a well-formed slot, then up to two of its keys overwritten with random JSON
-_slot = st.builds(
-    lambda slot, junk: {**slot, **junk},
-    st.fixed_dictionaries(
-        {"name": st.sampled_from(["v", "w"]), "dim": st.integers(1, 2)},
-        optional={k: st.booleans() | _json_values for k in _SLOT_FLAGS},
-    ),
-    st.dictionaries(st.sampled_from(_SLOT_KEYS), _json_values, max_size=2),
-)
-_slot_specs = st.fixed_dictionaries(
-    {"slots": st.lists(_slot, max_size=3)}, optional={"order": st.integers(0, 5) | _json_values}
-)
+_LABELS = ("a", "b", "c", "p", "q", "s", "t", "x1", "y_2", "z")
+
+
+@st.composite
+def _well_formed_specs(draw):
+    """A spec that parses: distinct slot names, dim 1 to 3, boolean flags,
+    and on most slots a vars list of dim readable names, distinct across
+    the spec."""
+    names = draw(st.lists(st.sampled_from(["v", "w", "l"]), unique=True, max_size=3))
+    dims = [draw(st.integers(1, 3)) for _ in names]
+    labels = iter(draw(st.permutations(_LABELS)))
+    slots = []
+    for name, dim in zip(names, dims):
+        slot = {"name": name, "dim": dim}
+        slot.update(draw(st.fixed_dictionaries({}, optional={k: st.booleans() for k in _SLOT_FLAGS})))
+        if draw(st.integers(0, 3)) < 3:
+            slot["vars"] = [next(labels) for _ in range(dim)]
+        slots.append(slot)
+    return draw(st.fixed_dictionaries({"slots": st.just(slots)}, optional={"order": st.integers(1, 5)}))
+
+
+@st.composite
+def _slot_specs(draw):
+    """Mostly a well-formed spec; otherwise random JSON in place of the
+    whole spec, of its order, or of up to two keys of one slot.  Choices
+    near 0 are drawn most often, so 0 keeps the spec well-formed."""
+    raw = draw(_well_formed_specs())
+    corruption = draw(st.integers(0, 7))
+    if corruption == 1:
+        return draw(_json_values)
+    if corruption == 2:
+        raw["order"] = draw(_json_values)
+    if corruption == 3 and raw["slots"]:
+        slot = draw(st.sampled_from(raw["slots"]))
+        slot.update(draw(st.dictionaries(st.sampled_from(_SLOT_KEYS), _json_values, min_size=1, max_size=2)))
+    return raw
 
 
 @settings(max_examples=300, deadline=None)
-@given(_slot_specs | _json_values)
-# the random specs rarely parse with a vars key, so name its cases
+@given(_slot_specs())
+# the vars edge cases, each named once
 @example({"slots": [{"name": "v", "dim": 2, "vars": ["a", "b"]}]})
 @example({"slots": [{"name": "v", "dim": 1, "vars": False}]})
 @example({"slots": [{"name": "v", "dim": 1, "vars": None}]})

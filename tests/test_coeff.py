@@ -173,6 +173,49 @@ def test_circle_group_law(p1, q1, p2, q2):
     assert a * a.inverse() == CIRCLE_ONE
 
 
+# the reference for the integer circle constant: Fraction arithmetic mod 2
+angles = st.builds(Q, st.integers(-40, 40), st.integers(1, 12))
+
+
+def _holds_angle(c, want):
+    """c holds the angle want mod 2 as the pair 0 <= n < 2d, gcd(n, d) = 1."""
+    want %= 2
+    return (c.n, c.d) == (want.numerator, want.denominator) and c.q == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, angles, st.integers(-3, 3))
+def test_integer_circle_constant_matches_fraction_arithmetic(p, q, k):
+    a, b = CircleConst.of(p), CircleConst.of(q)
+    assert _holds_angle(a, p) and _holds_angle(b, q)
+    assert _holds_angle(a * b, p + q) and _holds_angle(b * a, p + q)
+    assert _holds_angle(a.inverse(), -p) and _holds_angle(a.conj(), -p)
+    assert a.is_one() == (p % 2 == 0)
+    assert (a == b) == (p % 2 == q % 2)
+    same = CircleConst.of(p + 2 * k)
+    assert same == a and hash(same) == hash(a)
+    turns, r = a.quarter_turns()
+    assert 0 <= turns < 4 and 0 <= r.q < Q(1, 2)
+    assert p % 2 == Q(turns, 2) + r.q and _holds_angle(r, r.q)
+
+
+def test_circle_constant_of_is_taken_mod_2():
+    a, b = CircleConst.of(Q(5, 2)), CircleConst.of(Q(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert (a.n, a.d) == (1, 2)
+    assert CircleConst.of("-1/3") == CircleConst.of(Q(5, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles, st.integers(-40, 40), st.integers(1, 12), st.data())
+def test_turn_by_an_integer_angle(unit, n, d, data):
+    s = Scalar.of(CircleConst.of(unit), data.draw(sparse_series(N)))
+    want = Scalar.of(CircleConst.of(s.unit.q + Q(n, d)), s.series)
+    assert _same(s.turn(n, d), want)
+    if d == 1:
+        assert _same(s.turn(n), want)
+
+
 # zero parts are common, so the real x real path and the mixed cases are hit;
 # numerators and denominators share factors within and across operands
 rationals = st.builds(
@@ -405,7 +448,7 @@ def test_turn_matches_product_with_circle_constant(s):
     for k in range(-16, 16):
         q = Q(k, 8)
         want = _folded_product(s, Scalar.from_circle(N, CircleConst.of(q)))
-        assert _same(s.turn(q), want)
+        assert _same(s.turn(q.numerator, q.denominator), want)
 
 
 @settings(max_examples=100, deadline=None)

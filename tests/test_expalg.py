@@ -33,6 +33,8 @@ from nctorus.expalg import (
     translate,
 )
 from nctorus import moyal_oracle as mo
+from nctorus.poincare import make_context
+from nctorus.sampling import gaussian_product_torus
 from nctorus.moyal_oracle import taylor_expand, taylor_star_oracle
 
 P2 = ((GRAT_ZERO, GRAT_ONE), (GRat.of(-1), GRAT_ZERO))
@@ -152,13 +154,13 @@ def test_substitute_identity_and_translate():
     n = spec.nvars
     eye = tuple(tuple(GRat.of(int(i == j)) for j in range(n)) for i in range(n))
     assert substitute(f, AffineMap(spec, spec, eye, (GRAT_ZERO,) * n)) == f
-    assert translate(f, "v", (GRAT_ZERO, GRAT_ZERO)) == f
-    t = translate(f, "v", (GRat.of(1), GRat.of(0, 1)))
+    assert translate(f, {"v": (GRAT_ZERO, GRAT_ZERO)}) == f
+    t = translate(f, {"v": (GRat.of(1), GRat.of(0, 1))})
     # exponent constant picks up 1*1 + 2*i -> real part symbolic, im to unit
     term = t.single_term()
     assert term.form.const_pi == GRat.of(1 + Q(1, 3))
     assert term.coeff.unit == CircleConst.of(2)  # exp(pi i * 2) = 1
-    back = translate(t, "v", (GRat.of(-1), GRat.of(0, -1)))
+    back = translate(t, {"v": (GRat.of(-1), GRat.of(0, -1))})
     assert back == f
 
 
@@ -169,10 +171,10 @@ def test_conjugate_pair_translation():
     f = ExpSum.exponential(
         spec, LinForm(((GRAT_ZERO, GRAT_ONE),), GRAT_ZERO, None)
     )
-    t = translate(f, "l", (GRat.of(0, 1),))  # xi = i
+    t = translate(f, {"l": (GRat.of(0, 1),)})  # xi = i
     assert t.single_term().coeff == Scalar.one(4).scale(GRat.of(-1))
     g = ExpSum.exponential(spec, LinForm(((GRAT_ONE, GRAT_ZERO),), GRAT_ZERO, None))
-    tg = translate(g, "l", (GRat.of(0, 1),))
+    tg = translate(g, {"l": (GRat.of(0, 1),)})
     assert tg.single_term().coeff == Scalar.one(4).scale(GRat.of(-1))
 
 
@@ -556,3 +558,29 @@ def test_scalar_add_of_differing_units_raises():
     i = Scalar.from_circle(4, CircleConst.of(Q(1, 2)))
     assert i.unit == CIRCLE_ONE
     assert scalar_add(one, i) == Scalar(CIRCLE_ONE, HbarSeries.one(4).scale(GRat.of(1, 1)))
+
+
+# the Poincare kernel's V x dual slots at g = 1 and g = 2
+POINCARE_SPECS = tuple(make_context(gaussian_product_torus(g)).spec2 for g in (1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(POINCARE_SPECS), st.data())
+def test_one_pass_translate_is_the_identity_substitution(spec, data):
+    # distinct exponents: like terms with unequal units have no sum in the class
+    terms = st.lists(
+        raw_term(spec), min_size=1, max_size=3, unique_by=lambda t: (t[1].coeffs, t[1].const_pi.re)
+    )
+    f = ExpSum.make(spec, data.draw(terms))
+    v, l = spec.slots
+    a = tuple(data.draw(_grats) for _ in range(v.dim))
+    b = tuple(data.draw(_grats) for _ in range(l.dim))
+    n = spec.nvars
+    eye = tuple(tuple(GRat.of(int(i == j)) for j in range(n)) for i in range(n))
+    shifted = AffineMap(spec, spec, eye, v.shift_vector(a) + l.shift_vector(b))
+    both = translate(f, {"v": a, "l": b})
+    assert both == substitute(f, shifted)
+    assert both == translate(translate(f, {"v": a}), {"l": b})
+    assert both == translate(translate(f, {"l": b}), {"v": a})
+    zero = {"v": (GRAT_ZERO,) * v.dim, "l": (GRAT_ZERO,) * l.dim}
+    assert translate(f, zero) is f and translate(f, {}) is f
