@@ -21,8 +21,32 @@ linear algebra and of the read-only ``re``/``im`` and ``q`` views.
 
 Units of the series ring decompose as a_0 * exp(a_1 h + a_2 h^2 + ...);
 `exp_decompose` computes that decomposition and `series_exp`/`series_log`
-are the two directions of the bijection it rests on.  `exp_hpi2` is the
-closed form of the one exponential the identities need, exp(h pi^2 b).
+are the two directions of the bijection it rests on.
+
+A ``Scalar`` holds one of two canonical forms:
+
+- dense: (unit, series), the unit's angle in [0, 1/2), its quarter turns
+  folded into the series;
+- log form: (unit, magnitude, log), the same unit, the magnitude the h^0
+  coefficient (quarter turns folded in) and the log h-divisible.
+
+The deformation data enter as exponentials of h-divisible series (the
+Moyal correction and the Heisenberg cocycle through `exp_hpi2`, the
+l-fold through ``Scalar.exp``), and circle constants and 1 are log forms
+too, so their products add logs and their inverses negate them.  The
+rules:
+
+- a product of two log forms is a log form: magnitudes multiply, logs
+  add, and the quarter turns of the unit product go into the magnitude;
+- ``inverse`` negates the log; a dense scalar is decomposed once first
+  and keeps that decomposition;
+- a product with a dense operand materializes the log side (its series,
+  cached on the object: closed form for a log of one h^1 monomial,
+  ``series_exp`` otherwise) and is dense, so parsing, ``scalar_add``,
+  rendering and the Taylor oracle keep the dense path;
+- ``==`` compares fields within the log form and the materialized series
+  otherwise;
+- ``hash`` reads (order, unit, h^0 coefficient), which both forms hold.
 """
 
 from __future__ import annotations
@@ -540,10 +564,7 @@ class HbarSeries:
 
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
         self._check(other)
-        return HbarSeries(
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return HbarSeries(self.order, tuple(map(PiPoly.__add__, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "HbarSeries":
         return HbarSeries(self.order, tuple(-a for a in self.coeffs))
@@ -595,27 +616,10 @@ class HbarSeries:
         return HbarSeries(self.order, tuple(a.scale_rat(q) for a in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def inverse(self) -> "HbarSeries":
-        c0 = self.coeffs[0]
-        if not c0.is_const() or c0.is_zero():
-            raise NotInvertible("series unit must have invertible h^0 term")
-        c = c0.constant_part()
-        cinv = c.inverse()
-        # u = c (1 + x); 1/u = (1/c) sum (-x)^k
-        x = self.scale(cinv) - HbarSeries.one(self.order)
-        acc = HbarSeries.one(self.order)
-        term = HbarSeries.one(self.order)
-        for _ in range(1, self.order):
-            term = term * (-x)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc.scale(cinv)
 
 
 def series_exp(a: HbarSeries) -> HbarSeries:
@@ -747,25 +751,89 @@ def _quarter_turn(series: HbarSeries, k: int) -> HbarSeries:
     )
 
 
-class Scalar:
-    """unit * series, canonicalized: quarter turns of the unit are folded
-    into the series, so the unit's angle n/d always lies in [0, 1/2)."""
+def _exp_h1(order: int, mag: GRat, e: int, v: GRat) -> HbarSeries:
+    """mag * exp(h pi^e v) in closed form: the h^k coefficient is
+    mag v^k pi^{ek} / k!, one running product and no series product."""
+    coeffs = [PiPoly(((0, mag),))]
+    power, fact = mag, 1
+    for k in range(1, order):
+        power = cmul(power, v)
+        fact *= k
+        coeffs.append(PiPoly(((e * k, _reduced(power.n, power.m, power.d * fact)),)))
+    return HbarSeries(order, tuple(coeffs))
 
-    __slots__ = ("unit", "series")
+
+def _exp_series(order: int, mag: GRat, log) -> HbarSeries:
+    """mag * exp(log) as a dense series: a log with one h^1 monomial, such
+    as the h pi^2 b of ``exp_hpi2``, by ``_exp_h1``; any other log by
+    ``series_exp``."""
+    if log is None:
+        return HbarSeries(order, (PiPoly(((0, mag),)),) + (PI_ZERO,) * (order - 1))
+    head = log.coeffs[1].terms
+    if len(head) == 1 and not any(log.coeffs[2:]):
+        (e, v), = head
+        return _exp_h1(order, mag, e, v)
+    return series_exp(log).scale(mag)
+
+
+def _log_form(order: int, unit: "CircleConst", mag: GRat, log) -> "Scalar":
+    """The log-form scalar unit * mag * exp(log): ``unit`` canonical with
+    its angle in [0, 1/2), ``mag`` a nonzero GRat and ``log`` a nonzero
+    h-divisible series or None for 0."""
+    s = _new(Scalar)
+    s.order = order
+    s.unit = unit
+    s.mag = mag
+    s.log = log
+    s._series = None
+    return s
+
+
+class Scalar:
+    """A truncated scalar, dense or in log form (see the module docstring).
+
+    Dense: ``Scalar(unit, series)``; ``Scalar.of`` folds the quarter turns
+    of the unit into the series, so the unit's angle n/d lies in [0, 1/2).
+    Log form: unit * mag * exp(log), with the same unit, ``mag`` the h^0
+    coefficient (nonzero, free of pi, quarter turns folded in) and ``log``
+    a nonzero h-divisible series or None for 0.  ``one``, ``from_circle``,
+    ``exp``, ``inverse``, and ``turn`` and ``scale`` of a log form make it.
+
+    ``*`` of two log forms adds logs; with a dense operand it
+    materializes ``series`` of the other side (cached) and is dense, or
+    only scales the dense side when the other log is 0.  ``inverse``
+    negates the log, after decomposing a dense scalar once (cached, so it
+    then also holds a log).  ``==`` compares (unit, mag, log) when both
+    sides hold a log and (unit, series) otherwise; ``hash`` reads (order,
+    unit, h^0 coefficient).
+    """
+
+    __slots__ = ("order", "unit", "mag", "log", "_series")
 
     def __init__(self, unit, series):
+        self.order = series.order
         self.unit = unit
-        self.series = series
+        self.mag = None
+        self.log = None
+        self._series = series
+
+    @property
+    def series(self) -> HbarSeries:
+        s = self._series
+        if s is None:
+            s = self._series = _exp_series(self.order, self.mag, self.log)
+        return s
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Scalar)
-            and self.unit == other.unit
-            and self.series == other.series
-        )
+        if not isinstance(other, Scalar) or self.unit != other.unit:
+            return False
+        if self.mag is not None and other.mag is not None:
+            return self.order == other.order and self.mag == other.mag and self.log == other.log
+        return self.series == other.series
 
     def __hash__(self):
-        return hash((self.unit, self.series))
+        c0 = ((0, self.mag),) if self.mag is not None else self._series.coeffs[0].terms
+        return hash((self.order, self.unit, c0))
 
     def __repr__(self):
         return f"Scalar({self.unit!r}, {self.series!r})"
@@ -779,7 +847,7 @@ class Scalar:
 
     @staticmethod
     def one(order: int) -> "Scalar":
-        return Scalar(CIRCLE_ONE, HbarSeries.one(order))
+        return _log_form(order, CIRCLE_ONE, GRAT_ONE, None)
 
     @staticmethod
     def zero(order: int) -> "Scalar":
@@ -787,17 +855,51 @@ class Scalar:
 
     @staticmethod
     def from_circle(order: int, u: CircleConst) -> "Scalar":
-        return Scalar.of(u, HbarSeries.one(order))
+        k, r = u.quarter_turns()
+        return _log_form(order, r, I_POWERS[k], None)
 
-    @property
-    def order(self) -> int:
-        return self.series.order
+    @staticmethod
+    def exp(log: HbarSeries) -> "Scalar":
+        """exp(log) for an h-divisible series, in log form."""
+        if log.coeffs[0]:
+            raise NotRepresentable("exp needs a zero constant term")
+        return _log_form(log.order, CIRCLE_ONE, GRAT_ONE, log if log else None)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        """A unit 1 on either side leaves the other, already canonical,
-        unit as it is; otherwise the unit product is folded again."""
+        """Log forms multiply by adding logs; with a dense operand the
+        product is the dense one.  A unit 1 on either side leaves the
+        other, already canonical, unit as it is; otherwise the unit
+        product is folded again."""
+        if self.order != other.order:
+            raise OrderMismatch(f"truncation orders differ: {self.order} != {other.order}")
         u1, u2 = self.unit, other.unit
-        series = self.series * other.series
+        m1, m2 = self.mag, other.mag
+        if m1 is not None and m2 is not None:
+            mag = cmul(m1, m2)
+            if not u1.n:
+                unit = u2
+            elif not u2.n:
+                unit = u1
+            else:
+                k, unit = (u1 * u2).quarter_turns()
+                if k:
+                    mag = cmul(mag, I_POWERS[k])
+            l1, l2 = self.log, other.log
+            if l1 is None:
+                log = l2
+            elif l2 is None:
+                log = l1
+            else:
+                log = l1 + l2
+                if not any(log.coeffs):
+                    log = None
+            return _log_form(self.order, unit, mag, log)
+        if m1 is not None and self.log is None:
+            series = other._series if m1 == GRAT_ONE else other._series.scale(m1)
+        elif m2 is not None and other.log is None:
+            series = self._series if m2 == GRAT_ONE else self._series.scale(m2)
+        else:
+            series = self.series * other.series
         if not u1.n:
             return Scalar(u2, series)
         if not u2.n:
@@ -806,19 +908,47 @@ class Scalar:
 
     def turn(self, n: int, d: int = 1) -> "Scalar":
         """self * exp(pi i n/d) for integers n and d > 0: the circle
-        constant goes into the unit and its quarter turns into the series,
-        with no series product."""
+        constant goes into the unit and its quarter turns into the
+        magnitude of a log form or the series of a dense scalar, with no
+        series product."""
         u = self.unit
-        return Scalar.of(_circle(u.n * d + n * u.d, u.d * d), self.series)
+        unit = _circle(u.n * d + n * u.d, u.d * d)
+        if self.mag is None:
+            return Scalar.of(unit, self._series)
+        k, r = unit.quarter_turns()
+        return _log_form(self.order, r, cmul(self.mag, I_POWERS[k]) if k else self.mag, self.log)
 
     def scale(self, c: GRat) -> "Scalar":
-        return Scalar(self.unit, self.series.scale(c))
+        if self.mag is None:
+            return Scalar(self.unit, self._series.scale(c))
+        if not c:
+            return Scalar.zero(self.order)
+        return _log_form(self.order, self.unit, cmul(self.mag, c), self.log)
 
     def is_zero(self) -> bool:
-        return self.series.is_zero()
+        return self.mag is None and self._series.is_zero()
+
+    def _decomposed(self):
+        """(mag, log) of an invertible scalar.  A dense scalar is
+        decomposed once, by ``series_log``, and keeps the result."""
+        if self.mag is None:
+            series = self._series
+            c0 = series.coeffs[0]
+            if not c0.is_const() or c0.is_zero():
+                raise NotInvertible("series unit must have invertible h^0 term")
+            mag = c0.terms[0][1]
+            log = series_log(series.scale(mag.inverse())) if any(series.coeffs[1:]) else None
+            self.mag, self.log = mag, log
+        return self.mag, self.log
 
     def inverse(self) -> "Scalar":
-        return Scalar.of(self.unit.inverse(), self.series.inverse())
+        """unit^-1 * mag^-1 * exp(-log), in log form."""
+        mag, log = self._decomposed()
+        k, unit = self.unit.inverse().quarter_turns()
+        inv = mag.inverse()
+        if k:
+            inv = cmul(inv, I_POWERS[k])
+        return _log_form(self.order, unit, inv, None if log is None else -log)
 
     def __str__(self) -> str:
         from .textfmt import scalar_str
@@ -827,23 +957,15 @@ class Scalar:
 
 
 def exp_hpi2(order: int, value: GRat) -> Scalar:
-    """exp(h pi^2 value) as a truncated scalar, in closed form: the h^k
-    coefficient is value^k pi^{2k} / k!.
+    """exp(h pi^2 value), in log form with log h pi^2 value.
 
     The Moyal correction exp(h pi^2 {l1, l2}), the Heisenberg cocycle and
-    its extension ctilde are this exponential; it equals
-    ``series_exp`` of h pi^2 value without the series products.
+    its extension ctilde are this exponential.  Its series, when asked
+    for, is the closed form of ``_exp_h1``: the h^k coefficient is
+    value^k pi^{2k} / k!, equal to ``series_exp`` of h pi^2 value without
+    the series products.
     """
-    if not value:
-        return Scalar.one(order)
-    coeffs = {0: PI_ONE}
-    power = GRAT_ONE
-    fact = 1
-    for k in range(1, order):
-        power = power * value
-        fact *= k
-        coeffs[k] = PiPoly.pi_power(2 * k, _reduced(power.n, power.m, power.d * fact))
-    return Scalar(CIRCLE_ONE, HbarSeries.of(order, coeffs))
+    return Scalar.exp(HbarSeries.of(order, {1: PiPoly.pi_power(2, value)}))
 
 
 @dataclass(frozen=True)
@@ -864,10 +986,7 @@ class UnitDecomposition:
 
 def exp_decompose(u: Scalar) -> UnitDecomposition:
     """Split an invertible scalar into a_0 * exp(a_1 h + a_2 h^2 + ...)."""
-    c0 = u.series.coeffs[0]
-    if not c0.is_const() or c0.is_zero():
-        raise NotInvertible("exp_decompose needs an invertible scalar")
-    c = c0.constant_part()
+    c, log = u._decomposed()
     unit = u.unit
     if not c.m and c.n > 0:
         magnitude = c
@@ -882,5 +1001,4 @@ def exp_decompose(u: Scalar) -> UnitDecomposition:
         magnitude = _grat(-c.m, 0, c.d)
     else:
         magnitude = c
-    normalized = u.series.scale(c.inverse())
-    return UnitDecomposition(unit, magnitude, series_log(normalized))
+    return UnitDecomposition(unit, magnitude, HbarSeries.zero(u.order) if log is None else log)

@@ -7,7 +7,9 @@ factor of pi; constants split into a symbolic real pi-multiple (kept in
 the exponent), a circle constant, and an h-divisible part (both folded
 into the scalar coefficient).  The circle constant exp(pi i q) of an
 imaginary pi-multiple goes into the coefficient's unit (``Scalar.turn``),
-its quarter turns into the series, without a series product.
+its quarter turns into the magnitude of a log-form coefficient or the
+series of a dense one, without a series product; exp of the h-divisible
+part is the log-form ``Scalar.exp``, with no ``series_exp``.
 
 The slot-wise Moyal product closes on this class:
 
@@ -34,7 +36,6 @@ import re
 from dataclasses import dataclass
 
 from .coeff import (
-    CIRCLE_ONE,
     GRAT_ZERO,
     CoeffError,
     GRat,
@@ -43,7 +44,6 @@ from .coeff import (
     _reduced,
     bilinear,
     exp_hpi2,
-    series_exp,
 )
 
 __all__ = [
@@ -375,7 +375,7 @@ def _normalize(coeff: Scalar, form: LinForm):
     """Fold h-divisible and imaginary-pi constants into the coefficient."""
     ch = form.const_hbar
     if ch is not None and not ch.is_zero():
-        coeff = coeff * Scalar(CIRCLE_ONE, series_exp(ch))
+        coeff = coeff * Scalar.exp(ch)
     cp = form.const_pi
     if cp.m:
         coeff = coeff.turn(cp.m, cp.d)

@@ -49,6 +49,7 @@ from .coeff import (
     Q,
     Scalar,
     _circle,
+    _reduced,
     bilinear,
     combine,
     exp_decompose,
@@ -317,9 +318,9 @@ def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData, spec: 
         unit = semicharacter_value(ns, chi, torus, coords, imt)
         lam = combine(coords, torus.lattice)
         hll = ns.value(lam, lam)
-        if hll.im != 0:
+        if hll.m:
             raise CoeffError("H(lam, lam) must be real for Hermitian H")
-        const = GRat(hll.re / 2, Q(0))
+        const = _reduced(hll.n, 0, 2 * hll.d)
         form = LinForm((ns.row_form(lam),), const, l_series(lseries, lam, spec.order))
         return ExpSum.exponential(spec, form, Scalar.from_circle(spec.order, unit))
 

@@ -39,16 +39,16 @@ from functools import cache, partial
 from itertools import product as iproduct
 
 from .coeff import (
-    CIRCLE_ONE,
     GRAT_ZERO,
+    PI_ONE,
     CircleConst,
     CoeffError,
     GRat,
     HbarSeries,
-    PiPoly,
     Q,
     Scalar,
     combine,
+    series_log,
 )
 from .expalg import (
     AffineMap,
@@ -137,10 +137,12 @@ def make_context(torus: TorusData) -> PoincareContext:
     return PoincareContext(torus, dual, B, spec2, spec3, pullbacks)
 
 
+@cache
 def _default_z_choices(order: int):
-    one = Scalar.one(order)
-    oneph = Scalar(CIRCLE_ONE, HbarSeries.one(order) + HbarSeries.of(order, {1: PiPoly.pi_power(0)}))
-    return (one, oneph)
+    """1 and 1 + h, both in log form: the log of 1 + h is computed once
+    per order."""
+    oneph = HbarSeries.one(order) + HbarSeries.of(order, {1: PI_ONE})
+    return (Scalar.one(order), Scalar.exp(series_log(oneph)))
 
 
 class PoincareGroup:

@@ -316,7 +316,7 @@ def test_empty_window_is_never_a_pass():
 def test_cocycle_expansion_checks_the_closed_form(monkeypatch):
     # the record compares the cocycle with the Taylor series of
     # exp(h pi^2 b), so a wrong closed form behind the cocycle fails it
-    from nctorus import gerbe
+    from nctorus import coeff, gerbe
 
     with open(fixture_path("e1xe2.json")) as fh:
         cfg = parse_config(fh.read())
@@ -329,6 +329,20 @@ def test_cocycle_expansion_checks_the_closed_form(monkeypatch):
     assert expansion(cfg) == "PASS"
     closed_form = gerbe.exp_hpi2
     monkeypatch.setattr(gerbe, "exp_hpi2", lambda order, b: closed_form(order, b + b))
+    assert expansion(cfg) == "FAIL"
+
+    # the cocycle is a log form, so the comparison materializes it: a closed
+    # form without the 1/k! fails the record too
+    def no_factorial(order, mag, e, v):
+        coeffs, power = [coeff.PiPoly(((0, mag),))], mag
+        for k in range(1, order):
+            power = coeff.cmul(power, v)
+            coeffs.append(coeff.PiPoly(((e * k, power),)))
+        return coeff.HbarSeries(order, tuple(coeffs))
+
+    monkeypatch.undo()
+    assert expansion(cfg) == "PASS"
+    monkeypatch.setattr(coeff, "_exp_h1", no_factorial)
     assert expansion(cfg) == "FAIL"
 
 

@@ -31,6 +31,7 @@ from nctorus.coeff import (
     series_log,
 )
 from nctorus.moyal_oracle import _exp_poly, _mul_trunc
+from nctorus.sampling import random_unit_scalar
 
 N = 4
 
@@ -539,3 +540,58 @@ def test_grat_parse_render_roundtrip():
     assert GRat.parse("i") == GRat.of(0, 1)
     assert GRat.parse("-2") == GRat.of(-2)
     assert GRat.parse("1+i") == GRat.of(1, 1)
+
+
+def test_inverse_refuses_non_units():
+    msg = "series unit must have invertible h^0 term"
+    for s in (
+        Scalar.zero(N),
+        Scalar(CIRCLE_ONE, h_term(1, PI_ONE)),  # h-divisible
+        Scalar(CIRCLE_ONE, HbarSeries.of(N, {0: PiPoly.of({0: GRAT_ONE, 1: GRAT_ONE})})),  # 1 + pi
+    ):
+        with pytest.raises(NotInvertible) as err:
+            s.inverse()
+        assert str(err.value) == msg
+
+
+@st.composite
+def unit_scalars(draw, order=N):
+    """An invertible scalar in either form: dense from ``Scalar(unit,
+    series)`` or ``random_unit_scalar``, or in log form as a product of
+    ``exp_hpi2``, ``turn`` and ``Scalar.one``."""
+    kind = draw(st.sampled_from(("dense", "sampled", "log")))
+    if kind == "dense":
+        unit = CircleConst.of(Q(draw(st.integers(0, 3)), 8))  # canonical: in [0, 1/2)
+        tail = draw(sparse_series(order)).coeffs
+        c0 = draw(grats.filter(bool))
+        return Scalar(unit, HbarSeries(order, (PiPoly.const(c0),) + tail[1:]))
+    if kind == "sampled":
+        return random_unit_scalar(random.Random(draw(st.integers(0, 10**6))), order)
+    x = Scalar.one(order)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x = x * exp_hpi2(order, draw(grats))
+        else:
+            x = x.turn(draw(st.integers(-8, 8)), draw(st.sampled_from((1, 2, 3, 4, 8))))
+    return x
+
+
+def _dense(s):
+    """A new dense scalar of the value of s, holding only its series."""
+    return Scalar(s.unit, s.series)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_scalars(), unit_scalars())
+def test_log_form_and_dense_units_agree(x, y):
+    one = Scalar.one(N)
+    for s in (x, y):
+        d = _dense(s)
+        # equal values compare equal, hash equal and render the same bytes
+        assert _same(s, d) and _same(d, s) and str(s) == str(d)
+        assert s * s.inverse() == one and s.inverse() * s == one
+        # a dense operand materializes the inverse: series_log against series_exp
+        assert d * s.inverse() == one and one == s.inverse() * d
+        assert _same(s.inverse().inverse(), d)
+    assert _same(x * y, _folded_product(_dense(x), _dense(y)))
+    assert (x == y) == (_dense(x) == _dense(y))

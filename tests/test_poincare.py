@@ -1,3 +1,4 @@
+import os
 import random
 from dataclasses import replace
 
@@ -207,3 +208,28 @@ def test_sections_fail_with_the_wrong_iota_sign(ctx, s, monkeypatch):
     assert restrict_to_section(ctx, s)[1]["status"] == "PASS"
     monkeypatch.setattr(poincare, "star_inverse", lambda f: f)
     assert restrict_to_section(ctx, s)[1]["status"] == "FAIL"
+
+
+def test_g1_cocycle_window_makes_no_series_product(monkeypatch):
+    # every coefficient of the g1 Poincare cocycle check is a log form, so
+    # the 26,244 pairs of the radius-1 window multiply no dense series
+    from nctorus.cli import parse_config
+    from nctorus.picard import cocycle_holds
+
+    path = os.path.join(os.path.dirname(poincare.__file__), "fixtures", "g1.json")
+    with open(path) as fh:
+        ctx = make_context(parse_config(fh.read()).torus)
+    factor = poincare_factor(ctx).cached()
+    window = factor.group.window(1)
+    pairs = [(a, b) for a in window for b in window]
+    assert len(pairs) == 26244
+    calls = [0]
+    product = HbarSeries.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(HbarSeries, "__mul__", counting)
+    assert all(cocycle_holds(factor, a, b) for a, b in pairs)
+    assert calls[0] == 0
