@@ -16,6 +16,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import click
@@ -26,26 +27,20 @@ from .coeff import (
     CircleConst,
     CoeffError,
     GRat,
-    HbarSeries,
-    PiPoly,
     Q,
-    Scalar,
-    combine,
-    series_exp,
 )
 from .cohomfm import fm_hh2, fm_square_table
 from .expalg import ExpSum, LinForm, Slot, SlotSpec
 from .gerbe import (
-    FiberFunction,
     GammaElement,
     check_cases,
+    cocycle_expands,
+    cocycle_identity,
     coordinate_window,
-    ctilde,
-    gamma_inverse,
-    gamma_mul,
-    heisenberg_cocycle,
+    ctilde_extends,
+    group_law,
     nonzero,
-    rho_act,
+    rho_composes,
     sample_window,
 )
 from .moyal_oracle import taylor_expand, taylor_star_oracle
@@ -389,98 +384,51 @@ def suite_convolution(cfg: RunConfig):
     return [_check_record("convolution:kernel-identity", rep)]
 
 
+def _coords(rng, rank: int, radius: int) -> tuple:
+    """A random integer coordinate vector with entries in [-radius, radius]."""
+    return tuple(rng.randint(-radius, radius) for _ in range(rank))
+
+
 def suite_gerbe(cfg: RunConfig):
+    """The gerbe's identities, each a ``gerbe`` predicate run by
+    ``check_cases`` over cases drawn in turn from one ``Random(7)``."""
     torus = cfg.torus
     order = torus.order
     B = bfield(torus)
     rank = 2 * torus.g
-    out = []
     rng = random.Random(7)
-
-    # 2-cocycle identity
     window = coordinate_window(rank, cfg.window)
-
-    def cocycle_identity(t):
-        a, b, c = t
-        ab = tuple(x + y for x, y in zip(a, b))
-        bc = tuple(x + y for x, y in zip(b, c))
-        lhs = heisenberg_cocycle(B, a, b, order) * heisenberg_cocycle(B, ab, c, order)
-        return lhs == heisenberg_cocycle(B, b, c, order) * heisenberg_cocycle(B, a, bc, order)
+    zs = _default_z_choices(order)
 
     triples = sample_window([window] * 3, 30000, 1, 500, rng, per_part=True)
-    rep = check_cases(triples, cocycle_identity, "triples")
-    out.append(_check_record("gerbe:cocycle-identity", rep))
+    rep = check_cases(triples, partial(cocycle_identity, B, order), "triples")
+    out = [_check_record("gerbe:cocycle-identity", rep)]
 
-    # group law
-    zs = _default_z_choices(order)
-    bad = 0
-    for _ in range(100):
-        es = [
-            GammaElement(tuple(rng.randint(-2, 2) for _ in range(rank)), rng.choice(zs))
-            for _ in range(3)
-        ]
-        l = gamma_mul(gamma_mul(es[0], es[1], B, order), es[2], B, order)
-        r = gamma_mul(es[0], gamma_mul(es[1], es[2], B, order), B, order)
-        if l != r:
-            bad += 1
-        inv = gamma_inverse(es[0], B, order)
-        if gamma_mul(es[0], inv, B, order) != GammaElement.identity(rank, order):
-            bad += 1
-    out.append(_record("gerbe:group-law", "PASS" if bad == 0 else "FAIL", trials=100))
+    elements = [
+        tuple(GammaElement(_coords(rng, rank, 2), rng.choice(zs)) for _ in range(3)) for _ in range(100)
+    ]
+    rep = check_cases(elements, partial(group_law, B, order), "trials")
+    out.append(_record("gerbe:group-law", rep["status"], trials=rep["trials"]))
 
-    # rho composition: compare on a sparse offset set, with the fiber
-    # support built per pair to contain exactly the shifts both routes need
-    s = tuple(random_grat(rng) for _ in range(torus.g))
+    # rho composition, compared on the offsets with at most one nonzero coordinate
+    base = tuple(random_grat(rng) for _ in range(torus.g))
     compare = [o for o in window if nonzero(o) <= 1]
-    elems = [(x, z) for x in window for z in zs]
-
-    def rho_composes(pair):
-        a, b = (GammaElement(*e) for e in pair)
-        support = set(compare)
-        for o in compare:
-            o1 = tuple(x - y for x, y in zip(o, b.xi))
-            support.add(o1)
-            support.add(tuple(x - y for x, y in zip(o, a.xi)))
-            support.add(tuple(x - y for x, y in zip(o1, a.xi)))
-        f = FiberFunction.of(s, {o: Scalar.one(order) for o in support})
-        lhs = rho_act(b, rho_act(a, f, B, order), B, order)
-        rhs = rho_act(gamma_mul(b, a, B, order), f, B, order)
-        dl, dr = dict(lhs.values), dict(rhs.values)
-        common = (set(dl) & set(dr)) & set(compare)
-        return bool(common) and all(dl[o] == dr[o] for o in common)
-
-    rep = check_cases(sample_window([elems] * 2, 4000, 1, 400, rng), rho_composes, "pairs")
+    pairs = sample_window([[(x, z) for x in window for z in zs]] * 2, 4000, 1, 400, rng)
+    rep = check_cases(pairs, partial(rho_composes, B, order, base, compare), "pairs")
     if rep["failing"]:  # name the failing pair by its two xi
         rep["failing"] = (rep["failing"][0][0], rep["failing"][1][0])
     out.append(_check_record("gerbe:rho-composition", rep))
 
-    # ctilde restriction and additivity
-    basis = B.basis
-    bad = 0
-    for _ in range(50):
-        x1 = tuple(rng.randint(-1, 1) for _ in range(rank))
-        x2 = tuple(rng.randint(-1, 1) for _ in range(rank))
-        w = combine(x1, basis.vectors)
-        if ctilde(w, x2, B, order) != heisenberg_cocycle(B, x1, x2, order):
-            bad += 1
-        wr = tuple(random_grat(rng) for _ in range(torus.g))
-        x12 = tuple(a + b for a, b in zip(x1, x2))
-        if ctilde(wr, x12, B, order) != ctilde(wr, x1, B, order) * ctilde(wr, x2, B, order):
-            bad += 1
-    out.append(_record("gerbe:ctilde", "PASS" if bad == 0 else "FAIL", trials=50))
+    points = [
+        (_coords(rng, rank, 1), _coords(rng, rank, 1), tuple(random_grat(rng) for _ in range(torus.g)))
+        for _ in range(50)
+    ]
+    rep = check_cases(points, partial(ctilde_extends, B, order), "trials")
+    out.append(_record("gerbe:ctilde", rep["status"], trials=rep["trials"]))
 
-    # the cocycle against the Taylor series of exp(h pi^2 B(x2, x1)),
-    # not against the closed form it is computed by
-    ok = True
-    for _ in range(20):
-        x1 = tuple(rng.randint(-2, 2) for _ in range(rank))
-        x2 = tuple(rng.randint(-2, 2) for _ in range(rank))
-        log = HbarSeries.of(order, {1: PiPoly.pi_power(2, B.on_coords(x2, x1))})
-        want = Scalar(CIRCLE_ONE, series_exp(log))
-        if heisenberg_cocycle(B, x1, x2, order) != want:
-            ok = False
-            break
-    out.append(_record("gerbe:cocycle-expansion", "PASS" if ok else "FAIL"))
+    pairs = [(_coords(rng, rank, 2), _coords(rng, rank, 2)) for _ in range(20)]
+    rep = check_cases(pairs, partial(cocycle_expands, B, order))
+    out.append(_record("gerbe:cocycle-expansion", rep["status"]))
     return out
 
 

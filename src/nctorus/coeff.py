@@ -25,27 +25,30 @@ are the two directions of the bijection it rests on.
 
 A ``Scalar`` holds one of two canonical forms:
 
-- dense: (unit, series), the unit's angle in [0, 1/2), its quarter turns
-  folded into the series;
-- log form: (unit, magnitude, log), the same unit, the magnitude the h^0
-  coefficient (quarter turns folded in) and the log h-divisible.
+- dense: ``Scalar(unit, series)``, the unit's angle in [0, 1/2), its
+  quarter turns folded into the series (by ``Scalar.of``);
+- log form: unit * mag * exp(log), the same unit, ``mag`` the h^0
+  coefficient (nonzero, free of pi, quarter turns folded in) and ``log``
+  a nonzero h-divisible series or None for 0.
 
 The deformation data enter as exponentials of h-divisible series (the
 Moyal correction and the Heisenberg cocycle through `exp_hpi2`, the
 l-fold through ``Scalar.exp``), and circle constants and 1 are log forms
-too, so their products add logs and their inverses negate them.  The
+too (``one``, ``from_circle``, and ``turn`` and ``scale`` of a log
+form), so their products add logs and their inverses negate them.  The
 rules:
 
 - a product of two log forms is a log form: magnitudes multiply, logs
   add, and the quarter turns of the unit product go into the magnitude;
-- ``inverse`` negates the log; a dense scalar is decomposed once first
-  and keeps that decomposition;
+- ``inverse`` is a log form with the log negated; a dense scalar is
+  decomposed first, by ``series_log``, and stays dense;
 - a product with a dense operand materializes the log side (its series,
   cached on the object: closed form for a log of one h^1 monomial,
-  ``series_exp`` otherwise) and is dense, so parsing, ``scalar_add``,
-  rendering and the Taylor oracle keep the dense path;
-- ``==`` compares fields within the log form and the materialized series
-  otherwise;
+  ``series_exp`` otherwise) and is dense, or only scales the dense side
+  when the other log is 0, so parsing, ``scalar_add``, rendering and the
+  Taylor oracle keep the dense path;
+- ``==`` compares (unit, mag, log) when both sides are log forms and
+  (unit, series) otherwise;
 - ``hash`` reads (order, unit, h^0 coefficient), which both forms hold.
 """
 
@@ -790,23 +793,9 @@ def _log_form(order: int, unit: "CircleConst", mag: GRat, log) -> "Scalar":
 
 
 class Scalar:
-    """A truncated scalar, dense or in log form (see the module docstring).
-
-    Dense: ``Scalar(unit, series)``; ``Scalar.of`` folds the quarter turns
-    of the unit into the series, so the unit's angle n/d lies in [0, 1/2).
-    Log form: unit * mag * exp(log), with the same unit, ``mag`` the h^0
-    coefficient (nonzero, free of pi, quarter turns folded in) and ``log``
-    a nonzero h-divisible series or None for 0.  ``one``, ``from_circle``,
-    ``exp``, ``inverse``, and ``turn`` and ``scale`` of a log form make it.
-
-    ``*`` of two log forms adds logs; with a dense operand it
-    materializes ``series`` of the other side (cached) and is dense, or
-    only scales the dense side when the other log is 0.  ``inverse``
-    negates the log, after decomposing a dense scalar once (cached, so it
-    then also holds a log).  ``==`` compares (unit, mag, log) when both
-    sides hold a log and (unit, series) otherwise; ``hash`` reads (order,
-    unit, h^0 coefficient).
-    """
+    """A truncated scalar, dense or in log form.  The two forms, the
+    constructors that make each, and the rules of ``*``, ``inverse``,
+    ``==`` and ``hash`` are those of the module docstring."""
 
     __slots__ = ("order", "unit", "mag", "log", "_series")
 
@@ -929,17 +918,17 @@ class Scalar:
         return self.mag is None and self._series.is_zero()
 
     def _decomposed(self):
-        """(mag, log) of an invertible scalar.  A dense scalar is
-        decomposed once, by ``series_log``, and keeps the result."""
-        if self.mag is None:
-            series = self._series
-            c0 = series.coeffs[0]
-            if not c0.is_const() or c0.is_zero():
-                raise NotInvertible("series unit must have invertible h^0 term")
-            mag = c0.terms[0][1]
-            log = series_log(series.scale(mag.inverse())) if any(series.coeffs[1:]) else None
-            self.mag, self.log = mag, log
-        return self.mag, self.log
+        """(mag, log) of an invertible scalar: the fields of a log form, or
+        a dense scalar's decomposition by ``series_log``, which it does not
+        keep, so that it stays dense."""
+        if self.mag is not None:
+            return self.mag, self.log
+        series = self._series
+        c0 = series.coeffs[0]
+        if not c0.is_const() or c0.is_zero():
+            raise NotInvertible("series unit must have invertible h^0 term")
+        mag = c0.terms[0][1]
+        return mag, series_log(series.scale(mag.inverse())) if any(series.coeffs[1:]) else None
 
     def inverse(self) -> "Scalar":
         """unit^-1 * mag^-1 * exp(-log), in log form."""

@@ -46,7 +46,6 @@ from .coeff import (
     GRat,
     HbarSeries,
     PiPoly,
-    Q,
     Scalar,
     _circle,
     _reduced,
@@ -102,6 +101,14 @@ class NSData:
 
     def value(self, v, w) -> GRat:
         return bilinear(self.matrix, v, [b.conj() for b in w])
+
+    def half_norm(self, lam) -> GRat:
+        """H(lam, lam)/2, real: the factor's constant (pi/2) H(lam, lam)
+        is pi times it."""
+        hll = self.value(lam, lam)
+        if hll.m:
+            raise CoeffError("H(lam, lam) must be real for Hermitian H")
+        return _reduced(hll.n, 0, 2 * hll.d)
 
     def row_form(self, lam) -> tuple:
         """Coefficient vector of v -> H(v, lam) (the pi-cofactor of h_lam)."""
@@ -317,11 +324,7 @@ def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData, spec: 
     def fn(coords):
         unit = semicharacter_value(ns, chi, torus, coords, imt)
         lam = combine(coords, torus.lattice)
-        hll = ns.value(lam, lam)
-        if hll.m:
-            raise CoeffError("H(lam, lam) must be real for Hermitian H")
-        const = _reduced(hll.n, 0, 2 * hll.d)
-        form = LinForm((ns.row_form(lam),), const, l_series(lseries, lam, spec.order))
+        form = LinForm((ns.row_form(lam),), ns.half_norm(lam), l_series(lseries, lam, spec.order))
         return ExpSum.exponential(spec, form, Scalar.from_circle(spec.order, unit))
 
     return Factor(LatticeGroup(torus, spec), fn)
@@ -463,8 +466,7 @@ def reduce_to_qah(factor: Factor, torus: TorusData):
     rows = []
     rhs = []
     for t, lam in zip(terms, lat):
-        hll = ns.value(lam, lam)
-        r = t.form.const_pi - GRat(hll.re / 2, Q(0))
+        r = t.form.const_pi - ns.half_norm(lam)
         if r.im != 0:
             raise CoeffError("exponent constants are not normalized")
         rows.append([lam[i].re for i in range(g)] + [-lam[i].im for i in range(g)])

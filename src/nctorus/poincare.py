@@ -262,15 +262,12 @@ def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
     # generators with B(xi2, xi1) nonzero; there is one exactly when B != 0,
     # whatever the window
     n = grp.rank
-    gens = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    control = next(
-        ((x1, x2) for x1 in gens for x2 in gens if ctx.B.on_coords(x2, x1)), None
-    )
-    if control is not None:
+    if ctx.B.support:
         # the cocycle reads B through its matrix only: negated, c becomes c^{-1}
         negated = tuple(tuple(-b for b in row) for row in ctx.B.matrix)
         bad = poincare_factor(replace(ctx, B=replace(ctx.B, matrix=negated)))
-        a, b = (((0,) * n, x, z_choices[0]) for x in control)
+        k, m = ctx.B.support[0]  # B(xi^(k), xi^(m)) != 0: xi1 = xi^(m), xi2 = xi^(k)
+        a, b = (((0,) * n, tuple(int(i == j) for i in range(n)), z_choices[0]) for j in (m, k))
         report["negative_control"] = {
             "status": "FAIL" if cocycle_holds(bad, a, b) else "PASS",
             "note": "sign-flipped Heisenberg cocycle must break the identity",

@@ -20,9 +20,9 @@ an alternating biadditive form, zero when g = 1 or Pi = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .coeff import GRAT_ZERO, CoeffError, GRat, Q, bilinear
+from .coeff import GRAT_ZERO, CoeffError, GRat, bilinear, combine
 from .linalg import grat_rank, rat_det, rat_inverse
 
 __all__ = [
@@ -90,6 +90,14 @@ class BForm:
     poisson: tuple
     basis: DualLatticeBasis
     matrix: tuple  # 2g x 2g GRat values B(xi^(k), xi^(m))
+    # the nonzero entries: their (k, m) and, for ``combine``, their 1-vectors
+    support: tuple = field(init=False, repr=False, compare=False)
+    entries: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cells = [((k, m), (x,)) for k, row in enumerate(self.matrix) for m, x in enumerate(row) if x]
+        object.__setattr__(self, "support", tuple(km for km, _ in cells))
+        object.__setattr__(self, "entries", tuple(x for _, x in cells))
 
     def value(self, xi1, xi2) -> GRat:
         """B on arbitrary coefficient vectors (the Q-bilinear extension)."""
@@ -98,16 +106,12 @@ class BForm:
         )
 
     def on_coords(self, c1, c2) -> GRat:
-        """B on integer coordinate vectors over the dual basis."""
-        acc = GRAT_ZERO
-        for k, a in enumerate(c1):
-            if not a:
-                continue
-            row = self.matrix[k]
-            for m, b in enumerate(c2):
-                if b and row[m]:
-                    acc = acc + row[m].scale(Q(a) * Q(b))
-        return acc
+        """B on integer coordinate vectors over the dual basis: the
+        combination of the nonzero matrix entries B(xi^(k), xi^(m)) with
+        the integer weights c1_k c2_m."""
+        if not self.support:
+            return GRAT_ZERO
+        return combine([c1[k] * c2[m] for k, m in self.support], self.entries)[0]
 
 
 def validate_torus(data: TorusData) -> dict:

@@ -37,3 +37,64 @@ def test_no_unused_imports():
     paths = sorted((root / "src" / "nctorus").glob("*.py")) + sorted((root / "tests").glob("*.py"))
     assert len(paths) >= 20
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _identifiers(tree) -> list:
+    """(name, line) of every identifier a module names: variables,
+    attributes and whole string constants, outside ``__all__``."""
+    listed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            listed = {id(n) for n in ast.walk(node.value)}
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.append((n.id, n.lineno))
+        elif isinstance(n, ast.Attribute):
+            out.append((n.attr, n.lineno))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in listed:
+            out.append((n.value, n.lineno))
+    return out
+
+
+def _is_click_command(node) -> bool:
+    return any("command" in ast.unparse(d) or "group" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _definitions(tree) -> list:
+    """(qualified name, name, first line, last line) of the top-level
+    functions and classes of a module and the public methods of its
+    classes; click commands are left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if not isinstance(node, defs) or _is_click_command(node):
+            continue
+        out.append((node.name, node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    out.append((f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno))
+    return out
+
+
+def test_every_definition_is_named_elsewhere():
+    # a definition that nothing names outside its own body is dead code
+    root = Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "nctorus").glob("*.py"))
+    paths = package + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+    names = {p: _identifiers(t) for p, t in trees.items()}
+    elsewhere = {}  # name -> the paths that name it
+    for p, found in names.items():
+        for name, _ in found:
+            elsewhere.setdefault(name, set()).add(p)
+    dead = []
+    for p in package:
+        for qualified, name, first, last in _definitions(trees[p]):
+            if elsewhere.get(name, set()) - {p}:
+                continue
+            if not any(n == name and not first <= line <= last for n, line in names[p]):
+                dead.append(f"{p.name}: {qualified}")
+    assert len(package) >= 12
+    assert dead == []

@@ -92,7 +92,7 @@ def test_gamma_group_law():
         assert gamma_mul(gamma_mul(es[0], es[1], B, N), es[2], B, N) == gamma_mul(
             es[0], gamma_mul(es[1], es[2], B, N), B, N
         )
-        inv = gamma_inverse(es[0], B, N)
+        inv = gamma_inverse(es[0])
         assert gamma_mul(es[0], inv, B, N) == ident
         assert gamma_mul(inv, es[0], B, N) == ident
     assert gamma_mul(ident, es[0], B, N) == es[0]
@@ -103,7 +103,7 @@ def test_gamma_commutator():
     b = GammaElement((0, 0, 1, 0), Z1)
     comm = gamma_mul(
         gamma_mul(a, b, B, N),
-        gamma_mul(gamma_inverse(a, B, N), gamma_inverse(b, B, N), B, N),
+        gamma_mul(gamma_inverse(a), gamma_inverse(b), B, N),
         B,
         N,
     )
@@ -253,6 +253,36 @@ def test_perturbed_b_fails_the_records_that_read_its_bivector(monkeypatch):
     monkeypatch.setattr(cli, "bfield", doubled)
     failing = ("rho-composition", "ctilde")
     assert statuses() == {f"gerbe:{n}": "FAIL" if n in failing else "PASS" for n in names}
+
+
+def test_cocycle_identity_and_group_law_fail_their_mutants(monkeypatch):
+    # negative controls for the two records no other control reaches: a
+    # cocycle that is not bilinear in the coordinates breaks the 2-cocycle
+    # identity, and a B with a symmetric part breaks c(xi, -xi) = 1, on
+    # which the inverse (-xi, z^(-1)) rests
+    from nctorus import gerbe
+
+    cfg = _e1xe2_window_1()
+
+    def statuses():
+        return {r["name"]: r["status"] for r in cli.suite_gerbe(cfg)}
+
+    def squared(B, xi, xi2, order):
+        b = B.on_coords(xi2, xi)
+        return gerbe.exp_hpi2(order, b * b)
+
+    monkeypatch.setattr(gerbe, "heisenberg_cocycle", squared)
+    assert statuses()["gerbe:cocycle-identity"] == "FAIL"
+    monkeypatch.undo()
+    true_bfield = cli.bfield
+
+    def with_symmetric_part(torus, basis=None):
+        B = true_bfield(torus, basis)
+        rows = tuple(tuple(a + G(int(i == j)) for j, a in enumerate(row)) for i, row in enumerate(B.matrix))
+        return BForm(B.poisson, B.basis, rows)
+
+    monkeypatch.setattr(cli, "bfield", with_symmetric_part)
+    assert statuses()["gerbe:group-law"] == "FAIL"
 
 
 def _window_counts(monkeypatch, g, radius):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus.coeff import GRat, Q
 from nctorus.linalg import rat_solve
@@ -114,3 +115,46 @@ def test_bfield_examples():
     c1, c2, c3 = (1, 0, -1, 2), (0, 1, 1, 0), (2, -1, 0, 1)
     lhs = B.on_coords(tuple(a + b for a, b in zip(c1, c2)), c3)
     assert lhs == B.on_coords(c1, c3) + B.on_coords(c2, c3)
+
+
+# a g = 2 lattice that is not a product of curves
+NON_PRODUCT = ((G(1), G(0)), (G(0, 1), G(0)), (G(Q(1, 2)), G(1)), (G(0, Q(1, 3)), G(Q(1, 2), 1)))
+
+_rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _bforms_with_coords(draw):
+    """B of a random antisymmetric Poisson matrix, on a product torus or
+    on ``NON_PRODUCT``, with two integer coordinate vectors."""
+    g = draw(st.integers(1, 3))
+    entries = {(i, j): G(draw(_rationals), draw(_rationals)) for i in range(g) for j in range(i + 1, g)}
+    poisson = tuple(
+        tuple(entries[i, j] if i < j else -entries[j, i] if j < i else G(0) for j in range(g)) for i in range(g)
+    )
+    if g == 2 and draw(st.booleans()):
+        torus = TorusData(2, NON_PRODUCT, poisson, 4)
+    else:
+        torus = gaussian_product_torus(g, poisson)
+    coords = st.tuples(*[st.integers(-3, 3)] * (2 * g))
+    return bfield(torus), draw(coords), draw(coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bforms_with_coords())
+def test_on_coords_is_the_double_sum_over_the_matrix(case):
+    B, c1, c2 = case
+    cells = [(a * b, B.matrix[k][m]) for k, a in enumerate(c1) for m, b in enumerate(c2)]
+    want = GRat(sum((w * x.re for w, x in cells), Q(0)), sum((w * x.im for w, x in cells), Q(0)))
+    built = [0]
+    new = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Q, "__new__", staticmethod(counting))
+        got = B.on_coords(c1, c2)
+    assert got == want
+    assert built[0] == 0  # integer weights over the canonical triples
