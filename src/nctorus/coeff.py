@@ -47,15 +47,22 @@ rules:
   ``series_exp`` otherwise) and is dense, or only scales the dense side
   when the other log is 0, so parsing, ``scalar_add``, rendering and the
   Taylor oracle keep the dense path;
-- ``==`` compares (unit, mag, log) when both sides are log forms and
-  (unit, series) otherwise;
-- ``hash`` reads (order, unit, h^0 coefficient), which both forms hold.
+- a product with an exact one (the log form of unit 1, mag 1 and log 0,
+  as ``one`` makes it) is the other operand itself, so a chain of
+  products by 1 hands on one object;
+- ``==`` is true on identity; otherwise it compares (unit, mag, log) when
+  both sides are log forms and (unit, series) otherwise;
+- ``hash`` reads (order, unit, h^0 coefficient, h^1 coefficient over the
+  h^0 coefficient), which both forms hold: in log form mag and the h^1
+  coefficient of the log.  So 1, 1 + h and (1 + h)^2 hash apart.  It is
+  computed once per scalar and kept in a slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
 from math import gcd, lcm
 
 __all__ = [
@@ -639,8 +646,12 @@ def series_exp(a: HbarSeries) -> HbarSeries:
     return acc
 
 
+@cache
 def series_log(u: HbarSeries) -> HbarSeries:
-    """log of a series with constant term 1 (Mercator, truncated)."""
+    """log of a series with constant term 1 (Mercator, truncated).
+
+    Memoized: a pure function of an immutable series, and a dense unit is
+    decomposed again on every ``Scalar.inverse`` (see ``_decomposed``)."""
     c0 = u.coeffs[0]
     if not (c0.is_const() and c0.constant_part() == GRAT_ONE):
         raise NotRepresentable("series_log needs constant term 1")
@@ -789,6 +800,7 @@ def _log_form(order: int, unit: "CircleConst", mag: GRat, log) -> "Scalar":
     s.mag = mag
     s.log = log
     s._series = None
+    s._hash = None
     return s
 
 
@@ -797,7 +809,7 @@ class Scalar:
     constructors that make each, and the rules of ``*``, ``inverse``,
     ``==`` and ``hash`` are those of the module docstring."""
 
-    __slots__ = ("order", "unit", "mag", "log", "_series")
+    __slots__ = ("order", "unit", "mag", "log", "_series", "_hash")
 
     def __init__(self, unit, series):
         self.order = series.order
@@ -805,6 +817,7 @@ class Scalar:
         self.mag = None
         self.log = None
         self._series = series
+        self._hash = None
 
     @property
     def series(self) -> HbarSeries:
@@ -814,6 +827,8 @@ class Scalar:
         return s
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Scalar) or self.unit != other.unit:
             return False
         if self.mag is not None and other.mag is not None:
@@ -821,8 +836,25 @@ class Scalar:
         return self.series == other.series
 
     def __hash__(self):
-        c0 = ((0, self.mag),) if self.mag is not None else self._series.coeffs[0].terms
-        return hash((self.order, self.unit, c0))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.order, self.unit) + self._head())
+        return h
+
+    def _head(self):
+        """(h^0 coefficient, h^1 coefficient over it), which equal values
+        share in either form: a log form's mag and its log's h^1
+        coefficient, read off the series of a dense scalar.  A dense h^0
+        coefficient that is not a nonzero constant (no log form equals
+        such a scalar) is returned with the h^1 coefficient as they are."""
+        if self.mag is not None:
+            return self.mag, PI_ZERO if self.log is None else self.log.coeffs[1]
+        coeffs = self._series.coeffs
+        c0, c1 = coeffs[0], coeffs[1] if self.order > 1 else PI_ZERO
+        if len(c0.terms) == 1 and not c0.terms[0][0]:
+            mag = c0.terms[0][1]
+            return mag, c1.scale(mag.inverse())
+        return c0, c1
 
     def __repr__(self):
         return f"Scalar({self.unit!r}, {self.series!r})"
@@ -856,13 +888,18 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         """Log forms multiply by adding logs; with a dense operand the
-        product is the dense one.  A unit 1 on either side leaves the
-        other, already canonical, unit as it is; otherwise the unit
-        product is folded again."""
+        product is the dense one.  A product with an exact one (a log
+        form of unit 1, mag 1 and log 0) is the other operand itself.  A
+        unit 1 on either side leaves the other, already canonical, unit
+        as it is; otherwise the unit product is folded again."""
         if self.order != other.order:
             raise OrderMismatch(f"truncation orders differ: {self.order} != {other.order}")
         u1, u2 = self.unit, other.unit
         m1, m2 = self.mag, other.mag
+        if m2 is not None and other.log is None and not u2.n and m2 == GRAT_ONE:
+            return self
+        if m1 is not None and self.log is None and not u1.n and m1 == GRAT_ONE:
+            return other
         if m1 is not None and m2 is not None:
             mag = cmul(m1, m2)
             if not u1.n:

@@ -58,6 +58,8 @@ __all__ = [
     "poisson_pairing",
     "star_inverse",
     "substitute",
+    "Translation",
+    "translation",
     "translate",
     "scalar_add",
 ]
@@ -182,7 +184,7 @@ def poisson_pairing(spec: SlotSpec, f1: "LinForm", f2: "LinForm") -> GRat:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LinForm:
     """pi * (linear form in the slot variables + const_pi) + const_hbar.
 
@@ -191,6 +193,11 @@ class LinForm:
     pi in the constant part; after normalization its imaginary part has
     been folded away.  ``const_hbar`` is an h-divisible HbarSeries or
     None; normalization folds it into the scalar coefficient.
+
+    A slots dataclass rather than a frozen one, like ``ExpTerm`` and
+    ``ExpSum``: these are created on every product and translation, and
+    a frozen ``__init__`` costs more than twice a plain one.  Treat
+    instances as immutable.
     """
 
     coeffs: tuple
@@ -203,7 +210,7 @@ class LinForm:
             ch = other.const_hbar if ch is None else ch + other.const_hbar
         return LinForm(
             tuple(
-                tuple(a + b for a, b in zip(s1, s2))
+                tuple(map(GRat.__add__, s1, s2))
                 for s1, s2 in zip(self.coeffs, other.coeffs)
             ),
             self.const_pi + other.const_pi,
@@ -230,17 +237,19 @@ class LinForm:
         return tuple(flat)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExpTerm:
-    """scalar coefficient times E(form); always stored normalized."""
+    """scalar coefficient times E(form); always stored normalized.  Treat
+    instances as immutable."""
 
     coeff: Scalar
     form: LinForm
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExpSum:
-    """Normalized sum of ExpTerms with pairwise distinct exponents."""
+    """Normalized sum of ExpTerms with pairwise distinct exponents.  Treat
+    instances as immutable."""
 
     spec: SlotSpec
     terms: tuple
@@ -295,7 +304,7 @@ class ExpSum:
     # -- ring structure -----------------------------------------------
 
     def _check(self, other: "ExpSum") -> None:
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SlotMismatch("operands live over different slot specs")
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
@@ -435,28 +444,52 @@ def substitute(f: ExpSum, m: AffineMap) -> ExpSum:
     return ExpSum.make(src, out)
 
 
-def translate(f: ExpSum, shifts) -> ExpSum:
-    """Substitute along v -> v + vec on every slot of ``shifts``, a map
-    {slot_name: vec, ...}.
+@dataclass(slots=True)
+class Translation:
+    """A translation prepared by ``translation``: over ``spec``, the
+    (slot index, shift vector) ``moves`` of the slots it shifts, each slot
+    at most once.  Treat instances as immutable."""
 
-    Equivalent to ``substitute`` along an ``AffineMap`` with the identity
-    matrix and each named slot's ``shift_vector(vec)`` as its part of the
-    shift, but computed directly: only the exponent constants move, every
-    slot's shift is added in one pass, and the result is built by one
-    ``ExpSum.make``.
+    spec: SlotSpec
+    moves: tuple
+
+
+def translation(spec: SlotSpec, shifts) -> Translation:
+    """Prepare the translation v -> v + vec of every slot of ``shifts``, a
+    map {slot_name: vec, ...} over ``spec``.
+
+    Each named slot becomes its index and its ``shift_vector(vec)``; a slot
+    whose shift is zero is left out.  A caller that translates by the same
+    vectors many times prepares once and passes the result to every
+    ``translate``.
     """
-    spec = f.spec
     moves = []
     for name, vec in shifts.items():
         idx = spec.slot_index(name)
         shift = spec.slots[idx].shift_vector(vec)
         if any(shift):
             moves.append((idx, shift))
+    return Translation(spec, tuple(moves))
+
+
+def translate(f: ExpSum, t: Translation) -> ExpSum:
+    """Substitute along the prepared translation ``t`` (see
+    ``translation``); ``f`` itself when ``t`` moves no slot.
+
+    Equivalent to ``substitute`` along an ``AffineMap`` with the identity
+    matrix and the moved slots' shift vectors as its shift, but computed
+    directly: only the exponent constants move, every slot's shift is
+    added in one pass, and the result is built by one ``ExpSum.make``.
+    """
+    spec = f.spec
+    if spec is not t.spec and spec != t.spec:
+        raise SlotMismatch("translation prepared over other slots than the operand's")
+    moves = t.moves
     if not moves:
         return f
     out = []
-    for t in f.terms:
-        form = t.form
+    for term in f.terms:
+        form = term.form
         add = GRAT_ZERO
         for idx, shift in moves:
             for a, s in zip(form.coeffs[idx], shift):
@@ -464,5 +497,5 @@ def translate(f: ExpSum, shifts) -> ExpSum:
                     add = add + a * s
         if add:
             form = LinForm(form.coeffs, form.const_pi + add, form.const_hbar)
-        out.append((t.coeff, form))
+        out.append((term.coeff, form))
     return ExpSum.make(spec, out)

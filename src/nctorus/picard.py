@@ -60,6 +60,7 @@ from .expalg import (
     SlotSpec,
     star_inverse,
     translate,
+    translation,
 )
 from .gerbe import coordinate_window, sample_window
 from .linalg import grat_solve, rat_solve
@@ -169,7 +170,7 @@ class LatticeGroup:
         return tuple(x + y for x, y in zip(a, b))
 
     def act(self, value: ExpSum, a) -> ExpSum:
-        return translate(value, {"v": combine(a, self.torus.lattice)})
+        return translate(value, translation(value.spec, {"v": combine(a, self.torus.lattice)}))
 
     def window(self, radius: int = 1):
         return coordinate_window(self.rank, radius)
@@ -191,7 +192,12 @@ class Factor:
 
     def translated(self, slot_name: str, w) -> "Factor":
         """Pull the factor back along translation by w on one slot."""
-        return Factor(self.group, lambda e: translate(self.value(e), {slot_name: w}))
+
+        def fn(e):
+            value = self.value(e)
+            return translate(value, translation(value.spec, {slot_name: w}))
+
+        return Factor(self.group, fn)
 
 
 def lattice_pairs(grp: LatticeGroup, radius: int = 1):

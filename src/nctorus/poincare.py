@@ -59,7 +59,9 @@ from .expalg import (
     poisson_pairing,
     star_inverse,
     substitute,
+    Translation,
     translate,
+    translation,
 )
 from .gerbe import (
     check_cases,
@@ -147,12 +149,22 @@ def _default_z_choices(order: int):
 
 class PoincareGroup:
     """Lambda x Gamma: elements (m, x, z) with m, x integer coordinate
-    tuples and z a central invertible scalar.  The Heisenberg cocycle
-    c(x1, x2) is memoized per group: a window re-uses few (x1, x2)."""
+    tuples and z a central invertible scalar.
+
+    Memoized per group: the Heisenberg cocycle c(x1, x2), since a window
+    re-uses few (x1, x2), and the prepared translation of ``act`` per
+    (m, x) of the acting element.  That translation's moves are memoized
+    per m and per x, so lam(m), xi(x) and their shift vectors are built
+    once for each and shared by every (m, x) that uses them.
+    """
 
     def __init__(self, ctx: PoincareContext):
         self.ctx = ctx
         self.cocycle = cache(partial(heisenberg_cocycle, ctx.B, order=ctx.torus.order))
+        spec = ctx.spec2
+        lam_moves = cache(lambda m: translation(spec, {"v": combine(m, ctx.torus.lattice)}).moves)
+        xi_moves = cache(lambda x: translation(spec, {"l": combine(x, ctx.dual.vectors)}).moves)
+        self.translation = cache(lambda m, x: Translation(spec, lam_moves(m) + xi_moves(x)))
 
     @property
     def rank(self) -> int:
@@ -171,9 +183,7 @@ class PoincareGroup:
         """value . (m, x, z): translation by lam(m) on the V slot and by
         xi(x) on the dual slot, both in one ``translate``; z acts trivially."""
         m, x, _ = e
-        return translate(
-            value, {"v": combine(m, self.ctx.torus.lattice), "l": combine(x, self.ctx.dual.vectors)}
-        )
+        return translate(value, self.translation(m, x))
 
     def window(self, radius: int = 1, z_choices=None):
         if z_choices is None:
@@ -372,7 +382,8 @@ def restrict_to_section(ctx: PoincareContext, s, lseries=(), radius: int = 1):
     def ca_value(e, offset) -> ExpSum:
         m, x = e
         w = fiber_point(s, offset, ctx.dual)
-        restricted = substitute(translate(phi.value((m, x, one)), {"l": w}), section)
+        to_fiber = translation(ctx.spec2, {"l": w})
+        restricted = substitute(translate(phi.value((m, x, one)), to_fiber), section)
         return restricted.scale(ctilde(w, x, ctx.B, order))
 
     def iota(offset) -> ExpSum:

@@ -593,5 +593,20 @@ def test_log_form_and_dense_units_agree(x, y):
         # a dense operand materializes the inverse: series_log against series_exp
         assert d * s.inverse() == one and one == s.inverse() * d
         assert _same(s.inverse().inverse(), d)
+        # a product with the exact one is the other operand itself (of two
+        # exact ones, either one)
+        assert one * d is d and d * one is d
+        if s != one:
+            assert one * s is s and s * one is s
     assert _same(x * y, _folded_product(_dense(x), _dense(y)))
     assert (x == y) == (_dense(x) == _dense(y))
+
+
+def test_hash_reads_the_h1_coefficient():
+    # the z keys 1, 1 + h and (1 + h)^2 of the Poincare window share
+    # (order, unit, h^0 coefficient) but hash apart, in either form
+    oneph = Scalar.exp(series_log(HbarSeries.one(N) + HbarSeries.of(N, {1: PI_ONE})))
+    zs = (Scalar.one(N), oneph, oneph * oneph)
+    assert len({hash(z) for z in zs}) == 3
+    for z in zs:
+        assert hash(Scalar(z.unit, z.series)) == hash(z)

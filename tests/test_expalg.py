@@ -31,6 +31,7 @@ from nctorus.expalg import (
     star_inverse,
     substitute,
     translate,
+    translation,
 )
 from nctorus import moyal_oracle as mo
 from nctorus.poincare import make_context
@@ -154,13 +155,13 @@ def test_substitute_identity_and_translate():
     n = spec.nvars
     eye = tuple(tuple(GRat.of(int(i == j)) for j in range(n)) for i in range(n))
     assert substitute(f, AffineMap(spec, spec, eye, (GRAT_ZERO,) * n)) == f
-    assert translate(f, {"v": (GRAT_ZERO, GRAT_ZERO)}) == f
-    t = translate(f, {"v": (GRat.of(1), GRat.of(0, 1))})
+    assert translate(f, translation(spec, {"v": (GRAT_ZERO, GRAT_ZERO)})) == f
+    t = translate(f, translation(spec, {"v": (GRat.of(1), GRat.of(0, 1))}))
     # exponent constant picks up 1*1 + 2*i -> real part symbolic, im to unit
     term = t.single_term()
     assert term.form.const_pi == GRat.of(1 + Q(1, 3))
     assert term.coeff.unit == CircleConst.of(2)  # exp(pi i * 2) = 1
-    back = translate(t, {"v": (GRat.of(-1), GRat.of(0, -1))})
+    back = translate(t, translation(spec, {"v": (GRat.of(-1), GRat.of(0, -1))}))
     assert back == f
 
 
@@ -171,10 +172,11 @@ def test_conjugate_pair_translation():
     f = ExpSum.exponential(
         spec, LinForm(((GRAT_ZERO, GRAT_ONE),), GRAT_ZERO, None)
     )
-    t = translate(f, {"l": (GRat.of(0, 1),)})  # xi = i
+    by_i = translation(spec, {"l": (GRat.of(0, 1),)})  # xi = i
+    t = translate(f, by_i)
     assert t.single_term().coeff == Scalar.one(4).scale(GRat.of(-1))
     g = ExpSum.exponential(spec, LinForm(((GRAT_ONE, GRAT_ZERO),), GRAT_ZERO, None))
-    tg = translate(g, {"l": (GRat.of(0, 1),)})
+    tg = translate(g, by_i)
     assert tg.single_term().coeff == Scalar.one(4).scale(GRat.of(-1))
 
 
@@ -578,9 +580,13 @@ def test_one_pass_translate_is_the_identity_substitution(spec, data):
     n = spec.nvars
     eye = tuple(tuple(GRat.of(int(i == j)) for j in range(n)) for i in range(n))
     shifted = AffineMap(spec, spec, eye, v.shift_vector(a) + l.shift_vector(b))
-    both = translate(f, {"v": a, "l": b})
+    by_a, by_b = translation(spec, {"v": a}), translation(spec, {"l": b})
+    both = translate(f, translation(spec, {"v": a, "l": b}))
     assert both == substitute(f, shifted)
-    assert both == translate(translate(f, {"v": a}), {"l": b})
-    assert both == translate(translate(f, {"l": b}), {"v": a})
+    assert both == translate(translate(f, by_a), by_b)
+    assert both == translate(translate(f, by_b), by_a)
     zero = {"v": (GRAT_ZERO,) * v.dim, "l": (GRAT_ZERO,) * l.dim}
-    assert translate(f, zero) is f and translate(f, {}) is f
+    assert translate(f, translation(spec, zero)) is f and translate(f, translation(spec, {})) is f
+    # a translation prepared over other slots is refused
+    with pytest.raises(SlotMismatch):
+        translate(f, translation(SlotSpec((v,), spec.order), {"v": a}))

@@ -236,7 +236,8 @@ def test_inverted_ctilde_fails_the_records_that_rest_on_it(monkeypatch):
 def test_perturbed_b_fails_the_records_that_read_its_bivector(monkeypatch):
     # negative control: double B's dual-basis matrix but keep its bivector;
     # rho composition and ctilde read both and must FAIL, while the other
-    # records read only the matrix, on which any bilinear form passes
+    # records read only the matrix and pass on any antisymmetric one (the
+    # group law's inverse needs B(xi, xi) = 0, which the doubled matrix keeps)
     cfg = _e1xe2_window_1()
 
     def statuses():

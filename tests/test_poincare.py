@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -210,11 +211,10 @@ def test_sections_fail_with_the_wrong_iota_sign(ctx, s, monkeypatch):
     assert restrict_to_section(ctx, s)[1]["status"] == "FAIL"
 
 
-def test_g1_cocycle_window_makes_no_series_product(monkeypatch):
-    # every coefficient of the g1 Poincare cocycle check is a log form, so
-    # the 26,244 pairs of the radius-1 window multiply no dense series
+def _g1_cocycle_window():
+    """The cached g1 Poincare factor and the 26,244 pairs of its radius-1
+    window."""
     from nctorus.cli import parse_config
-    from nctorus.picard import cocycle_holds
 
     path = os.path.join(os.path.dirname(poincare.__file__), "fixtures", "g1.json")
     with open(path) as fh:
@@ -223,6 +223,15 @@ def test_g1_cocycle_window_makes_no_series_product(monkeypatch):
     window = factor.group.window(1)
     pairs = [(a, b) for a in window for b in window]
     assert len(pairs) == 26244
+    return factor, pairs
+
+
+def test_g1_cocycle_window_makes_no_series_product(monkeypatch):
+    # every coefficient of the g1 Poincare cocycle check is a log form, so
+    # the 26,244 pairs of the radius-1 window multiply no dense series
+    from nctorus.picard import cocycle_holds
+
+    factor, pairs = _g1_cocycle_window()
     calls = [0]
     product = HbarSeries.__mul__
 
@@ -233,3 +242,23 @@ def test_g1_cocycle_window_makes_no_series_product(monkeypatch):
     monkeypatch.setattr(HbarSeries, "__mul__", counting)
     assert all(cocycle_holds(factor, a, b) for a, b in pairs)
     assert calls[0] == 0
+
+
+def test_g1_cocycle_window_combines_per_element_not_per_pair(monkeypatch):
+    # lam(m) and xi(x) are combined once per factor evaluation (1,875 cache
+    # misses, 3,750 calls) and, for the translation of the action, once per
+    # distinct m and per distinct x (9 of each), not twice per pair
+    from nctorus.picard import cocycle_holds
+
+    factor, pairs = _g1_cocycle_window()
+    calls = [0]
+
+    def counting(coeffs, vectors):
+        calls[0] += 1
+        return combine(coeffs, vectors)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nctorus.") and getattr(module, "combine", None) is combine:
+            monkeypatch.setattr(module, "combine", counting)
+    assert all(cocycle_holds(factor, a, b) for a, b in pairs)
+    assert calls[0] <= 3750 + 18
