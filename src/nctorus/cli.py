@@ -10,13 +10,13 @@ timings are reported separately as they cannot be deterministic.
 from __future__ import annotations
 
 import json
-import os
 import random
 import sys
 import time
 import traceback
 from dataclasses import dataclass
 from functools import partial
+from itertools import permutations
 from math import comb
 
 import click
@@ -57,6 +57,7 @@ from .picard import (
     lattice_slotspec,
     obstruction0,
     qah_factor,
+    quotient,
     reduce_to_qah,
     validate_semicharacter,
 )
@@ -71,18 +72,6 @@ from .poincare import (
 from .sampling import random_grat, random_qah
 from .textfmt import expsum_str, parse_expsum
 from .torus import TorusData, bfield, dual_lattice, pairing, validate_torus
-
-SUITES = (
-    "torus",
-    "quantizable",
-    "qpic",
-    "poincare",
-    "convolution",
-    "gerbe",
-    "fm",
-    "cohomology",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -296,21 +285,17 @@ def suite_torus(cfg: RunConfig):
 def suite_quantizable(cfg: RunConfig):
     out = []
     for b in cfg.bundles:
-        quant = is_quantizable(b.ns, cfg.torus)
+        # quantizable exactly when ob_0 has no nonzero entry to witness
+        ob = obstruction0(b.ns, cfg.torus)
+        witness = next(
+            ({"pair": [i, j], "value": str(p)} for i, row in enumerate(ob) for j, p in enumerate(row) if p),
+            None,
+        )
+        quant = witness is None
         label = "quantizable" if quant else "obstructed"
         status = "PASS"
         if b.expect_quantizable is not None and quant != b.expect_quantizable:
             status = "FAIL"
-        ob = obstruction0(b.ns, cfg.torus)
-        witness = None
-        if not quant:
-            for i, row in enumerate(ob):
-                for j, p in enumerate(row):
-                    if not p.is_zero():
-                        witness = {"pair": [i, j], "value": str(p)}
-                        break
-                if witness:
-                    break
         out.append(
             _record(f"quantizable:{b.name}", f"{status}-{label}", witness=witness)
         )
@@ -491,32 +476,16 @@ def suite_cohomology(cfg: RunConfig):
     # the degree-zero data of each constant section, from its restriction
     ctx = make_context(torus)
     restricted = [restrict_to_section(ctx, s, ls, radius=cfg.window) for s, ls in cfg.sections]
-    # hom orthogonality between distinct constant sections
+    # hom orthogonality between distinct constant sections: Hom(L_s, L_t)
+    # is the cohomology of L_t (x) L_s^{-1}, which must not be free
     if len(restricted) > 1:
-        ok = True
-        pairs = 0
-        for i, (ds, _) in enumerate(restricted):
-            for j, (dt, _) in enumerate(restricted):
-                if i == j:
-                    continue
-                chi_d = Semicharacter(
-                    tuple(ct * cs.inverse() for ct, cs in zip(dt.chi.values, ds.chi.values))
-                )
-                ls, lt = ds.l, dt.l
-                ldiff = []
-                for k in range(max(len(ls), len(lt))):
-                    a = lt[k] if k < len(lt) else (GRAT_ZERO,) * g
-                    b = ls[k] if k < len(ls) else (GRAT_ZERO,) * g
-                    ldiff.append(tuple(x - y for x, y in zip(a, b)))
-                vd = classify_cohomology(QAHData(hzero, chi_d, tuple(ldiff)), torus)
-                pairs += 1
-                if vd.kind == "FreeTrivial":
-                    ok = False
+        pairs = list(permutations([d for d, _ in restricted], 2))
+        ok = all(classify_cohomology(quotient(t, s), torus).kind != "FreeTrivial" for s, t in pairs)
         out.append(
             _record(
                 "cohomology:section-orthogonality",
                 "PASS" if ok else "FAIL",
-                pairs=pairs,
+                pairs=len(pairs),
             )
         )
     # section restriction comparison
@@ -535,6 +504,7 @@ SUITE_FUNCS = {
     "fm": suite_fm,
     "cohomology": suite_cohomology,
 }
+SUITES = tuple(SUITE_FUNCS)
 
 
 def run(cfg: RunConfig) -> dict:
@@ -575,7 +545,7 @@ def main():
 @main.command("run")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--suite", "suites", multiple=True, help="run only the named suites")
-@click.option("--window", default=None, help="override window radius (default: NCT_WINDOW, then the file)")
+@click.option("--window", default=None, help="override window radius (default: the file)")
 @click.option("--order", type=int, default=None, help="override truncation order")
 @click.option("--out", type=click.Path(), default=None, help="write the JSON report here")
 def run_cmd(config, suites, window, order, out):
@@ -589,9 +559,6 @@ def run_cmd(config, suites, window, order, out):
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
         cfg.checks = list(suites) or cfg.checks
-        # the effective window: --window, then NCT_WINDOW, then the file
-        if window is None:
-            window = os.environ.get("NCT_WINDOW") or None
         if window is not None:
             cfg.window = _int(window, "window", 0)
         if order is not None:

@@ -459,12 +459,6 @@ class PiPoly:
             return PI_ZERO
         return PiPoly(tuple((d, x * c) for d, x in self.terms))
 
-    def scale_rat(self, q) -> "PiPoly":
-        q = _rat(q)
-        if q == 0:
-            return PI_ZERO
-        return PiPoly(tuple((d, x.scale(q)) for d, x in self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -622,9 +616,6 @@ class HbarSeries:
     def scale(self, c: GRat) -> "HbarSeries":
         return HbarSeries(self.order, tuple(a.scale(c) for a in self.coeffs))
 
-    def scale_rat(self, q) -> "HbarSeries":
-        return HbarSeries(self.order, tuple(a.scale_rat(q) for a in self.coeffs))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -639,7 +630,7 @@ def series_exp(a: HbarSeries) -> HbarSeries:
     acc = HbarSeries.one(a.order)
     term = HbarSeries.one(a.order)
     for k in range(1, a.order):
-        term = (term * a).scale_rat(Q(1, k))
+        term = (term * a).scale(_grat(1, 0, k))
         if term.is_zero():
             break
         acc = acc + term
@@ -662,7 +653,7 @@ def series_log(u: HbarSeries) -> HbarSeries:
         term = term * x
         if term.is_zero():
             break
-        acc = acc + term.scale_rat(Q((-1) ** (k + 1), k))
+        acc = acc + term.scale(_grat((-1) ** (k + 1), 0, k))
     return acc
 
 

@@ -85,6 +85,7 @@ __all__ = [
     "coboundary_twist",
     "extension_obstruction",
     "reduce_to_qah",
+    "quotient",
     "classify_cohomology",
     "CohomologyVerdict",
 ]
@@ -190,15 +191,6 @@ class Factor:
         """Memoize evaluations (elements must be hashable)."""
         return Factor(self.group, cache(self.fn))
 
-    def translated(self, slot_name: str, w) -> "Factor":
-        """Pull the factor back along translation by w on one slot."""
-
-        def fn(e):
-            value = self.value(e)
-            return translate(value, translation(value.spec, {slot_name: w}))
-
-        return Factor(self.group, fn)
-
 
 def lattice_pairs(grp: LatticeGroup, radius: int = 1):
     """Window pairs for the cocycle check (policy: ``sample_window``)."""
@@ -239,21 +231,16 @@ def coboundary_twist(factor: Factor, u: ExpSum) -> Factor:
 # Neron-Severi data and semicharacters
 
 
+def _im_table(ns: NSData, torus: TorusData):
+    lat = torus.lattice
+    return [[ns.value(a, b).im for b in lat] for a in lat]
+
+
 def validate_ns(ns: NSData, torus: TorusData) -> bool:
     """Hermitian plus Im H(lambda_i, lambda_j) in Z on generator pairs."""
     if not ns.is_hermitian():
         raise CoeffError("matrix is not Hermitian")
-    for li in torus.lattice:
-        for lj in torus.lattice:
-            v = ns.value(li, lj).im
-            if v.denominator != 1:
-                return False
-    return True
-
-
-def _im_table(ns: NSData, torus: TorusData):
-    lat = torus.lattice
-    return [[ns.value(a, b).im for b in lat] for a in lat]
+    return all(e.denominator == 1 for row in _im_table(ns, torus) for e in row)
 
 
 def semicharacter_value(
@@ -532,6 +519,20 @@ class CohomologyVerdict:
     dims: tuple = None  # FreeTrivial: dim H^k for k = 0..g
     h0_zero: bool = None
     h1_nonzero: bool = None
+
+
+def quotient(t: QAHData, s: QAHData) -> QAHData:
+    """The data of L_t (x) L_s^{-1}, whose cohomology is Hom(L_s, L_t):
+    H_t - H_s, chi_t / chi_s, and l_t - l_s with the shorter series
+    padded by zeros."""
+    zero = (GRAT_ZERO,) * len(t.ns.matrix)
+    n = max(len(t.l), len(s.l))
+    lt, ls = (tuple(d.l) + (zero,) * (n - len(d.l)) for d in (t, s))
+    return QAHData(
+        NSData(tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(t.ns.matrix, s.ns.matrix))),
+        Semicharacter(tuple(a * b.inverse() for a, b in zip(t.chi.values, s.chi.values))),
+        tuple(tuple(a - b for a, b in zip(p, q)) for p, q in zip(lt, ls)),
+    )
 
 
 def classify_cohomology(data: QAHData, torus: TorusData) -> CohomologyVerdict:

@@ -151,19 +151,22 @@ class PoincareGroup:
     """Lambda x Gamma: elements (m, x, z) with m, x integer coordinate
     tuples and z a central invertible scalar.
 
-    Memoized per group: the Heisenberg cocycle c(x1, x2), since a window
-    re-uses few (x1, x2), and the prepared translation of ``act`` per
-    (m, x) of the acting element.  That translation's moves are memoized
-    per m and per x, so lam(m), xi(x) and their shift vectors are built
-    once for each and shared by every (m, x) that uses them.
+    Memoized per group, each by the ``functools.cache`` that computes it:
+    lam(m) and xi(x), so a window builds each once for the factor, its
+    translations and the sub-checks alike; the Heisenberg cocycle
+    c(x1, x2), since a window re-uses few (x1, x2); and the prepared
+    translation of ``act`` per (m, x) of the acting element, built from
+    moves memoized per m and per x.
     """
 
     def __init__(self, ctx: PoincareContext):
         self.ctx = ctx
-        self.cocycle = cache(partial(heisenberg_cocycle, ctx.B, order=ctx.torus.order))
         spec = ctx.spec2
-        lam_moves = cache(lambda m: translation(spec, {"v": combine(m, ctx.torus.lattice)}).moves)
-        xi_moves = cache(lambda x: translation(spec, {"l": combine(x, ctx.dual.vectors)}).moves)
+        self.lam = cache(lambda m: combine(m, ctx.torus.lattice))
+        self.xi = cache(lambda x: combine(x, ctx.dual.vectors))
+        self.cocycle = cache(partial(heisenberg_cocycle, ctx.B, order=ctx.torus.order))
+        lam_moves = cache(lambda m: translation(spec, {"v": self.lam(m)}).moves)
+        xi_moves = cache(lambda x: translation(spec, {"l": self.xi(x)}).moves)
         self.translation = cache(lambda m, x: Translation(spec, lam_moves(m) + xi_moves(x)))
 
     @property
@@ -194,18 +197,19 @@ class PoincareGroup:
 
 def poincare_factor(ctx: PoincareContext) -> Factor:
     """phi(lam, (xi, z)) = z E(pi(<l + xi, lam> + conj<xi, v>)), evaluated
-    afresh each time: a loop over a window asks for ``.cached()``."""
+    afresh each time: a loop over a window asks for ``.cached()``.  lam
+    and xi are the group's."""
     g = ctx.torus.g
+    grp = PoincareGroup(ctx)
 
     def fn(e):
         m, x, z = e
-        lam = combine(m, ctx.torus.lattice)
-        xi = combine(x, ctx.dual.vectors)
+        lam, xi = grp.lam(m), grp.xi(x)
         vcoef = tuple(a.conj() for a in xi)
         lcoef = tuple(l.conj() for l in lam) + tuple([GRAT_ZERO] * g)
         return ExpSum.exponential(ctx.spec2, LinForm((vcoef, lcoef), pairing(xi, lam), None), z)
 
-    return Factor(PoincareGroup(ctx), fn)
+    return Factor(grp, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,6 @@ def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
 
     coords = coordinate_window(grp.rank, radius)
     pairs = list(iproduct(coords, coords))
-    xi = {x: combine(x, ctx.dual.vectors) for x in coords}
     # f_xi = pi conj<xi, v>, the exponent of phi(0, (xi, 1))
     origin, one = (0,) * grp.rank, Scalar.one(ctx.torus.order)
     f = {x: factor.value((origin, x, one)).single_term().form for x in coords}
@@ -240,20 +243,19 @@ def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
     def needtoshow(p):
         # c(x1,x2) E(pi conj<x1+x2, v>) = E(pi conj<x2,v>) * E(pi conj<x1,v>)
         x1, x2 = p
-        c = heisenberg_cocycle(ctx.B, x1, x2, ctx.torus.order)
-        lhs = ExpSum.exponential(ctx.spec2, f[x1] + f[x2], c)
+        lhs = ExpSum.exponential(ctx.spec2, f[x1] + f[x2], grp.cocycle(x1, x2))
         rhs = ExpSum.exponential(ctx.spec2, f[x2]).star(ExpSum.exponential(ctx.spec2, f[x1]))
         return lhs == rhs
 
     def showme(p):
         # {f_xi2, f_xi1} = pi^2 B(xi2, xi1), with the pairing the star product uses
         x1, x2 = p
-        return poisson_pairing(ctx.spec2, f[x2], f[x1]) == ctx.B.value(xi[x2], xi[x1])
+        return poisson_pairing(ctx.spec2, f[x2], f[x1]) == ctx.B.value(grp.xi(x2), grp.xi(x1))
 
     def split_agrees(p):
         # the unsimplified first line: split constants agree on lattice pairs
         m, x = p
-        q = pairing(xi[x], combine(m, ctx.torus.lattice))
+        q = pairing(grp.xi(x), grp.lam(m))
         if q.im.denominator != 1:
             return False
         zero = ctx.spec2.zero_form().coeffs
@@ -297,18 +299,21 @@ def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
 def translation_coboundary(ctx: PoincareContext, w) -> ExpSum:
     """Witness u with translate(phi, v += w) = u^{-1} * phi * (u . el):
     u = E(pi conj<l, w>), expressed through the conjugated dual-slot
-    coordinates.  Verified exactly on the window before returning."""
+    coordinates.  Verified exactly on the window before returning, with
+    the shift by w prepared once.  The kernel is not ``.cached()``: a
+    memo would save one evaluation per window element, cheap with the
+    group's lam and xi, and hold the whole window (13,122 values at
+    g = 2)."""
     g = ctx.torus.g
     factor = poincare_factor(ctx)
-    grp = factor.group
     lcoef = tuple([GRAT_ZERO] * g) + tuple(w)
     u = ExpSum.exponential(
         ctx.spec2, LinForm((tuple([GRAT_ZERO] * g), lcoef), GRAT_ZERO, None)
     )
-    translated = factor.translated("v", w)
+    shift = translation(ctx.spec2, {"v": w})
     twisted = coboundary_twist(factor, u)
-    for e in grp.window():
-        if translated.value(e) != twisted.value(e):
+    for e in factor.group.window():
+        if translate(factor.value(e), shift) != twisted.value(e):
             raise CoeffError(f"translation coboundary witness fails at {e}")
     return u
 

@@ -232,13 +232,14 @@ def _run_minimal(tmp_path, *args, env=None):
     return res, (json.loads(out.read_text()) if res.exit_code != 2 else None)
 
 
-def test_nct_window_env(tmp_path, monkeypatch):
-    # the file says 1; NCT_WINDOW overrides it, and --window overrides both
-    monkeypatch.delenv("NCT_WINDOW", raising=False)
+def test_nct_window_env(tmp_path):
+    # the window comes from --window, then the file; NCT_WINDOW is not read,
+    # so a set one, even an unreadable one, changes nothing
     assert parse_config(MINIMAL).window == 1
-    res, report = _run_minimal(tmp_path, env={"NCT_WINDOW": "2"})
-    assert res.exit_code == 0, res.output
-    assert report["window"] == 2
+    for value in ("2", "abc"):
+        res, report = _run_minimal(tmp_path, env={"NCT_WINDOW": value})
+        assert res.exit_code == 0, res.output
+        assert report["window"] == 1
     res, report = _run_minimal(tmp_path, "--window", "0", env={"NCT_WINDOW": "2"})
     assert res.exit_code == 0, res.output
     assert report["window"] == 0
@@ -249,8 +250,6 @@ def test_nct_window_env(tmp_path, monkeypatch):
     [
         (["--window", "-1"], None),
         (["--window", "x"], None),
-        ([], {"NCT_WINDOW": "-1"}),
-        ([], {"NCT_WINDOW": "abc"}),
         (["--order", "1"], None),
     ],
 )
@@ -395,6 +394,26 @@ def test_qpic_canonicalization_fails_with_the_wrong_l(monkeypatch):
     monkeypatch.setattr(cli, "reduce_to_qah", negated_l)
     rec = _qpic_statuses()["qpic:canonicalization"]
     assert rec["status"] == "FAIL" and rec["failures"] == 5
+
+
+def test_translation_coboundary_fails_with_the_wrong_witness(monkeypatch):
+    # negative control: twisting by u^{-1}, or by u * u (the witness of 2w),
+    # in place of u breaks the translation identity of the Poincare factor
+    from nctorus import poincare
+    from nctorus.expalg import star_inverse
+
+    with open(fixture_path("g1.json")) as fh:
+        cfg = parse_config(fh.read())
+
+    def status():
+        recs = {r["name"]: r for r in cli.suite_poincare(cfg)}
+        return recs["poincare:translation-coboundary"]["status"]
+
+    assert status() == "PASS"
+    twist = poincare.coboundary_twist
+    for wrong in (star_inverse, lambda u: u.star(u)):
+        monkeypatch.setattr(poincare, "coboundary_twist", lambda factor, u, wrong=wrong: twist(factor, wrong(u)))
+        assert status() == "FAIL"
 
 
 def _g1_with(path, value):
@@ -559,10 +578,9 @@ def test_fuzzed_slots_give_a_spec_or_a_parse_error(raw):
 
 
 @pytest.mark.parametrize("name", ["g1.json", "e1xe2.json"])
-def test_run_results_match_the_reference_digest(name, monkeypatch):
+def test_run_results_match_the_reference_digest(name):
     # the byte contract of the deterministic ``results`` block, against the
     # sha256 the benchmark checks every round with
-    monkeypatch.delenv("NCT_WINDOW", raising=False)
     with open(os.path.join(ROOT, "perfbench", "reference_results.json"), encoding="utf-8") as fh:
         want = json.load(fh)[name]
     with open(fixture_path(name), encoding="utf-8") as fh:

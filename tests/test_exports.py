@@ -98,3 +98,17 @@ def test_every_definition_is_named_elsewhere():
                 dead.append(f"{p.name}: {qualified}")
     assert len(package) >= 12
     assert dead == []
+
+
+def test_no_module_reads_the_environment():
+    # a run is set by its configuration file and the command line only
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "nctorus").glob("*.py"))
+    assert len(paths) >= 11
+    found = [
+        f"{p.name}:{line}"
+        for p in paths
+        for name, line in _identifiers(ast.parse(p.read_text(encoding="utf-8")))
+        if name in ("environ", "getenv")
+    ]
+    assert found == []

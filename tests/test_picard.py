@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,7 @@ from nctorus.picard import (
     lattice_slotspec,
     obstruction0,
     qah_factor,
+    quotient,
     reduce_to_qah,
     semicharacter_value,
     validate_ns,
@@ -285,3 +287,30 @@ def test_classifier_verdicts():
         assert v.kind == "NontrivialDeformation" and v.h0_zero and v.h1_nonzero
     with pytest.raises(CoeffError):
         classify_cohomology(QAHData(H_M, CHI1_2, ()), T2)
+
+
+HALF, THIRD = CircleConst.of(Q(1, 2)), CircleConst.of(Q(1, 3))
+
+
+def test_quotient_subtracts_the_data():
+    # L_t (x) L_s^{-1}: H_t - H_s, chi_t / chi_s, and l_t - l_s with the
+    # shorter series padded by zeros, whichever side is shorter
+    t = QAHData(H_LM, Semicharacter((HALF, THIRD, CIRCLE_ONE, HALF)), ((G(1), G(0, 1)), (G(2), G(0))))
+    s = QAHData(H_M, Semicharacter((THIRD, THIRD, HALF, CIRCLE_ONE)), ((G(Q(1, 2)), G(0)),))
+    q = quotient(t, s)
+    assert q.ns == H_L
+    assert q.chi.values == (CircleConst.of(Q(1, 6)), CIRCLE_ONE, CircleConst.of(Q(3, 2)), HALF)
+    assert q.l == ((G(Q(1, 2)), G(0, 1)), (G(2), G(0)))
+    assert quotient(s, t).l == ((G(Q(-1, 2)), G(0, -1)), (G(-2), G(0)))
+    assert quotient(s, t).chi.values == tuple(c.inverse() for c in q.chi.values)
+
+
+def test_quotient_is_free_exactly_for_equal_data():
+    zero = NSData(((G(0),),))
+    d = QAHData(zero, Semicharacter((THIRD, HALF)), ((G(1),),))
+    assert classify_cohomology(quotient(d, d), T1).kind == "FreeTrivial"
+    # a zero tail pads to the same series
+    assert classify_cohomology(quotient(d, replace(d, l=((G(1),), (G(0),)))), T1).kind == "FreeTrivial"
+    assert classify_cohomology(quotient(d, replace(d, chi=CHI1_1)), T1).kind == "AllVanish"
+    for l in (((G(2),),), ((G(1),), (G(1),)), ()):
+        assert classify_cohomology(quotient(d, replace(d, l=l)), T1).kind == "NontrivialDeformation"
