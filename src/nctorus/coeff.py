@@ -956,7 +956,9 @@ class Scalar:
         if not c0.is_const() or c0.is_zero():
             raise NotInvertible("series unit must have invertible h^0 term")
         mag = c0.terms[0][1]
-        return mag, series_log(series.scale(mag.inverse())) if any(series.coeffs[1:]) else None
+        if not any(series.coeffs[1:]):
+            return mag, None
+        return mag, series_log(series if mag == GRAT_ONE else series.scale(mag.inverse()))
 
     def inverse(self) -> "Scalar":
         """unit^-1 * mag^-1 * exp(-log), in log form."""

@@ -339,10 +339,14 @@ def qah_factor(data: QAHData, torus: TorusData, spec: SlotSpec = None) -> Factor
 # obstruction theory
 
 
+@cache
 def obstruction0(ns: NSData, torus: TorusData):
     """Matrix of {h_lam_j, h_lam_i} on generator pairs (i row, j column):
     entry (i, j) is the obstruction value at the pair (lam_i, lam_j),
-    a pi^2 multiple as a PiPoly."""
+    a pi^2 multiple as a PiPoly.
+
+    Memoized: a pure function of frozen data, read by the quantizable
+    suite, ``is_quantizable``, ``qah_factor`` and ``reduce_to_qah``."""
     rows = [ns.row_form(lam) for lam in torus.lattice]
     n = len(rows)
     out = []

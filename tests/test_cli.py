@@ -364,6 +364,26 @@ def _qpic_statuses(name="g1.json"):
     return {r["name"]: r for r in cli.suite_qpic(cfg)}
 
 
+def test_qpic_builds_each_obstruction_table_once(monkeypatch):
+    # is_quantizable runs in the suite, again in qah_factor and again in
+    # reduce_to_qah: on g1 that asks 21 times about 5 distinct (ns, torus)
+    # pairs (2 bundle classes, 3 among the canonicalization trials), and
+    # each table is built once
+    asked = []
+    quantizable = picard.is_quantizable
+
+    def recording(ns, torus):
+        asked.append((ns, torus))
+        return quantizable(ns, torus)
+
+    monkeypatch.setattr(cli, "is_quantizable", recording)
+    monkeypatch.setattr(picard, "is_quantizable", recording)
+    picard.obstruction0.cache_clear()
+    assert all(r["status"] == "PASS" for r in _qpic_statuses().values())
+    assert len(asked) == 21
+    assert picard.obstruction0.cache_info().misses == len(set(asked)) == 5
+
+
 def test_qpic_fails_without_the_semicharacter_cross_term(monkeypatch):
     # negative control: chi extended without exp(pi i sum_{k<m} n_k n_m E_km)
     # is no semicharacter once Im H is nonzero, as for g1's theta bundle

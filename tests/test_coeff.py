@@ -247,12 +247,13 @@ def test_complex_product_kernel_matches_schoolbook(a, b, c, d):
     den2, nums2 = over_lcd([GRat(c, d)])
     assert den1 == lcm(a.denominator, b.denominator)
     assert [(Q(x, den1), Q(y, den1)) for x, y in nums1] == [(a, b)]
-    pair = _mul_trunc({(0,): nums1[0]}, {(0,): nums2[0]}, 0)
+    # constants are degree-0 polynomials: one layer holding the code 0
+    pair, = _mul_trunc([((1, 0), [{0: nums1[0]}], [{0: nums2[0]}])], 0)
     den = den1 * den2
     if want[0] or want[1]:
         (key, (re, im)), = pair.items()
         val = (Q(re, den), Q(im, den))
-        assert key == (0,) and parts(val) == parts(want)
+        assert key == 0 and parts(val) == parts(want)
         assert hash(val) == hash(want)
     else:
         assert pair == {}
@@ -466,8 +467,16 @@ def test_quarter_turn_fold_matches_product_by_i_power(series, k):
 @given(st.integers(1, 3), st.integers(0, 5), st.data())
 def test_exp_poly_integer_form_matches_taylor_coefficients(nvars, degree, data):
     lin = data.draw(st.lists(st.builds(GRat, rationals, rationals), min_size=nvars, max_size=nvars))
-    poly, den = _exp_poly(lin, nvars, degree)
+    # the smallest base that holds a digit of ``degree``
+    base = degree + 1
+    packed, den = _exp_poly(lin, range(nvars), base, degree)
     assert isinstance(den, int) and den > 0
+    poly = {}
+    for m, layer in enumerate(packed):
+        for code, v in layer.items():
+            alpha = tuple(code // base**i % base for i in range(nvars))
+            assert sum(alpha) == m and alpha not in poly
+            poly[alpha] = v
     want = {}
     for alpha in itertools.product(range(degree + 1), repeat=nvars):
         if sum(alpha) > degree:
@@ -484,6 +493,30 @@ def test_exp_poly_integer_form_matches_taylor_coefficients(nvars, degree, data):
     for alpha, (re, im) in poly.items():
         assert type(re) is int and type(im) is int
         assert (Q(re, den), Q(im, den)) == (want[alpha].re, want[alpha].im)
+
+
+def test_inverse_of_a_dense_unit_with_magnitude_one_scales_no_series(monkeypatch):
+    # series_log reads such a series as it is: a rescaled copy would be
+    # built, then hashed again before the series_log memo answers
+    tail = {1: PiPoly.pi_power(2, GRat.of(Q(1, 3))), 2: PiPoly.pi_power(1, GRat.of(0, 2))}
+    one = Scalar(CIRCLE_ONE, HbarSeries.of(N, {0: PI_ONE, **tail}))
+    two = Scalar(CIRCLE_ONE, HbarSeries.of(N, {0: PiPoly.const(GRat.of(2)), **tail}))
+    half = GRat.of(Q(1, 2))
+    series_log(one.series), series_log(two.series.scale(half))  # fill the memo
+    calls = [0]
+    scale = HbarSeries.scale
+
+    def counting(self, c):
+        calls[0] += 1
+        return scale(self, c)
+
+    monkeypatch.setattr(HbarSeries, "scale", counting)
+    inv_one = one.inverse()
+    assert calls[0] == 0
+    inv_two = two.inverse()
+    assert calls[0] == 1
+    monkeypatch.undo()
+    assert one * inv_one == Scalar.one(N) and two * inv_two == Scalar.one(N)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
+import itertools
 import random
-from math import gcd
+from math import factorial, gcd
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +18,6 @@ from nctorus.coeff import (
     PiPoly,
     Q,
     Scalar,
-    gauss_mac,
     series_exp,
 )
 from nctorus.expalg import (
@@ -370,66 +371,100 @@ def _monomial_times_coeff(t, d, c, order):
     return t.coeff * Scalar(CIRCLE_ONE, HbarSeries.of(order, {0: PiPoly.pi_power(d, c)}))
 
 
+def _monomials(n, degree):
+    """Exponent tuples in n variables of total degree at most ``degree``."""
+    for d in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(n), d):
+            yield tuple(combo.count(i) for i in range(n))
+
+
+def _ref_exp_poly(lin, degree):
+    """{alpha: prod_i lin[i]^alpha_i / alpha_i!}: the Taylor coefficients
+    of E(pi sum_i lin[i] x_i) up to total degree, without their
+    pi^|alpha|, zeros dropped."""
+    out = {}
+    for alpha in _monomials(len(lin), degree):
+        c = GRAT_ONE
+        for x, e in zip(lin, alpha):
+            for _ in range(e):
+                c = c * x
+            c = c.scale(Q(1, factorial(e)))
+        if c:
+            out[alpha] = c
+    return out
+
+
+def _ref_deriv(poly, alpha, degree):
+    """d^alpha of a tuple-monomial polynomial, up to total degree."""
+    out = {}
+    for m, c in poly.items():
+        if all(e >= a for e, a in zip(m, alpha)) and sum(m) - sum(alpha) <= degree:
+            falling = 1
+            for e, a in zip(m, alpha):
+                falling *= factorial(e) // factorial(e - a)
+            out[tuple(e - a for e, a in zip(m, alpha))] = c.scale(Q(falling))
+    return out
+
+
+def _lin(t):
+    return [c for s in t.form.coeffs for c in s]
+
+
 def _scalar_expand(f, degree):
     order = f.spec.order
     result = {}
     for t in f.terms:
-        poly, den = mo._exp_poly(mo._flat(t.form), f.spec.nvars, degree)
-        for mono, (a, b) in poly.items():
-            scal = _monomial_times_coeff(t, sum(mono), GRat(Q(a, den), Q(b, den)), order)
+        for mono, c in _ref_exp_poly(_lin(t), degree).items():
+            scal = _monomial_times_coeff(t, sum(mono), c, order)
             _scalar_accumulate(result, t.form.const_pi, mono, scal)
     return result
 
 
 def _scalar_oracle(f, g, degree):
-    """The oracle's output as Scalars: each monomial's h-levels become a
-    Scalar over their own denominators, multiplied by the term pair's
-    coefficient product, one Scalar product per monomial."""
+    """sum_k h^k P^k (f (x) g) / k! multiplied out in GRats: each operand
+    term expanded in all variables to degree + order - 1, differentiated
+    and multiplied monomial by monomial; each monomial's h-levels are a
+    Scalar, multiplied by the term pair's coefficient product."""
     spec = f.spec
     n, order = spec.nvars, spec.order
-    pvars, cvars = mo._var_split(spec)
-    np_, nc = len(pvars), len(cvars)
-    entries, lp = mo._pairing_entries(spec, pvars)
+    entries = []  # (i, j, weight) of P on global variables
+    offset = 0
+    for s in spec.slots:
+        if s.poisson is not None:
+            for i in range(s.dim):
+                for j in range(s.dim):
+                    w = -s.poisson[i][j] if s.opposite else s.poisson[i][j]
+                    if w:
+                        entries.append((offset + i, offset + j, w))
+        offset += s.nvars
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     result = {}
     for t1 in f.terms:
-        flat1 = mo._flat(t1.form)
-        p1, den1 = mo._exp_poly([flat1[i] for i in pvars], np_, degree + order - 1)
-        c1, cden1 = mo._exp_poly([flat1[i] for i in cvars], nc, degree)
+        p1 = _ref_exp_poly(_lin(t1), degree + order - 1)
         for t2 in g.terms:
-            flat2 = mo._flat(t2.form)
-            p2, den2 = mo._exp_poly([flat2[i] for i in pvars], np_, degree + order - 1)
-            c2, cden2 = mo._exp_poly([flat2[i] for i in cvars], nc, degree)
-            comm = mo._mul_trunc(c1, c2, degree)
-            cache1, cache2 = {(0,) * np_: p1}, {(0,) * np_: p2}
-            state = {((0,) * np_, (0,) * np_): (1, 0)}
-            dens = [den1 * den2 * cden1 * cden2]
-            local = {}
+            p2 = _ref_exp_poly(_lin(t2), degree + order - 1)
+            state = {((0,) * n, (0,) * n): GRAT_ONE}
+            levels = {}  # mono -> {h level -> GRat}
             for k in range(order):
-                if k:
-                    dens.append(dens[-1] * lp * k)
-                for (alpha, beta), (wa, wb) in state.items():
-                    da = mo._deriv_cached(cache1, alpha, np_)
-                    db = mo._deriv_cached(cache2, beta, np_)
-                    for pm, (a, b) in mo._mul_trunc(da, db, degree).items():
-                        re, im = a * wa - b * wb, a * wb + b * wa
-                        for cm, (c, d) in comm.items():
-                            if sum(pm) + sum(cm) <= degree:
-                                mono = mo._merge_mono(n, pvars, cvars, pm, cm)
-                                gauss_mac(local.setdefault(mono, {}), k, re, im, c, d)
+                for (alpha, beta), w in state.items():
+                    w = w.scale(Q(1, factorial(k)))
+                    db = _ref_deriv(p2, beta, degree)
+                    for m1, a in _ref_deriv(p1, alpha, degree).items():
+                        for m2, b in db.items():
+                            mono = tuple(map(add, m1, m2))
+                            if sum(mono) <= degree:
+                                lv = levels.setdefault(mono, {})
+                                lv[k] = lv.get(k, GRAT_ZERO) + w * a * b
                 nxt = {}
-                for (alpha, beta), (wa, wb) in state.items():
-                    for i, j, (pa, pb) in entries:
-                        na = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                        nb = beta[:j] + (beta[j] + 1,) + beta[j + 1 :]
-                        gauss_mac(nxt, (na, nb), wa, wb, pa, pb)
+                for (alpha, beta), w in state.items():
+                    for i, j, p in entries:
+                        key = (tuple(map(add, alpha, unit[i])), tuple(map(add, beta, unit[j])))
+                        nxt[key] = nxt.get(key, GRAT_ZERO) + w * p
                 state = nxt
             base = t1.coeff * t2.coeff
             const_key = t1.form.const_pi + t2.form.const_pi
-            for mono, levels in local.items():
-                coeffs = {
-                    k: PiPoly.pi_power(sum(mono) + 2 * k, GRat(Q(re, dens[k]), Q(im, dens[k])))
-                    for k, (re, im) in levels.items()
-                }
+            for mono, lv in levels.items():
+                coeffs = {k: PiPoly.pi_power(sum(mono) + 2 * k, c) for k, c in lv.items()}
                 scal = base * Scalar(CIRCLE_ONE, HbarSeries.of(order, coeffs))
                 _scalar_accumulate(result, const_key, mono, scal)
     return result
@@ -505,6 +540,62 @@ def test_taylor_star_oracle_matches_scalar_products(data):
     else:
         _assert_canonical(got)
         assert _materialized(got, spec.order) == want
+
+
+@pytest.mark.parametrize("degree", (0, 2))
+def test_oracle_packing_boundary_matches_the_reference(degree):
+    # monomials are packed in base B = degree + order.  At degree 0 every
+    # kept product is the constant; E(pi a v1) puts its whole Poisson-leg
+    # expansion on one variable, up to the exponent B - 1
+    spec = spec_qp(order=3)
+    series = HbarSeries.of(3, {0: PiPoly.const(GRat.of(2, 1)), 1: PiPoly.pi_power(1, GRat.of(Q(1, 3)))})
+    coeff = Scalar.of(CircleConst.of(Q(1, 8)), series)
+    f = ExpSum.exponential(spec, form(spec, (Q(3, 2), 0), Q(1, 2)), coeff)
+    g = exp_of(spec, (0, -2))
+    got = taylor_star_oracle(f, g, degree)
+    _assert_canonical(got)
+    assert _materialized(got, 3) == _scalar_oracle(f, g, degree)
+    assert taylor_expand(f.star(g), degree) == got
+    assert _materialized(taylor_expand(f, degree), 3) == _scalar_expand(f, degree)
+    if degree == 0:
+        assert list(got[GRat.of(Q(1, 2))]) == [(0, 0)]
+
+
+def test_kernel_pair_convolves_once_per_poisson_leg_monomial(monkeypatch):
+    # a two-slot pair at N = 6, degree 6 has 924 monomials in six
+    # variables, 28 of them on the Poisson leg (v1, v2); the commutative
+    # leg only scales each Poisson-leg monomial's convolved coefficient
+    spec = SlotSpec((Slot("v", 2, poisson=P2), Slot("l", 2, conjugate_pair=True)), 6)
+    series = HbarSeries.of(6, {k: PiPoly.pi_power(k % 3, GRat.of(Q(k + 1, 2), 1)) for k in range(6)})
+    coeff = Scalar.of(CircleConst.of(Q(3, 8)), series)
+
+    def term(v, l, c=None):
+        lin = LinForm((tuple(map(GRat.of, v)), tuple(map(GRat.of, l))), GRAT_ZERO, None)
+        return ExpSum.exponential(spec, lin, c)
+
+    # every variable's summed coefficient is nonzero: no monomial vanishes
+    f = term((1, Q(1, 2)), (2, 1, -1, Q(3, 2)), coeff)
+    g = term((Q(-1, 2), 2), (1, 1, 2, 1))
+    calls = [0]
+    convolve = mo._convolve
+
+    def counting(*args):
+        calls[0] += 1
+        return convolve(*args)
+
+    monkeypatch.setattr(mo, "_convolve", counting)
+    got = taylor_star_oracle(f, g, 6)
+    assert sum(map(len, got.values())) == 924
+    assert calls[0] <= 28
+    monkeypatch.undo()
+    assert taylor_expand(f.star(g), 6) == got
+    # l1's coefficients cancel: its zero entries of the commutative leg
+    # are dropped, leaving the 462 monomials free of l1
+    h = term((Q(-1, 2), 2), (-2, 1, 2, 1))
+    got = taylor_star_oracle(f, h, 6)
+    assert sum(map(len, got.values())) == 462
+    assert all(mono[2] == 0 for bucket in got.values() for mono in bucket)
+    assert taylor_expand(f.star(h), 6) == got
 
 
 @settings(max_examples=100, deadline=None)
