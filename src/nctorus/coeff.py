@@ -402,11 +402,16 @@ class PiPoly:
         return PiPoly(((k, c),)) if c else PI_ZERO
 
     def __add__(self, other: "PiPoly") -> "PiPoly":
+        """The sorted merge; one monomial on each side at one degree, such
+        as the h^1 levels of two ``exp_hpi2`` logs, is one GRat sum."""
         a, b = self.terms, other.terms
         if not a:
             return other
         if not b:
             return self
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            s = a[0][1] + b[0][1]
+            return PiPoly(((a[0][0], s),)) if s else PI_ZERO
         out = []
         i = j = 0
         la, lb = len(a), len(b)
@@ -892,7 +897,7 @@ class Scalar:
         if m1 is not None and self.log is None and not u1.n and m1 == GRAT_ONE:
             return other
         if m1 is not None and m2 is not None:
-            mag = cmul(m1, m2)
+            mag = m2 if m1 is GRAT_ONE else m1 if m2 is GRAT_ONE else cmul(m1, m2)
             if not u1.n:
                 unit = u2
             elif not u2.n:

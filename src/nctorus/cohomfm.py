@@ -253,13 +253,12 @@ def fm_hh2(poisson, torus: TorusData) -> tuple:
     two_g = 2 * g
     n = 4 * g
 
-    if any(w.im for row in poisson for w in row):
-        raise CoeffError("fm_hh2 expects a real-matrix bivector in this chart")
     # real coordinates: t_k(v) = Im<xi^(k), v>; for the standard complex
     # basis u_i this is Im(xi^(k)_i)
     treal = [[GRat(e.im, Q(0)) for e in xi] for xi in basis.vectors]
-    # Pi in real lattice coordinates
-    preal = [[bilinear(poisson, ta, tb).re for tb in treal] for ta in treal]
+    # Pi in real lattice coordinates, extended C-linearly: a complex
+    # bivector transports as its real and imaginary parts do
+    preal = [[bilinear(poisson, ta, tb) for tb in treal] for ta in treal]
 
     # contract twice into exp(c1); keep the pure dual-side 2-form
     ec = exp_c1(torus)
@@ -278,7 +277,7 @@ def fm_hh2(poisson, torus: TorusData) -> tuple:
                     if all(k >= two_g for k in m)
                 ),
             )
-            transported = transported + pure.scale(GRat.of(w))
+            transported = transported + pure.scale(w)
     # read the dual-basis matrix E[k][m] of the transported real 2-form
     emat = [[GRAT_ZERO] * two_g for _ in range(two_g)]
     for m, c in transported.terms:

@@ -24,6 +24,16 @@ values and their conjugates) so that both pairing orientations against a
 conjugate-linear functional stay inside the linear-exponent class; a
 translation of such a slot shifts the two halves by conjugate vectors.
 
+Terms are always stored normalized: no h-divisible constant and a real
+``const_pi``.  ``_normalize`` establishes that, and runs only where a
+form can carry such a constant: ``ExpSum.make`` (the constructors and
+the text parser build through it) and ``substitute``, whose shift and
+matrix make complex constants.  The sum, product and inverse of
+normalized forms are normalized, so ``+``, ``*``, ``star``, ``scale``
+and ``star_inverse`` call only the merge (``_merged``).  ``translate``
+splits its shift's constant itself: the imaginary part turns the
+coefficient, the real part moves ``const_pi``.
+
 ``poisson_pairing`` is also exported on its own.  The first-order
 commutator of the product is exp(h*p) - exp(-h*p) applied to E(l1+l2)
 with p the pairing; the package deliberately does not identify the
@@ -33,7 +43,7 @@ commutator normalization with any induced-bracket convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coeff import (
     GRAT_ZERO,
@@ -135,6 +145,10 @@ class SlotSpec:
 
     slots: tuple
     order: int
+    # derived once: the number of variables, and the Moyal slots as
+    # (slot index, Poisson matrix, opposite) for each nonzero matrix
+    nvars: int = field(init=False, repr=False, compare=False)
+    moyal: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Also refuses names the text format could not read back."""
@@ -148,10 +162,13 @@ class SlotSpec:
         for name in names:
             if name in ("i", "pi") or not VAR_NAME.fullmatch(name):
                 raise SlotMismatch(f"the text format cannot read back a variable named {name!r}")
-
-    @property
-    def nvars(self) -> int:
-        return sum(s.nvars for s in self.slots)
+        object.__setattr__(self, "nvars", sum(s.nvars for s in self.slots))
+        moyal = tuple(
+            (i, s.poisson, s.opposite)
+            for i, s in enumerate(self.slots)
+            if s.poisson is not None and any(a for row in s.poisson for a in row)
+        )
+        object.__setattr__(self, "moyal", moyal)
 
     def slot_index(self, name: str) -> int:
         for i, s in enumerate(self.slots):
@@ -175,12 +192,13 @@ class SlotSpec:
 
 def poisson_pairing(spec: SlotSpec, f1: "LinForm", f2: "LinForm") -> GRat:
     """{l1, l2} per slot; the implicit pi on each side is NOT included
-    (the Moyal correction is exp(h * pi^2 * pairing))."""
+    (the Moyal correction is exp(h * pi^2 * pairing)).  Only the slots of
+    ``spec.moyal`` contribute: commutative slots and zero matrices pair to
+    zero."""
     total = GRAT_ZERO
-    for s, c1, c2 in zip(spec.slots, f1.coeffs, f2.coeffs):
-        if s.poisson is not None:
-            p = bilinear(s.poisson, c1, c2)
-            total = total - p if s.opposite else total + p
+    for i, poisson, opposite in spec.moyal:
+        p = bilinear(poisson, f1.coeffs[i], f2.coeffs[i])
+        total = total - p if opposite else total + p
     return total
 
 
@@ -258,34 +276,9 @@ class ExpSum:
 
     @staticmethod
     def make(spec: SlotSpec, raw_terms) -> "ExpSum":
-        """Build from a list of (Scalar, LinForm) pairs, normalizing and
-        merging.
-
-        A single pair is normalized and dropped if its coefficient is
-        zero, with no merge key and no sort: one term has nothing to
-        merge with and one order, so this is exactly what the general
-        path returns for it.
-        """
-        if len(raw_terms) == 1:
-            coeff, form = _normalize(*raw_terms[0])
-            if coeff.is_zero():
-                return ExpSum(spec, ())
-            return ExpSum(spec, (ExpTerm(coeff, form),))
-        acc = {}
-        for coeff, form in raw_terms:
-            coeff, form = _normalize(coeff, form)
-            key = form.sort_key()
-            if key in acc:
-                old_c, _ = acc[key]
-                acc[key] = (scalar_add(old_c, coeff), form)
-            else:
-                acc[key] = (coeff, form)
-        terms = tuple(
-            ExpTerm(c, f)
-            for _, (c, f) in sorted(acc.items())
-            if not c.is_zero()
-        )
-        return ExpSum(spec, terms)
+        """Build from a list of (Scalar, LinForm) pairs: normalize each
+        pair, then merge them (``_merged``)."""
+        return _merged(spec, [_normalize(coeff, form) for coeff, form in raw_terms])
 
     @staticmethod
     def one(spec: SlotSpec) -> "ExpSum":
@@ -309,7 +302,7 @@ class ExpSum:
 
     def __add__(self, other: "ExpSum") -> "ExpSum":
         self._check(other)
-        return ExpSum.make(
+        return _merged(
             self.spec,
             [(t.coeff, t.form) for t in self.terms]
             + [(t.coeff, t.form) for t in other.terms],
@@ -331,21 +324,24 @@ class ExpSum:
         for t1 in self.terms:
             for t2 in other.terms:
                 out.append((t1.coeff * t2.coeff, t1.form + t2.form))
-        return ExpSum.make(self.spec, out)
+        return _merged(self.spec, out)
 
     def star(self, other: "ExpSum") -> "ExpSum":
-        """Moyal product; reduces to ``*`` modulo h."""
+        """Moyal product; reduces to ``*`` modulo h.  With no Moyal slot
+        (``spec.moyal`` empty) every pairing is zero and none is taken."""
         self._check(other)
         spec = self.spec
+        moyal = spec.moyal
         out = []
         for t1 in self.terms:
             for t2 in other.terms:
-                p = poisson_pairing(spec, t1.form, t2.form)
                 coeff = t1.coeff * t2.coeff
-                if p:
-                    coeff = coeff * exp_hpi2(spec.order, p)
+                if moyal:
+                    p = poisson_pairing(spec, t1.form, t2.form)
+                    if p:
+                        coeff = coeff * exp_hpi2(spec.order, p)
                 out.append((coeff, t1.form + t2.form))
-        return ExpSum.make(spec, out)
+        return _merged(spec, out)
 
     # -- helpers -------------------------------------------------------
 
@@ -358,7 +354,7 @@ class ExpSum:
         return self.terms[0]
 
     def scale(self, s: Scalar) -> "ExpSum":
-        return ExpSum.make(self.spec, [(t.coeff * s, t.form) for t in self.terms])
+        return _merged(self.spec, [(t.coeff * s, t.form) for t in self.terms])
 
     def __str__(self) -> str:
         from .textfmt import expsum_str
@@ -378,6 +374,36 @@ def scalar_add(a: Scalar, b: Scalar) -> Scalar:
     raise CoeffError(
         "sum of scalars with incompatible circle constants is not representable"
     )
+
+
+def _merged(spec: SlotSpec, pairs) -> ExpSum:
+    """The one merge: the ExpSum of normalized (Scalar, LinForm) pairs,
+    like exponents added by ``scalar_add``, sorted by exponent, zero
+    coefficients dropped.
+
+    A single pair is kept unless its coefficient is zero, with no merge
+    key and no sort: one term has nothing to merge with and one order, so
+    this is exactly what the general path returns for it.
+    """
+    if len(pairs) == 1:
+        (coeff, form), = pairs
+        if coeff.is_zero():
+            return ExpSum(spec, ())
+        return ExpSum(spec, (ExpTerm(coeff, form),))
+    acc = {}
+    for coeff, form in pairs:
+        key = form.sort_key()
+        if key in acc:
+            old_c, _ = acc[key]
+            acc[key] = (scalar_add(old_c, coeff), form)
+        else:
+            acc[key] = (coeff, form)
+    terms = tuple(
+        ExpTerm(c, f)
+        for _, (c, f) in sorted(acc.items())
+        if not c.is_zero()
+    )
+    return ExpSum(spec, terms)
 
 
 def _normalize(coeff: Scalar, form: LinForm):
@@ -400,7 +426,7 @@ def star_inverse(f: ExpSum) -> ExpSum:
     t = f.single_term()
     if t.coeff.is_zero():
         raise NotInvertible("zero coefficient")
-    return ExpSum.make(f.spec, [(t.coeff.inverse(), -t.form)])
+    return _merged(f.spec, [(t.coeff.inverse(), -t.form)])
 
 
 @dataclass(frozen=True)
@@ -479,7 +505,11 @@ def translate(f: ExpSum, t: Translation) -> ExpSum:
     Equivalent to ``substitute`` along an ``AffineMap`` with the identity
     matrix and the moved slots' shift vectors as its shift, but computed
     directly: only the exponent constants move, every slot's shift is
-    added in one pass, and the result is built by one ``ExpSum.make``.
+    added in one pass, its imaginary part turns the coefficient
+    (``Scalar.turn``) and its real part moves ``const_pi``.  The terms
+    are built here, with no merge: a translation adds the same constant
+    to exponents with the same linear part, so distinct exponents stay
+    distinct and in order, and no coefficient becomes zero.
     """
     spec = f.spec
     if spec is not t.spec and spec != t.spec:
@@ -489,13 +519,15 @@ def translate(f: ExpSum, t: Translation) -> ExpSum:
         return f
     out = []
     for term in f.terms:
-        form = term.form
+        coeff, form = term.coeff, term.form
         add = GRAT_ZERO
         for idx, shift in moves:
             for a, s in zip(form.coeffs[idx], shift):
                 if a and s:
                     add = add + a * s
-        if add:
-            form = LinForm(form.coeffs, form.const_pi + add, form.const_hbar)
-        out.append((term.coeff, form))
-    return ExpSum.make(spec, out)
+        if add.m:
+            coeff = coeff.turn(add.m, add.d)
+        if add.n:
+            form = LinForm(form.coeffs, form.const_pi + _reduced(add.n, 0, add.d), None)
+        out.append(ExpTerm(coeff, form))
+    return ExpSum(spec, tuple(out))

@@ -91,9 +91,10 @@ def gamma_inverse(a: GammaElement) -> GammaElement:
 def ctilde(w, xi, B: BForm, order: int) -> Scalar:
     """Multiplicative extension of c to arbitrary exact base points:
     ctilde(w, xi) = exp(h pi^2 B(xi, w)), with w a GRat coefficient
-    vector in the dual space and xi integer dual coordinates."""
-    xivec = combine(xi, B.basis.vectors)
-    return exp_hpi2(order, B.value(xivec, w))
+    vector in the dual space and xi integer dual coordinates.  Computed
+    once per (w, xi, order) by the memo ``B.ctilde`` that the form holds;
+    rho and the section check call it through this name."""
+    return B.ctilde(w, xi, order)
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,9 @@ class FiberFunction:
 
 def fiber_point(base, offset, basis) -> tuple:
     """The point w_n = s + sum_k n_k xi^(k) of F_s at the integer offset n,
-    for s = ``base`` and the dual lattice ``basis``."""
-    return tuple(a + b for a, b in zip(base, combine(offset, basis.vectors)))
+    for s = ``base`` and the dual lattice ``basis``.  Computed once per
+    (base, offset) by the memo ``basis.point`` that the basis holds."""
+    return basis.point(base, offset)
 
 
 def coordinate_window(rank: int, radius: int):

@@ -21,8 +21,9 @@ an alternating biadditive form, zero when g = 1 or Pi = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
-from .coeff import GRAT_ZERO, CoeffError, GRat, bilinear, combine
+from .coeff import GRAT_ZERO, CoeffError, GRat, bilinear, combine, exp_hpi2
 from .linalg import grat_rank, rat_det, rat_inverse
 
 __all__ = [
@@ -77,15 +78,28 @@ class TorusData:
 
 @dataclass(frozen=True)
 class DualLatticeBasis:
-    """2g coefficient vectors xi^(k); Im<xi^(k), lambda_j> = delta_kj."""
+    """2g coefficient vectors xi^(k); Im<xi^(k), lambda_j> = delta_kj.
+
+    Holds the memo of the fiber points that ``gerbe.fiber_point`` reads:
+    ``point(base, offset)`` is computed once per argument."""
 
     vectors: tuple  # 2g tuples of g GRat
+    point: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "point", cache(self._point))
+
+    def _point(self, base, offset) -> tuple:
+        """base + sum_k offset_k xi^(k)."""
+        return tuple(a + b for a, b in zip(base, combine(offset, self.vectors)))
 
 
 @dataclass(frozen=True)
 class BForm:
     """The transported bivector as a bilinear form on dual coefficient
-    vectors, with its matrix on the dual lattice basis precomputed."""
+    vectors, with its matrix on the dual lattice basis precomputed, and
+    the memo of the Heisenberg extension ctilde that ``gerbe.ctilde``
+    reads: ``ctilde(w, xi, order)`` is computed once per argument."""
 
     poisson: tuple
     basis: DualLatticeBasis
@@ -93,11 +107,18 @@ class BForm:
     # the nonzero entries: their (k, m) and, for ``combine``, their 1-vectors
     support: tuple = field(init=False, repr=False, compare=False)
     entries: tuple = field(init=False, repr=False, compare=False)
+    ctilde: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = [((k, m), (x,)) for k, row in enumerate(self.matrix) for m, x in enumerate(row) if x]
         object.__setattr__(self, "support", tuple(km for km, _ in cells))
         object.__setattr__(self, "entries", tuple(x for _, x in cells))
+        object.__setattr__(self, "ctilde", cache(self._ctilde))
+
+    def _ctilde(self, w, xi, order: int):
+        """exp(h pi^2 B(xi, w)) for a point w of the dual space and integer
+        coordinates xi over the dual basis."""
+        return exp_hpi2(order, self.value(combine(xi, self.basis.vectors), w))
 
     def value(self, xi1, xi2) -> GRat:
         """B on arbitrary coefficient vectors (the Q-bilinear extension)."""

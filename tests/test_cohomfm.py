@@ -136,3 +136,40 @@ def test_hh2_zero_and_linearity():
     assert ms == tuple(
         tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2)
     )
+
+
+def _complex_bivector(rng, g):
+    P = [[G(0)] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i + 1, g):
+            re = Q(rng.randint(-3, 3), rng.randint(1, 3))
+            im = Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            P[i][j] = G(re, im)
+            P[j][i] = G(-re, -im)
+    return tuple(tuple(r) for r in P)
+
+
+def test_hh2_is_complex_linear_and_matches_bfield():
+    # a holomorphic Poisson bivector is any antisymmetric complex matrix;
+    # its transport is the B-field of the torus built on it
+    rng = random.Random(62)
+    for g in (2, 3):
+        for _ in range(6):
+            P = _complex_bivector(rng, g)
+            torus = gaussian_product_torus(g, P, order=2)
+            assert any(e.im for row in P for e in row)
+            assert fm_hh2(P, torus) == bfield(torus).matrix
+
+
+def test_conjugate_linear_transport_fails_on_a_non_real_bivector():
+    # control: a conjugate-linear transport, Pi -> fm_hh2(conj(Pi)), is the
+    # C-linear one on a real bivector but misses the B-field of a non-real one
+    rng = random.Random(63)
+    for g in (2, 3):
+        P = _complex_bivector(rng, g)
+        conj = tuple(tuple(e.conj() for e in row) for row in P)
+        real = tuple(tuple(G(e.re) for e in row) for row in P)
+        torus = gaussian_product_torus(g, P, order=2)
+        real_torus = gaussian_product_torus(g, real, order=2)
+        assert fm_hh2(real, real_torus) == bfield(real_torus).matrix
+        assert fm_hh2(conj, torus) != bfield(torus).matrix

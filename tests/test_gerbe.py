@@ -333,3 +333,22 @@ def test_window_counts_at_g1_are_exhaustive(monkeypatch):
         "triples": n**3,
         "rho": (2 * n) ** 2,
     }
+
+
+def test_g1_gerbe_suite_builds_each_ctilde_once(monkeypatch):
+    # ctilde is memoized per (w, xi, order) by the B-field that computes it:
+    # the g1 suite asks for it 7,523 times at 400 distinct arguments
+    from nctorus import torus
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures", "g1.json")) as fh:
+        cfg = cli.parse_config(fh.read())
+    built = [0]
+    closed_form = torus.exp_hpi2
+
+    def counting(order, value):
+        built[0] += 1
+        return closed_form(order, value)
+
+    monkeypatch.setattr(torus, "exp_hpi2", counting)
+    assert all(r["status"] == "PASS" for r in cli.suite_gerbe(cfg))
+    assert 0 < built[0] <= 400

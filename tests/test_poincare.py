@@ -263,3 +263,31 @@ def test_g1_cocycle_window_combines_per_element_not_per_pair(monkeypatch):
             monkeypatch.setattr(module, "combine", counting)
     assert all(cocycle_holds(factor, a, b) for a, b in pairs)
     assert calls[0] <= 50
+
+
+def test_g1_cocycle_window_multiplies_and_normalizes_per_distinct_value(monkeypatch):
+    # the central part z1 z2 c(x1, x2) of a composed element is the group's
+    # memo (2 products for each of the 324 distinct (z1, z2, x1, x2)); each
+    # pair adds the one product of its star; and the terms of the factor's
+    # values stay normalized through translations and stars, so only the
+    # 25 x 25 x 3 distinct factor values are normalized
+    from nctorus import expalg
+    from nctorus.picard import cocycle_holds
+
+    factor, pairs = _g1_cocycle_window()
+    products, normalized = [0], [0]
+    product, normalize = Scalar.__mul__, expalg._normalize
+
+    def counting_product(a, b):
+        products[0] += 1
+        return product(a, b)
+
+    def counting_normalize(coeff, form):
+        normalized[0] += 1
+        return normalize(coeff, form)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_product)
+    monkeypatch.setattr(expalg, "_normalize", counting_normalize)
+    assert all(cocycle_holds(factor, a, b) for a, b in pairs)
+    assert products[0] <= 26244 + 2 * 324
+    assert normalized[0] <= 1875
