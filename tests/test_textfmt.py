@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -145,6 +146,81 @@ def test_parse_table(spec, text, rendered):
 def test_empty_products_and_fractional_powers_are_errors(text):
     with pytest.raises(CoeffError):
         parse_expsum(text, SPEC)
+
+
+PARSE_ERRORS = [
+    # the tokenizer and the recursive descent
+    ("1 2)", "trailing input near token ')'"),
+    ("E[pi*v1]]", "trailing input near token ']'"),
+    ("1 # 2", "cannot tokenize '# 2'"),
+    ("0.5*E[pi*(v1)]", "cannot tokenize '.5*E[pi*(v1)]'"),
+    ("E[", "unexpected end of input (wanted more)"),
+    ("E[pi*v1", "unexpected end of input (wanted ])"),
+    ("u", "unexpected end of input (wanted ()"),
+    ("()", "unexpected token ')'"),
+    ("E[pi*v1]^2^2", "unexpected token '^'"),
+    ("E[pi*(1,2|3)]", "unexpected token ')' (wanted ,)"),
+    ("E[pi*(1,2)]", "unexpected token ')' (wanted |)"),
+    ("E[pi*(nope)]", "unknown name 'nope'"),
+    # powers
+    ("2^x", "unexpected token 'x' (wanted num)"),
+    ("h^1/2", "power '1/2' is not a whole number"),
+    # variables, and the terms of an exponent
+    ("(v1)", "unknown name 'v1'"),
+    ("(1, 2|3, 4)", "parenthesized factor must be scalar"),
+    ("E[pi*v1*v2]", "a product of two variables is not linear"),
+    ("E[h*v1*v2]", "a product of two variables is not linear"),
+    ("E[h*v1]", "an exponent term must be a Gaussian rational times pi"),
+    ("E[pi*u(1/4)*v1]", "an exponent term must be a Gaussian rational times pi"),
+    ("E[pi*(1,v1|0)]", "a coefficient must be a number"),
+    ("E[E[pi*v1]]", "E[...] inside an exponent"),
+    # the first offending term of an exponent decides
+    ("E[h*v1 + E[pi*v2]]", "an exponent term must be a Gaussian rational times pi"),
+    ("E[E[pi*v2] + h*v1]", "E[...] inside an exponent"),
+    # circle constants
+    ("u(i)", "u(...) takes a real rational"),
+    ("u(h)", "u(...) must be a Gaussian rational"),
+    ("u(u(1/4))", "u(...) must be a Gaussian rational"),
+    ("u(1/4) + 1", "sum of scalars with incompatible circle constants is not representable"),
+    ("u(1/4)*0 + 1", "sum of scalars with incompatible circle constants is not representable"),
+    (
+        "E[pi*v1] + u(1/4)*E[pi*v1]",
+        "sum of scalars with incompatible circle constants is not representable",
+    ),
+    # like terms met inside a product
+    ("E[(v1 + 1)*(1 + u(1/4))]", "sum of scalars with incompatible circle constants is not representable"),
+    # numbers
+    ("1/0", "zero denominator in '1/0'"),
+    ("E[pi*(1/0)*v1]", "zero denominator in '1/0'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_messages(text, message):
+    with pytest.raises(CoeffError) as exc:
+        parse_expsum(text, SPEC)
+    assert type(exc.value) is CoeffError
+    assert str(exc.value) == message
+
+
+def test_cli_star_reports_the_parse_error():
+    from click.testing import CliRunner
+
+    from nctorus.cli import main
+
+    slots = json.dumps(
+        {
+            "order": 4,
+            "slots": [
+                {"name": "v", "dim": 2, "poisson": [["0", "1"], ["-1", "0"]]},
+                {"name": "l", "dim": 1, "conjugate_pair": True},
+            ],
+        }
+    )
+    text, message = "E[pi*v1*v2]", "a product of two variables is not linear"
+    res = CliRunner().invoke(main, ["star", "E[pi*v1]", text, "--slots", slots])
+    assert res.exit_code == 2
+    assert f"parse error: {message}\n" in res.output
 
 
 _TOKENS = ["0", "1", "2", "1/2", "3/4", "i", "pi", "h", "u", "E"] + SPEC.var_names() + list("+-*^()[]|,")
