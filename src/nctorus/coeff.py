@@ -41,12 +41,15 @@ rules:
 - a product of two log forms is a log form: magnitudes multiply, logs
   add, and the quarter turns of the unit product go into the magnitude;
 - ``inverse`` is a log form with the log negated; a dense scalar is
-  decomposed first, by ``series_log``, and stays dense;
+  decomposed first, by ``series_log``, and stays dense.  The inverse is
+  computed on the first call and kept in a slot; it keeps no reference
+  back to the scalar it inverts;
 - a product with a dense operand materializes the log side (its series,
   cached on the object: closed form for a log of one h^1 monomial,
   ``series_exp`` otherwise) and is dense, or only scales the dense side
-  when the other log is 0, so parsing, ``scalar_add``, rendering and the
-  Taylor oracle keep the dense path;
+  when the other log is 0, so ``scalar_add``, rendering and the Taylor
+  oracle keep the dense path; the text parser builds each term's scalar
+  once, in the form these rules give, with no product;
 - a product with an exact one (the log form of unit 1, mag 1 and log 0,
   as ``one`` makes it) is the other operand itself, so a chain of
   products by 1 hands on one object;
@@ -797,6 +800,7 @@ def _log_form(order: int, unit: "CircleConst", mag: GRat, log) -> "Scalar":
     s.log = log
     s._series = None
     s._hash = None
+    s._inverse = None
     return s
 
 
@@ -805,7 +809,7 @@ class Scalar:
     constructors that make each, and the rules of ``*``, ``inverse``,
     ``==`` and ``hash`` are those of the module docstring."""
 
-    __slots__ = ("order", "unit", "mag", "log", "_series", "_hash")
+    __slots__ = ("order", "unit", "mag", "log", "_series", "_hash", "_inverse")
 
     def __init__(self, unit, series):
         self.order = series.order
@@ -814,6 +818,7 @@ class Scalar:
         self.log = None
         self._series = series
         self._hash = None
+        self._inverse = None
 
     @property
     def series(self) -> HbarSeries:
@@ -966,13 +971,16 @@ class Scalar:
         return mag, series_log(series if mag == GRAT_ONE else series.scale(mag.inverse()))
 
     def inverse(self) -> "Scalar":
-        """unit^-1 * mag^-1 * exp(-log), in log form."""
-        mag, log = self._decomposed()
-        k, unit = self.unit.inverse().quarter_turns()
-        inv = mag.inverse()
-        if k:
-            inv = cmul(inv, I_POWERS[k])
-        return _log_form(self.order, unit, inv, None if log is None else -log)
+        """unit^-1 * mag^-1 * exp(-log), in log form, kept from the first call."""
+        inv = self._inverse
+        if inv is None:
+            mag, log = self._decomposed()
+            k, unit = self.unit.inverse().quarter_turns()
+            m = mag.inverse()
+            if k:
+                m = cmul(m, I_POWERS[k])
+            inv = self._inverse = _log_form(self.order, unit, m, None if log is None else -log)
+        return inv
 
     def __str__(self) -> str:
         from .textfmt import scalar_str

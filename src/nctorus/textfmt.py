@@ -8,8 +8,7 @@ exp(pi*i*q)).  Exponential sums render as
 
 Variable names come from the slot specification (``v1``, ``v2``, ...;
 conjugate-pair slots append ``~`` for the conjugated half).  Rendering is
-deterministic, and everything rendered parses back to an equal value
-(bit-stable golden forms).
+deterministic, and everything rendered parses back to an equal value.
 
 The parser reads one grammar, with the same rules everywhere::
 
@@ -26,6 +25,16 @@ times exactly one ``pi``.  Outside ``E[...]`` a parenthesized sum must be
 a scalar.  A group whose first entry is followed by ``,`` or ``|`` lists
 one Gaussian rational per slot variable, ``,`` between the variables of a
 slot and ``|`` between slots: ``E[pi*(1, 2 i | 0)]``.
+
+Each reader evaluates to a sum: a dict from (variable index or None,
+exponent form or None for zero) to a coefficient (unit, terms, dense),
+``unit`` a circle constant of angle in [0, 1/2) and ``terms`` a map from
+(h-degree < order, pi-degree) to nonzero GRats.  Products convolve terms
+and fold the quarter turns of the unit product into them, as ``Scalar.of``
+does; sums add like terms, of one unit.  ``dense`` is the form of the one
+``Scalar`` per term that ``parse_expsum`` builds: a log form while only
+``u(...)``, ``E[...]``, variables, signs, powers and products enter, dense
+once a number, ``i``, ``pi`` or ``h`` does or like terms merge.
 """
 
 from __future__ import annotations
@@ -38,98 +47,73 @@ from .coeff import (
     GRAT_I,
     GRAT_ONE,
     GRAT_ZERO,
-    PI_ONE,
+    I_POWERS,
     CoeffError,
     GRat,
     HbarSeries,
     PiPoly,
     Scalar,
+    _circle,
+    _log_form,
+    _reduced,
 )
-from .expalg import VAR_NAME, ExpSum, LinForm, SlotSpec, scalar_add
+from .expalg import VAR_NAME, ExpSum, LinForm, SlotSpec
 
 __all__ = ["scalar_str", "expsum_str", "parse_expsum"]
 
 
 def _join_signed(parts) -> str:
-    out = ""
-    for p in parts:
-        if not out:
-            out = p
-        elif p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    """The parts joined by " + ", and " - " before a negative one; "0" for none."""
+    return " + ".join(parts).replace(" + -", " - ") or "0"
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _grat_str(c: GRat, wrap: bool) -> str:
+def _grat_str(c: GRat) -> str:
     s = str(c)
-    if wrap and (" " in s or "+" in s[1:] or "-" in s[1:]):
-        return f"({s})"
-    return s
-
-
-def _series_terms(series: HbarSeries):
-    for k, poly in enumerate(series.coeffs):
-        for d, c in poly.terms:
-            yield k, d, c
+    return f"({s})" if " " in s or "+" in s[1:] or "-" in s[1:] else s
 
 
 def scalar_str(s: Scalar) -> str:
     parts = []
-    for k, d, c in _series_terms(s.series):
-        factors = []
-        cs = _grat_str(c, wrap=True)
-        if d:
-            factors.append("pi" if d == 1 else f"pi^{d}")
-        if k:
-            factors.append("h" if k == 1 else f"h^{k}")
-        if not factors or cs not in ("1",):
-            factors.insert(0, cs)
-        parts.append("*".join(factors))
-    body = _join_signed(parts) if parts else "0"
+    for k, poly in enumerate(s.series.coeffs):
+        for d, c in poly.terms:
+            factors = []
+            cs = _grat_str(c)
+            if d:
+                factors.append("pi" if d == 1 else f"pi^{d}")
+            if k:
+                factors.append("h" if k == 1 else f"h^{k}")
+            if not factors or cs != "1":
+                factors.insert(0, cs)
+            parts.append("*".join(factors))
+    body = _join_signed(parts)
     if s.unit.is_one():
         return body
-    if body == "1":
-        return f"u({s.unit.q})"
-    return f"u({s.unit.q})*({body})"
+    return f"u({s.unit.q})" if body == "1" else f"u({s.unit.q})*({body})"
 
 
 def _linform_str(form: LinForm, spec: SlotSpec) -> str:
-    names = spec.var_names()
     flat = [a for slot in form.coeffs for a in slot]
-    pieces = []
-    for name, c in zip(names, flat):
-        if not c:
-            continue
-        cs = _grat_str(c, wrap=True)
-        pieces.append(name if cs == "1" else f"{cs}*{name}")
+    pieces = [n if c == GRAT_ONE else f"{_grat_str(c)}*{n}" for n, c in zip(spec.var_names(), flat) if c]
     if form.const_pi:
-        pieces.append(_grat_str(form.const_pi, wrap=True))
-    return _join_signed(pieces) if pieces else "0"
+        pieces.append(_grat_str(form.const_pi))
+    return _join_signed(pieces)
 
 
 def expsum_str(f: ExpSum) -> str:
-    if not f.terms:
-        return "0"
     out = []
     for t in f.terms:
         coeff = scalar_str(t.coeff)
-        if t.form.is_zero():
-            out.append(coeff)
-            continue
-        exp = f"E[pi*({_linform_str(t.form, f.spec)})]"
-        if coeff == "1":
-            out.append(exp)
-        else:
+        if not t.form.is_zero():
+            exp = f"E[pi*({_linform_str(t.form, f.spec)})]"
             # a sum of terms is bracketed; "u(q)*(...)" is already a product
             if " + " in coeff or " - " in coeff and t.coeff.unit.is_one():
                 coeff = f"({coeff})"
-            out.append(f"{coeff}*{exp}")
+            coeff = exp if coeff == "1" else f"{coeff}*{exp}"
+        out.append(coeff)
     return _join_signed(out)
 
 
@@ -140,8 +124,9 @@ _TOKEN = re.compile(
     rf"(?P<num>\d+(?:/\d+)?)|(?P<name>{VAR_NAME.pattern})"
     r"|(?P<sym>[-+*^()\[\]|,])|(?P<bad>\S)"
 )
-_MINUS_ONE = -GRAT_ONE
 _SCALAR = (None, None)  # the key of a term with no variable and a zero form
+_ONE = (CIRCLE_ONE, {(0, 0): GRAT_ONE}, False)  # the coefficient 1, in log form
+_CONSTANTS = {"i": ((0, 0), GRAT_I), "pi": ((0, 1), GRAT_ONE), "h": ((1, 0), GRAT_ONE)}
 
 
 def _tokenize(text: str):
@@ -150,15 +135,40 @@ def _tokenize(text: str):
         if m.lastgroup == "bad":
             raise CoeffError(f"cannot tokenize {text[m.start():]!r}")
         out.append((m.lastgroup, m.group()))
+    out.append((None, None))  # the end of input
     return out
 
 
-def _gaussian(c: Scalar, pi_degree: int, what: str) -> GRat:
-    """g where c is the Gaussian rational g times pi^pi_degree."""
-    head, *tail = c.series.coeffs
-    if not c.unit.is_one() or any(tail) or any(d != pi_degree for d, _ in head.terms):
+def _gaussian(c, pi_degree: int, what: str) -> GRat:
+    """g where the coefficient c is the Gaussian rational g times pi^pi_degree."""
+    if c[0].n or any(m != (0, pi_degree) for m in c[1]):
         raise CoeffError(f"{what} must be a Gaussian rational{' times pi' * pi_degree}")
-    return head.terms[0][1] if head.terms else GRAT_ZERO
+    return c[1].get((0, pi_degree), GRAT_ZERO)
+
+
+def _plus(a, b):
+    """The sum of two like coefficients, dense as ``scalar_add`` makes it."""
+    if a[0] != b[0]:
+        raise CoeffError("sum of scalars with incompatible circle constants is not representable")
+    terms = dict(a[1])
+    for m, g in b[1].items():
+        terms[m] = terms[m] + g if m in terms else g
+    return a[0], {m: g for m, g in terms.items() if g}, True
+
+
+def _times(order: int, a, b):
+    """The product of two coefficients (see the module docstring)."""
+    (ua, ta, da), (ub, tb, db) = a, b
+    turn, unit = (ua * ub).quarter_turns() if ua.n and ub.n else (0, ua if ua.n else ub)
+    terms = {}
+    for (ka, pa), ga in ta.items():
+        for (kb, pb), gb in tb.items():
+            if ka + kb < order:
+                m, g = (ka + kb, pa + pb), ga * gb
+                terms[m] = terms[m] + g if m in terms else g
+    if turn or len(ta) > 1 and len(tb) > 1:  # else no zero and nothing to fold
+        terms = {m: g * I_POWERS[turn] for m, g in terms.items() if g}
+    return unit, terms, da or db
 
 
 def _nonzero(form: LinForm):
@@ -167,25 +177,17 @@ def _nonzero(form: LinForm):
 
 
 class _Parser:
-    """Recursive descent over the grammar of the module docstring.
-
-    Every reader returns a sum: a dict that maps (variable index or None,
-    exponent form or None for the zero form) to its ``Scalar``
-    coefficient.  Variables are read only inside ``E[...]``.
-    """
+    """Recursive descent over the grammar of the module docstring; every
+    reader returns a sum.  Variables are read only inside ``E[...]``."""
 
     def __init__(self, text: str, spec: SlotSpec):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.toks, self.pos = _tokenize(text), 0
         self.spec = spec
         self.var_index = {n: i for i, n in enumerate(spec.var_names())}
         self.in_exp = False
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
     def take(self, kind=None, value=None):
-        k, v = self.peek()
+        k, v = self.toks[self.pos]
         if k is None:
             raise CoeffError(f"unexpected end of input (wanted {value or kind or 'more'})")
         if kind and k != kind or value and v != value:
@@ -194,11 +196,8 @@ class _Parser:
         return v
 
     def at(self, syms: str) -> bool:
-        k, v = self.peek()
+        k, v = self.toks[self.pos]
         return k == "sym" and v in syms
-
-    def scalar(self, series: dict) -> dict:
-        return {_SCALAR: Scalar(CIRCLE_ONE, HbarSeries.of(self.spec.order, series))}
 
     def sum(self) -> dict:
         """sum := [+|-] product {(+|-) product}"""
@@ -207,8 +206,8 @@ class _Parser:
         while True:
             for key, c in self.product().items():
                 if sign == "-":
-                    c = c.scale(_MINUS_ONE)
-                acc[key] = scalar_add(acc[key], c) if key in acc else c
+                    c = c[0], {m: -g for m, g in c[1].items()}, c[2]
+                acc[key] = _plus(acc[key], c) if key in acc else c
             if not self.at("+-"):
                 return acc
             sign = self.take()
@@ -216,7 +215,7 @@ class _Parser:
     def product(self) -> dict:
         """product := factor {[*] factor}"""
         acc = self.factor()
-        while self.pos < len(self.toks) and not self.at("+-)]|,"):
+        while self.toks[self.pos][0] and not self.at("+-)]|,"):
             if self.at("*"):
                 self.take()
             acc = self.times(acc, self.factor())
@@ -231,8 +230,7 @@ class _Parser:
         n = self.take("num")
         if not n.isdigit():
             raise CoeffError(f"power {n!r} is not a whole number")
-        out = {_SCALAR: Scalar.one(self.spec.order)}
-        n = int(n)
+        out, n = {_SCALAR: _ONE}, int(n)
         while n:
             if n & 1:
                 out = self.times(out, base)
@@ -243,10 +241,15 @@ class _Parser:
 
     def atom(self) -> dict:
         """atom := rational | i | pi | h | u(sum) | E[sum] | variable | (sum)"""
-        k, v = self.peek()
+        k, v = self.toks[self.pos]
         self.take()
         if k == "num":
-            return self.scalar({0: PiPoly.const(GRat.parse(v))})
+            n, _, d = v.partition("/")
+            d = int(d or 1)
+            if not d:
+                raise CoeffError(f"zero denominator in {v!r}")
+            g = _reduced(int(n), 0, d)
+            return {_SCALAR: (CIRCLE_ONE, {(0, 0): g} if g else {}, True)}
         if v == "(":
             group = self.sum()
             if self.at(",|"):
@@ -258,33 +261,29 @@ class _Parser:
         if k != "name":
             raise CoeffError(f"unexpected token {v!r}")
         if self.in_exp and v in self.var_index:  # never i or pi (SlotSpec)
-            return {(self.var_index[v], None): Scalar.one(self.spec.order)}
-        if v == "i":
-            return self.scalar({0: PiPoly.const(GRAT_I)})
-        if v == "pi":
-            return self.scalar({0: PiPoly.pi_power(1)})
-        if v == "h":
-            return self.scalar({1: PI_ONE})
+            return {(self.var_index[v], None): _ONE}
+        if v in _CONSTANTS:
+            m, g = _CONSTANTS[v]
+            return {_SCALAR: (CIRCLE_ONE, {m: g} if m[0] < self.spec.order else {}, True)}
         if v == "u":
             self.take("sym", "(")
             q = self.number(self.sum(), "u(...)")
             self.take("sym", ")")
             if q.m:
                 raise CoeffError("u(...) takes a real rational")
-            return {_SCALAR: Scalar.one(self.spec.order).turn(q.n, q.d)}
+            k, unit = _circle(q.n, q.d).quarter_turns()
+            return {_SCALAR: (unit, {(0, 0): I_POWERS[k]}, False)}
         if v == "E":
             self.take("sym", "[")
             outer, self.in_exp = self.in_exp, True
             form = self.exponent(self.sum())
             self.in_exp = outer
             self.take("sym", "]")
-            return {(None, _nonzero(form)): Scalar.one(self.spec.order)}
+            return {(None, _nonzero(form)): _ONE}
         raise CoeffError(f"unknown name {v!r}")
 
     def coefficient_list(self, first: dict) -> dict:
-        """(c, c | c, ...): one coefficient per slot variable, ``,`` between
-        the variables of a slot and ``|`` between slots; ``first`` is the
-        entry already read."""
+        """(c, c | c, ...), one coefficient per slot variable, after ``first``."""
         out, entry = {}, first
         for slot in self.spec.slots:
             for vi in range(slot.nvars):
@@ -301,20 +300,14 @@ class _Parser:
         return _gaussian(terms[_SCALAR], 0, what)
 
     def exponent(self, terms: dict) -> LinForm:
-        """The form of an E[...] body, whose every term is a Gaussian
-        rational times one pi."""
-        flat = [GRAT_ZERO] * self.spec.nvars
-        const = GRAT_ZERO
+        """The form of an E[...] body: a Gaussian rational times pi per term."""
+        flat = [GRAT_ZERO] * (self.spec.nvars + 1)  # the constant last
         for (var, form), c in terms.items():
             if form is not None:
                 raise CoeffError("E[...] inside an exponent")
-            g = _gaussian(c, 1, "an exponent term")
-            if var is None:
-                const = g
-            else:
-                flat[var] = g
+            flat[-1 if var is None else var] = _gaussian(c, 1, "an exponent term")
         it = iter(flat)
-        return LinForm(tuple(tuple(islice(it, s.nvars)) for s in self.spec.slots), const, None)
+        return LinForm(tuple(tuple(islice(it, s.nvars)) for s in self.spec.slots), flat[-1], None)
 
     def times(self, a: dict, b: dict) -> dict:
         """The product of two sums; a variable meets only constants."""
@@ -325,15 +318,22 @@ class _Parser:
                     raise CoeffError("a product of two variables is not linear")
                 form = fa if fb is None else fb if fa is None else _nonzero(fa + fb)
                 key = (vb if va is None else va, form)
-                c = ca * cb
-                out[key] = scalar_add(out[key], c) if key in out else c
+                c = _times(self.spec.order, ca, cb)
+                out[key] = _plus(out[key], c) if key in out else c
         return out
 
 
 def parse_expsum(text: str, spec: SlotSpec) -> ExpSum:
-    p = _Parser(text, spec)
+    p, order = _Parser(text, spec), spec.order
     terms = p.sum()
-    if p.pos < len(p.toks):
-        raise CoeffError(f"trailing input near token {p.peek()[1]!r}")
-    zero = spec.zero_form()
-    return ExpSum.make(spec, [(c, form or zero) for (_, form), c in terms.items()])
+    if p.toks[p.pos][0]:
+        raise CoeffError(f"trailing input near token {p.toks[p.pos][1]!r}")
+    pairs = []
+    for (_, form), (unit, monomials, dense) in terms.items():
+        if dense:  # h-level k: the monomials (k, d)
+            levels = [PiPoly.of({d: g for (j, d), g in monomials.items() if j == k}) for k in range(order)]
+            coeff = Scalar(unit, HbarSeries(order, tuple(levels)))
+        else:
+            coeff = _log_form(order, unit, monomials[(0, 0)], None)
+        pairs.append((coeff, form or spec.zero_form()))
+    return ExpSum.make(spec, pairs)

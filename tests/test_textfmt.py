@@ -90,53 +90,70 @@ def test_parse_errors():
         parse_expsum("E[pi*(v1)]", SCALARS)
 
 
-@pytest.mark.parametrize(
-    "spec, text, rendered",
-    [
-        (SCALARS, "u(1/4)*(1 + pi^2*h + (1/2+1/3 i)*pi^4*h^2)", "u(1/4)*(1 + pi^2*h + (1/2+1/3 i)*pi^4*h^2)"),
-        (
-            SPEC,
-            "(1+h)*E[pi*(v1+2*v2-1/2*l1~)] + u(1/4)*E[pi*(v1+1/3)]",
-            "u(1/4)*E[pi*(v1 + 1/3)] + (1 + h)*E[pi*(v1 + 2*v2 - 1/2*l1~)]",
-        ),
-        # the per-variable coefficient list
-        (SPEC, "E[pi*(1,0|0,0)] * E[pi*(0,1|0,0)]", "E[pi*(v1 + v2)]"),
-        (
-            SPEC,
-            "E[pi*((1+2 i), 3 | 1/2 i, -i)] - 1/2",
-            "-1/2 + E[pi*((1+2 i)*v1 + 3*v2 + (1/2 i)*l1 + (-1 i)*l1~)]",
-        ),
-        # one operand per benchmark spec, in the benchmark's own format
-        (
-            MOYAL,
-            "u(3/4)*u(1/2)*((-1-1 i) + (1-1/2 i)*h^1 + (-3/8+3/8 i)*h^2 + (25/12+43/48 i)*h^3"
-            " + (-389/384-185/384 i)*h^4 + (161/640+157/1280 i)*h^5)"
-            "*E[pi*((-1+0 i)*v1 + (-1+1/2 i)*v2) + pi*(1/2)]",
-            "(u(1/4)*((1+1 i) + (-1+1/2 i)*h + (3/8-3/8 i)*h^2 + (-25/12-43/48 i)*h^3"
-            " + (389/384+185/384 i)*h^4 + (-161/640-157/1280 i)*h^5))"
-            "*E[pi*(-1*v1 + (-1+1/2 i)*v2 + 1/2)]",
-        ),
-        (
-            KERNEL,
-            "u(1/4)*u(1/2)*((-1-1 i) + (1-1/2 i)*pi^1*h^1 + (2-2 i)*pi^1*h^2 + (-1+2 i)*h^3"
-            " + (-1+0 i)*pi^1*h^4 + (-1/2+0 i)*pi^2*h^5)*E[pi*((-1/2+1/2 i)*v1 + (0-1 i)*v2"
-            " + (-1/2+0 i)*l1 + (1+1/2 i)*l2 + (-1-1 i)*l1~ + (1-1 i)*l2~) + pi*(-1/2)]",
-            "(u(1/4)*((1-1 i) + (1/2+1 i)*pi*h + (2+2 i)*pi*h^2 + (-2-1 i)*h^3 + (-1 i)*pi*h^4"
-            " + (-1/2 i)*pi^2*h^5))*E[pi*((-1/2+1/2 i)*v1 + (-1 i)*v2 - 1/2*l1 + (1+1/2 i)*l2"
-            " + (-1-1 i)*l1~ + (1-1 i)*l2~ - 1/2)]",
-        ),
-        # every atom takes a power, and a coefficient reads alike in and out of E[...]
-        (SPEC, "u(1/4)^2", "(1 i)"),
-        (SPEC, "E[pi*v1]^2*h^0", "E[pi*(2*v1)]"),
-        (SPEC, "E[pi*(2 i*v1)]", "E[pi*((2 i)*v1)]"),
-        (SPEC, "E[pi*((1/2+1/3 i)*v1)]", "E[pi*((1/2+1/3 i)*v1)]"),
-        # a coefficient that is a difference is bracketed
-        (SPEC, "(1 - h)*E[pi*v2]", "(1 - 1*h)*E[pi*(v2)]"),
-    ],
-)
-def test_parse_table(spec, text, rendered):
+# each row's parsed coefficients, in order, by form: "log" for the log form
+# of u(...), E[...], variables, signs, powers and products of these, "dense"
+# once a number, i, pi or h enters or two like terms merge
+PARSE_TABLE = [
+    (
+        SCALARS,
+        "u(1/4)*(1 + pi^2*h + (1/2+1/3 i)*pi^4*h^2)",
+        "u(1/4)*(1 + pi^2*h + (1/2+1/3 i)*pi^4*h^2)",
+        "dense",
+    ),
+    (
+        SPEC,
+        "(1+h)*E[pi*(v1+2*v2-1/2*l1~)] + u(1/4)*E[pi*(v1+1/3)]",
+        "u(1/4)*E[pi*(v1 + 1/3)] + (1 + h)*E[pi*(v1 + 2*v2 - 1/2*l1~)]",
+        "log dense",
+    ),
+    # the per-variable coefficient list
+    (SPEC, "E[pi*(1,0|0,0)] * E[pi*(0,1|0,0)]", "E[pi*(v1 + v2)]", "log"),
+    (
+        SPEC,
+        "E[pi*((1+2 i), 3 | 1/2 i, -i)] - 1/2",
+        "-1/2 + E[pi*((1+2 i)*v1 + 3*v2 + (1/2 i)*l1 + (-1 i)*l1~)]",
+        "dense log",
+    ),
+    # one operand per benchmark spec, in the benchmark's own format
+    (
+        MOYAL,
+        "u(3/4)*u(1/2)*((-1-1 i) + (1-1/2 i)*h^1 + (-3/8+3/8 i)*h^2 + (25/12+43/48 i)*h^3"
+        " + (-389/384-185/384 i)*h^4 + (161/640+157/1280 i)*h^5)"
+        "*E[pi*((-1+0 i)*v1 + (-1+1/2 i)*v2) + pi*(1/2)]",
+        "(u(1/4)*((1+1 i) + (-1+1/2 i)*h + (3/8-3/8 i)*h^2 + (-25/12-43/48 i)*h^3"
+        " + (389/384+185/384 i)*h^4 + (-161/640-157/1280 i)*h^5))"
+        "*E[pi*(-1*v1 + (-1+1/2 i)*v2 + 1/2)]",
+        "dense",
+    ),
+    (
+        KERNEL,
+        "u(1/4)*u(1/2)*((-1-1 i) + (1-1/2 i)*pi^1*h^1 + (2-2 i)*pi^1*h^2 + (-1+2 i)*h^3"
+        " + (-1+0 i)*pi^1*h^4 + (-1/2+0 i)*pi^2*h^5)*E[pi*((-1/2+1/2 i)*v1 + (0-1 i)*v2"
+        " + (-1/2+0 i)*l1 + (1+1/2 i)*l2 + (-1-1 i)*l1~ + (1-1 i)*l2~) + pi*(-1/2)]",
+        "(u(1/4)*((1-1 i) + (1/2+1 i)*pi*h + (2+2 i)*pi*h^2 + (-2-1 i)*h^3 + (-1 i)*pi*h^4"
+        " + (-1/2 i)*pi^2*h^5))*E[pi*((-1/2+1/2 i)*v1 + (-1 i)*v2 - 1/2*l1 + (1+1/2 i)*l2"
+        " + (-1-1 i)*l1~ + (1-1 i)*l2~ - 1/2)]",
+        "dense",
+    ),
+    # every atom takes a power, and a coefficient reads alike in and out of E[...]
+    (SPEC, "u(1/4)^2", "(1 i)", "log"),
+    (SPEC, "E[pi*v1]^2*h^0", "E[pi*(2*v1)]", "log"),
+    (SPEC, "E[pi*(2 i*v1)]", "E[pi*((2 i)*v1)]", "log"),
+    (SPEC, "E[pi*((1/2+1/3 i)*v1)]", "E[pi*((1/2+1/3 i)*v1)]", "log"),
+    # a coefficient that is a difference is bracketed
+    (SPEC, "(1 - h)*E[pi*v2]", "(1 - 1*h)*E[pi*(v2)]", "dense"),
+]
+
+
+def _forms(f: ExpSum) -> str:
+    return " ".join("dense" if t.coeff.mag is None else "log" for t in f.terms)
+
+
+@pytest.mark.parametrize("spec, text, rendered, forms", PARSE_TABLE)
+def test_parse_table(spec, text, rendered, forms):
     f = parse_expsum(text, spec)
     assert expsum_str(f) == rendered
+    assert _forms(f) == forms
     assert parse_expsum(rendered, spec) == f
 
 
@@ -234,3 +251,174 @@ def test_random_token_strings_parse_back_or_are_errors(text):
     except CoeffError:
         return
     assert parse_expsum(expsum_str(f), SPEC) == f
+
+
+def test_benchmark_operands_parse_without_series_or_scalar_products(monkeypatch):
+    # each coefficient is evaluated on monomials and becomes one Scalar; no
+    # Scalar or series product is taken on the way
+    calls = {"HbarSeries": 0, "Scalar": 0}
+    for cls in (HbarSeries, Scalar):
+        def counting(a, b, name=cls.__name__, mul=cls.__mul__):
+            calls[name] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+    rows = [row for row in PARSE_TABLE if row[0] is MOYAL or row[0] is KERNEL]
+    assert len(rows) == 2
+    for spec, text, rendered, _ in rows:
+        assert expsum_str(parse_expsum(text, spec)) == rendered
+    assert calls == {"HbarSeries": 0, "Scalar": 0}
+
+
+# Random expression trees, rendered into the grammar and evaluated by ring
+# arithmetic on Scalar and ExpSum.  E[...] stands only where the grammar
+# allows it, as a factor of a top-level product: outside E[...] a
+# parenthesized sum must be a scalar.
+_ORDER = SPEC.order
+_ZERO_FORM = SPEC.zero_form()
+_ATOMS = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 3), st.integers(1, 3)),
+    st.sampled_from([("i",), ("pi",), ("h",)]),
+    st.tuples(st.just("u"), st.integers(0, 7), st.sampled_from([1, 2, 4])),
+)
+_SCALAR_TREES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(st.just("pow"), inner, st.integers(0, 3)),
+        st.tuples(st.just("prod"), st.lists(inner, min_size=2, max_size=3)),
+        st.tuples(st.just("sum"), st.lists(st.tuples(st.sampled_from("+-"), inner), min_size=1, max_size=3)),
+    ),
+    max_leaves=6,
+)
+_GRATS = st.builds(lambda a, b, d: G(Q(a, d), Q(b, d)), st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 2))
+_EXPS = st.builds(
+    lambda cs, c, listed: ("E", LinForm(((cs[0], cs[1]), (cs[2], cs[3])), c, None), listed),
+    st.lists(_GRATS, min_size=4, max_size=4),
+    st.builds(lambda a, d: G(Q(a, d)), st.integers(-2, 2), st.integers(1, 2)),
+    st.booleans(),
+)
+_FACTORS = st.one_of(_SCALAR_TREES, _EXPS, st.tuples(st.just("pow"), _EXPS, st.integers(0, 2)))
+_TREES = st.tuples(
+    st.just("sum"),
+    st.lists(
+        st.tuples(st.sampled_from("+-"), st.tuples(st.just("prod"), st.lists(_FACTORS, min_size=1, max_size=3))),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def _text(t) -> str:
+    kind = t[0]
+    if kind == "num":
+        return f"{t[1]}/{t[2]}"
+    if kind == "u":
+        return f"u({t[1]}/{t[2]})"
+    if kind == "E":
+        form = t[1]
+        flat = [c for slot in form.coeffs for c in slot]
+        if t[2]:
+            return f"E[pi*({flat[0]}, {flat[1]} | {flat[2]}, {flat[3]}) + pi*({form.const_pi})]"
+        named = " + ".join(f"({c})*{n}" for c, n in zip(flat, SPEC.var_names()))
+        return f"E[pi*({named} + ({form.const_pi}))]"
+    if kind == "pow":
+        base = _text(t[1])
+        if t[1][0] not in ("num", "i", "pi", "h", "u", "E"):
+            base = f"({base})"
+        return f"{base}^{t[2]}"
+    if kind == "prod":
+        return "*".join(f"({_text(f)})" if f[0] == "sum" else _text(f) for f in t[1])
+    if kind == "sum":
+        parts = [(sign, f"({_text(term)})" if term[0] == "sum" else _text(term)) for sign, term in t[1]]
+        head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        return head + "".join(f" {sign} {body}" for sign, body in parts[1:])
+    return kind
+
+
+def _scalar_atom(t) -> Scalar:
+    if t[0] == "u":
+        return Scalar.one(_ORDER).turn(t[1], t[2])
+    if t[0] == "num":
+        series = {0: PiPoly.const(G(Q(t[1], t[2])))}
+    else:
+        series = {"i": {0: PiPoly.const(G(0, 1))}, "pi": {0: PiPoly.pi_power(1)}, "h": {1: PiPoly.const(G(1))}}[t[0]]
+    return Scalar(CircleConst.of(0), HbarSeries.of(_ORDER, series))
+
+
+def _value(t) -> ExpSum:
+    kind = t[0]
+    if kind == "E":
+        return ExpSum.exponential(SPEC, t[1])
+    if kind == "pow":
+        out = ExpSum.one(SPEC)
+        for _ in range(t[2]):
+            out = out * _value(t[1])
+        return out
+    if kind == "prod":
+        out = ExpSum.one(SPEC)
+        for f in t[1]:
+            out = out * _value(f)
+        return out
+    if kind == "sum":
+        out = ExpSum(SPEC, ())
+        for sign, term in t[1]:
+            out = out + (-_value(term) if sign == "-" else _value(term))
+        return out
+    return ExpSum.scalar(SPEC, _scalar_atom(t))
+
+
+class _Clash(Exception):
+    """Like terms with different circle constants meet."""
+
+
+def _merge(out: dict, form, unit, dense) -> None:
+    if form in out:
+        if out[form][0] != unit:
+            raise _Clash
+        dense = True
+    out[form] = (unit, dense)
+
+
+def _forms_of(t) -> dict:
+    """The form rule of ``textfmt``'s module docstring, as a model: each
+    exponent of the parse (zero coefficients kept) to (unit, dense)."""
+    kind = t[0]
+    if kind == "E":
+        return {t[1]: (CircleConst.of(0), False)}
+    if kind in ("pow", "prod"):
+        factors = [t[1]] * t[2] if kind == "pow" else t[1]
+        out = {_ZERO_FORM: (CircleConst.of(0), False)}
+        for f in factors:
+            acc = {}
+            for fa, (ua, da) in out.items():
+                for fb, (ub, db) in _forms_of(f).items():
+                    _merge(acc, fa + fb, (ua * ub).quarter_turns()[1], da or db)
+            out = acc
+        return out
+    if kind == "sum":
+        out = {}
+        for _, term in t[1]:
+            for form, (unit, dense) in _forms_of(term).items():
+                _merge(out, form, unit, dense)
+        return out
+    if kind == "u":
+        return {_ZERO_FORM: (_scalar_atom(t).unit, False)}
+    return {_ZERO_FORM: (CircleConst.of(0), True)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_random_expression_trees_parse_to_their_ring_value_and_form(tree):
+    text = _text(tree)
+    try:
+        forms = _forms_of(tree)
+    except _Clash:
+        with pytest.raises(CoeffError, match="incompatible circle constants"):
+            parse_expsum(text, SPEC)
+        return
+    f = parse_expsum(text, SPEC)
+    assert f == _value(tree)
+    for term in f.terms:
+        unit, dense = forms[term.form]
+        assert term.coeff.unit == unit
+        assert (term.coeff.mag is None) == dense
