@@ -367,10 +367,11 @@ def scalar_add(a: Scalar, b: Scalar) -> Scalar:
 
     Both are unit*series; addition only stays in the class when the units
     agree, as they always do for merged like-exponent terms coming out of
-    normalization.
+    normalization.  The sum is dense and of the operands' type: the text
+    parser adds its like terms, unit*monomials, here too.
     """
     if a.unit == b.unit:
-        return Scalar(a.unit, a.series + b.series)
+        return type(a)(a.unit, a.series + b.series)
     raise CoeffError(
         "sum of scalars with incompatible circle constants is not representable"
     )

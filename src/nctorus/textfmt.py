@@ -27,19 +27,21 @@ one Gaussian rational per slot variable, ``,`` between the variables of a
 slot and ``|`` between slots: ``E[pi*(1, 2 i | 0)]``.
 
 Each reader evaluates to a sum: a dict from (variable index or None,
-exponent form or None for zero) to a coefficient (unit, terms, dense),
-``unit`` a circle constant of angle in [0, 1/2) and ``terms`` a map from
+exponent form or None for zero) to a coefficient (unit, series, dense),
+``unit`` a circle constant of angle in [0, 1/2) and ``series`` a map from
 (h-degree < order, pi-degree) to nonzero GRats.  Products convolve terms
 and fold the quarter turns of the unit product into them, as ``Scalar.of``
-does; sums add like terms, of one unit.  ``dense`` is the form of the one
-``Scalar`` per term that ``parse_expsum`` builds: a log form while only
-``u(...)``, ``E[...]``, variables, signs, powers and products enter, dense
-once a number, ``i``, ``pi`` or ``h`` does or like terms merge.
+does; sums add like terms with ``expalg.scalar_add``, which adds the
+maps and refuses two units as it does for Scalars.  ``dense`` is the form
+of the one ``Scalar`` per term that ``parse_expsum`` builds: a log form
+while only ``u(...)``, ``E[...]``, variables, signs, powers and products
+enter, dense once a number, ``i``, ``pi`` or ``h`` does or like terms merge.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import islice
 
 from .coeff import (
@@ -57,7 +59,7 @@ from .coeff import (
     _log_form,
     _reduced,
 )
-from .expalg import VAR_NAME, ExpSum, LinForm, SlotSpec
+from .expalg import VAR_NAME, ExpSum, LinForm, SlotSpec, scalar_add
 
 __all__ = ["scalar_str", "expsum_str", "parse_expsum"]
 
@@ -124,8 +126,24 @@ _TOKEN = re.compile(
     rf"(?P<num>\d+(?:/\d+)?)|(?P<name>{VAR_NAME.pattern})"
     r"|(?P<sym>[-+*^()\[\]|,])|(?P<bad>\S)"
 )
+
+
+class _Terms(dict):
+    """{(h-degree, pi-degree): nonzero GRat}; ``+`` adds like monomials."""
+
+    def __add__(self, other):
+        out = _Terms(self)
+        for m, g in other.items():
+            out[m] = g = out[m] + g if m in out else g
+            if not g:
+                del out[m]
+        return out
+
+
+# a coefficient of a sum; ``scalar_add`` adds two like ones, dense
+_Coeff = namedtuple("_Coeff", "unit series dense", defaults=(True,))
 _SCALAR = (None, None)  # the key of a term with no variable and a zero form
-_ONE = (CIRCLE_ONE, {(0, 0): GRAT_ONE}, False)  # the coefficient 1, in log form
+_ONE = _Coeff(CIRCLE_ONE, _Terms({(0, 0): GRAT_ONE}), False)  # the coefficient 1, in log form
 _CONSTANTS = {"i": ((0, 0), GRAT_I), "pi": ((0, 1), GRAT_ONE), "h": ((1, 0), GRAT_ONE)}
 
 
@@ -141,34 +159,24 @@ def _tokenize(text: str):
 
 def _gaussian(c, pi_degree: int, what: str) -> GRat:
     """g where the coefficient c is the Gaussian rational g times pi^pi_degree."""
-    if c[0].n or any(m != (0, pi_degree) for m in c[1]):
+    if c.unit.n or any(m != (0, pi_degree) for m in c.series):
         raise CoeffError(f"{what} must be a Gaussian rational{' times pi' * pi_degree}")
-    return c[1].get((0, pi_degree), GRAT_ZERO)
-
-
-def _plus(a, b):
-    """The sum of two like coefficients, dense as ``scalar_add`` makes it."""
-    if a[0] != b[0]:
-        raise CoeffError("sum of scalars with incompatible circle constants is not representable")
-    terms = dict(a[1])
-    for m, g in b[1].items():
-        terms[m] = terms[m] + g if m in terms else g
-    return a[0], {m: g for m, g in terms.items() if g}, True
+    return c.series.get((0, pi_degree), GRAT_ZERO)
 
 
 def _times(order: int, a, b):
     """The product of two coefficients (see the module docstring)."""
     (ua, ta, da), (ub, tb, db) = a, b
     turn, unit = (ua * ub).quarter_turns() if ua.n and ub.n else (0, ua if ua.n else ub)
-    terms = {}
+    terms = _Terms()
     for (ka, pa), ga in ta.items():
         for (kb, pb), gb in tb.items():
             if ka + kb < order:
                 m, g = (ka + kb, pa + pb), ga * gb
                 terms[m] = terms[m] + g if m in terms else g
     if turn or len(ta) > 1 and len(tb) > 1:  # else no zero and nothing to fold
-        terms = {m: g * I_POWERS[turn] for m, g in terms.items() if g}
-    return unit, terms, da or db
+        terms = _Terms({m: g * I_POWERS[turn] for m, g in terms.items() if g})
+    return _Coeff(unit, terms, da or db)
 
 
 def _nonzero(form: LinForm):
@@ -206,8 +214,8 @@ class _Parser:
         while True:
             for key, c in self.product().items():
                 if sign == "-":
-                    c = c[0], {m: -g for m, g in c[1].items()}, c[2]
-                acc[key] = _plus(acc[key], c) if key in acc else c
+                    c = _Coeff(c.unit, _Terms({m: -g for m, g in c.series.items()}), c.dense)
+                acc[key] = scalar_add(acc[key], c) if key in acc else c
             if not self.at("+-"):
                 return acc
             sign = self.take()
@@ -249,7 +257,7 @@ class _Parser:
             if not d:
                 raise CoeffError(f"zero denominator in {v!r}")
             g = _reduced(int(n), 0, d)
-            return {_SCALAR: (CIRCLE_ONE, {(0, 0): g} if g else {}, True)}
+            return {_SCALAR: _Coeff(CIRCLE_ONE, _Terms({(0, 0): g} if g else {}))}
         if v == "(":
             group = self.sum()
             if self.at(",|"):
@@ -264,7 +272,7 @@ class _Parser:
             return {(self.var_index[v], None): _ONE}
         if v in _CONSTANTS:
             m, g = _CONSTANTS[v]
-            return {_SCALAR: (CIRCLE_ONE, {m: g} if m[0] < self.spec.order else {}, True)}
+            return {_SCALAR: _Coeff(CIRCLE_ONE, _Terms({m: g} if m[0] < self.spec.order else {}))}
         if v == "u":
             self.take("sym", "(")
             q = self.number(self.sum(), "u(...)")
@@ -272,7 +280,7 @@ class _Parser:
             if q.m:
                 raise CoeffError("u(...) takes a real rational")
             k, unit = _circle(q.n, q.d).quarter_turns()
-            return {_SCALAR: (unit, {(0, 0): I_POWERS[k]}, False)}
+            return {_SCALAR: _Coeff(unit, _Terms({(0, 0): I_POWERS[k]}), False)}
         if v == "E":
             self.take("sym", "[")
             outer, self.in_exp = self.in_exp, True
@@ -319,7 +327,7 @@ class _Parser:
                 form = fa if fb is None else fb if fa is None else _nonzero(fa + fb)
                 key = (vb if va is None else va, form)
                 c = _times(self.spec.order, ca, cb)
-                out[key] = _plus(out[key], c) if key in out else c
+                out[key] = scalar_add(out[key], c) if key in out else c
         return out
 
 
