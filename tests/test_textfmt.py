@@ -390,6 +390,8 @@ def _forms_of(t) -> dict:
     if kind == "E":
         return {t[1]: (CircleConst.of(0), False)}
     if kind in ("pow", "prod"):
+        if kind == "pow":
+            _forms_of(t[1])  # the base is read even at ^0, so its clash raises
         factors = [t[1]] * t[2] if kind == "pow" else t[1]
         out = {_ZERO_FORM: (CircleConst.of(0), False)}
         for f in factors:
