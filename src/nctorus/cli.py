@@ -21,6 +21,7 @@ from math import comb
 
 import click
 
+from .checks import check_cases, coordinate_window, nonzero, sample_window
 from .coeff import (
     CIRCLE_ONE,
     GRAT_ZERO,
@@ -31,18 +32,7 @@ from .coeff import (
 )
 from .cohomfm import fm_hh2, fm_square_table
 from .expalg import ExpSum, LinForm, Slot, SlotSpec
-from .gerbe import (
-    GammaElement,
-    check_cases,
-    cocycle_expands,
-    cocycle_identity,
-    coordinate_window,
-    ctilde_extends,
-    group_law,
-    nonzero,
-    rho_composes,
-    sample_window,
-)
+from .gerbe import GammaElement, cocycle_expands, cocycle_identity, ctilde_extends, group_law, rho_composes
 from .moyal_oracle import taylor_expand, taylor_star_oracle
 from .picard import (
     NSData,

@@ -19,33 +19,27 @@ values; (xi, z) acts with central weight -1 by
 The module also holds the gerbe's checked identities, as predicates
 ``(B, order, ..., case) -> bool`` over one case each: the 2-cocycle
 identity, the group law, rho composition, ctilde's restriction and
-additivity, and the cocycle against ``series_exp``.  They run on the
-verifier's one window sampler (``sample_window``) and its one
-first-failure check loop (``check_cases``).
+additivity, and the cocycle against ``series_exp``, run by
+``checks.check_cases`` on cases from ``checks.sample_window``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from math import prod
 
+from .checks import coordinate_window
 from .coeff import CIRCLE_ONE, CoeffError, HbarSeries, PiPoly, Scalar, combine, exp_hpi2, series_exp
 from .torus import BForm
 
 __all__ = [
     "GammaElement",
     "FiberFunction",
-    "fiber_point",
     "heisenberg_cocycle",
     "gamma_mul",
     "gamma_inverse",
     "ctilde",
     "rho_act",
-    "coordinate_window",
-    "nonzero",
-    "sample_window",
-    "check_cases",
+    "coordinate_window",  # re-exported: the acceptance tests and perfbench import it from here
     "cocycle_identity",
     "group_law",
     "rho_composes",
@@ -113,67 +107,6 @@ class FiberFunction:
         return FiberFunction(tuple(base), tuple(sorted(mapping.items())))
 
 
-def fiber_point(base, offset, basis) -> tuple:
-    """The point w_n = s + sum_k n_k xi^(k) of F_s at the integer offset n,
-    for s = ``base`` and the dual lattice ``basis``.  Computed once per
-    (base, offset) by the memo ``basis.point`` that the basis holds."""
-    return basis.point(base, offset)
-
-
-def coordinate_window(rank: int, radius: int):
-    """All integer coordinate tuples with entries in [-radius, radius]."""
-    return list(iproduct(range(-radius, radius + 1), repeat=rank))
-
-
-def nonzero(case) -> int:
-    """Number of nonzero integer coordinates in a case, counted through
-    nested tuples; entries that are not integers (central scalars) count 0."""
-    if isinstance(case, tuple):
-        return sum(map(nonzero, case))
-    return int(isinstance(case, int) and case != 0)
-
-
-def sample_window(parts, budget: int, sparse: int, extra: int, rng, per_part: bool = False):
-    """The cases of a windowed identity check: tuples with one entry from
-    each of ``parts`` (lists).
-
-    This is the one sampling policy of the verifier.  When the full
-    product of the parts has at most ``budget`` cases, every case is
-    returned, in product order.  Otherwise the check runs on the sparse
-    cases, those with at most ``sparse`` nonzero generator coordinates in
-    total (or in each entry, when ``per_part``), in product order, topped
-    up with ``extra`` draws of ``tuple(rng.choice(p) for p in parts)``.
-    The identities are polynomial of low degree in the coordinates, so the
-    sparse cases already pin their affine and bilinear coefficients; the
-    draws reach unrestricted cases.  ``rng`` is a ``random.Random`` owned
-    by the caller, so that its seed and later draws stay with the caller.
-    """
-    if prod(map(len, parts)) <= budget:
-        return list(iproduct(*parts))
-    kept = [[(c, n) for c in part if (n := nonzero(c)) <= sparse] for part in parts]
-    cases = [
-        tuple(c for c, _ in combo)
-        for combo in iproduct(*kept)
-        if per_part or sum(n for _, n in combo) <= sparse
-    ]
-    return cases + [tuple(rng.choice(p) for p in parts) for _ in range(extra)]
-
-
-def check_cases(cases, holds, count: str = "checked") -> dict:
-    """Run ``holds`` over ``cases`` up to the first failure.
-
-    Returns ``{"status", count, "failing"}``: PASS with the count equal to
-    ``len(cases)``, or FAIL with the number of cases run and the first
-    failing case.  An empty case list is a FAIL: nothing was checked.
-    """
-    n = 0
-    for case in cases:
-        n += 1
-        if not holds(case):
-            return {"status": "FAIL", count: n, "failing": case}
-    return {"status": "PASS" if n else "FAIL", count: n, "failing": None}
-
-
 def rho_act(a: GammaElement, f: FiberFunction, B: BForm, order: int) -> FiberFunction:
     """The weight (-1) action: (rho f)_w = z^{-1} ctilde(w, xi) f_{w-xi}."""
     vals = dict(f.values)
@@ -183,7 +116,7 @@ def rho_act(a: GammaElement, f: FiberFunction, B: BForm, order: int) -> FiberFun
         src = tuple(o - x for o, x in zip(offset, a.xi))
         if src not in vals:
             continue  # the window shrinks by the shift
-        w = fiber_point(f.base, offset, B.basis)
+        w = B.basis.point(f.base, offset)
         out[offset] = zinv * ctilde(w, a.xi, B, order) * vals[src]
     if vals and not out:
         raise CoeffError("fiber window too small for this shift")

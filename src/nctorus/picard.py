@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, lcm
 
+from .checks import coordinate_window, sample_window
 from .coeff import (
     GRAT_ZERO,
     CircleConst,
@@ -62,7 +63,6 @@ from .expalg import (
     translate,
     translation,
 )
-from .gerbe import coordinate_window, sample_window
 from .linalg import grat_solve, rat_solve
 from .torus import TorusData, pairing
 
@@ -193,7 +193,7 @@ class Factor:
 
 
 def lattice_pairs(grp: LatticeGroup, radius: int = 1):
-    """Window pairs for the cocycle check (policy: ``sample_window``)."""
+    """Window pairs for the cocycle check (policy: ``checks.sample_window``)."""
     return sample_window([grp.window(radius)] * 2, 20000, 2, 300, random.Random(171))
 
 

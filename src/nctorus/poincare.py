@@ -63,15 +63,8 @@ from .expalg import (
     translate,
     translation,
 )
-from .gerbe import (
-    check_cases,
-    coordinate_window,
-    ctilde,
-    fiber_point,
-    heisenberg_cocycle,
-    nonzero,
-    sample_window,
-)
+from .checks import check_cases, coordinate_window, nonzero, sample_window
+from .gerbe import ctilde, heisenberg_cocycle
 from .picard import (
     Factor,
     NSData,
@@ -222,7 +215,7 @@ def poincare_factor(ctx: PoincareContext) -> Factor:
 
 
 def cocycle_pairs(grp: PoincareGroup, radius: int, z_choices):
-    """Pairs for the cocycle check (policy: ``gerbe.sample_window``)."""
+    """Pairs for the cocycle check (policy: ``checks.sample_window``)."""
     return sample_window([grp.window(radius, z_choices)] * 2, 40000, 2, 500, random.Random(170))
 
 
@@ -352,7 +345,7 @@ def convolution_factor_check(factor: Factor, element) -> dict:
 
 def convolution_window_report(ctx: PoincareContext, radius: int = 1) -> dict:
     """Run the convolution identity over the (m, x, z, mu) window
-    (policy: ``gerbe.sample_window``)."""
+    (policy: ``checks.sample_window``)."""
     z_choices = _default_z_choices(ctx.torus.order)
     coords = coordinate_window(2 * ctx.torus.g, radius)
     elements = sample_window([coords, coords, z_choices, coords], 10000, 2, 300, random.Random(173))
@@ -396,7 +389,7 @@ def restrict_to_section(ctx: PoincareContext, s, lseries=(), radius: int = 1):
     def fiber(offset):
         """(w, the translation to w, iota_w, its star inverse) at the
         fiber point w of the offset."""
-        w = fiber_point(s, offset, ctx.dual)
+        w = ctx.dual.point(s, offset)
         vcoef = tuple(-a.conj() for a in w)
         iota = ExpSum.exponential(vspec, LinForm((vcoef,), GRAT_ZERO, None))
         return w, translation(ctx.spec2, {"l": w}), iota, star_inverse(iota)

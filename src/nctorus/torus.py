@@ -80,8 +80,9 @@ class TorusData:
 class DualLatticeBasis:
     """2g coefficient vectors xi^(k); Im<xi^(k), lambda_j> = delta_kj.
 
-    Holds the memo of the fiber points that ``gerbe.fiber_point`` reads:
-    ``point(base, offset)`` is computed once per argument."""
+    Holds the memo of the fiber points w = s + sum_k n_k xi^(k) of F_s
+    that ``gerbe.rho_act`` and the section check read: ``point(base,
+    offset)`` is computed once per argument."""
 
     vectors: tuple  # 2g tuples of g GRat
     point: object = field(init=False, repr=False, compare=False)

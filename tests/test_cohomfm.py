@@ -1,6 +1,5 @@
 import random
 
-from nctorus import cohomfm
 from nctorus.coeff import GRat, Q
 from nctorus.cohomfm import (
     ExtClass,
@@ -87,22 +86,6 @@ def test_square_table_g2():
     assert rep["status"] == "PASS"
     # stable per-degree table
     assert set(rep["table"].values()) == {1}
-
-
-def test_square_table_asserts_mukai_sign(monkeypatch):
-    # wedging with the unit class on the right negated: the composite is
-    # still +-identity in each degree, but the signs are not (-1)^g
-    merge = cohomfm._merge_sign
-
-    def flipped(m1, m2):
-        mono, sign = merge(m1, m2)
-        return mono, sign if m2 else -sign
-
-    monkeypatch.setattr(cohomfm, "_merge_sign", flipped)
-    for g in (1, 2):
-        rep = fm_square_table(g)
-        assert None not in rep["table"].values()
-        assert rep["status"] == "FAIL"
 
 
 def test_hh2_matches_bfield_random():

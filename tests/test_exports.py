@@ -112,3 +112,26 @@ def test_no_module_reads_the_environment():
         if name in ("environ", "getenv")
     ]
     assert found == []
+
+
+def _package_imports(path: Path) -> set:
+    """The ``nctorus`` modules that a module imports, relatively or by name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nctorus":
+            parts = node.module.split(".")
+            out |= {parts[1]} if len(parts) > 1 else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("nctorus.")}
+    return out
+
+
+def test_checks_is_a_leaf_and_picard_does_not_import_gerbe():
+    # the window sampler and the check loop serve every layer, so they
+    # import none; the Appell-Humbert layer does not rest on the gerbe
+    package = Path(__file__).resolve().parent.parent / "src" / "nctorus"
+    assert _package_imports(package / "checks.py") == set()
+    picard = _package_imports(package / "picard.py")
+    assert "checks" in picard and "gerbe" not in picard

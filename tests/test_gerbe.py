@@ -15,22 +15,19 @@ from nctorus.coeff import (
     combine,
 )
 from nctorus import cli, poincare
+from nctorus.checks import check_cases, coordinate_window, nonzero, sample_window
 from nctorus.gerbe import (
     FiberFunction,
     GammaElement,
-    check_cases,
-    coordinate_window,
     ctilde,
     gamma_inverse,
     gamma_mul,
     heisenberg_cocycle,
-    nonzero,
     rho_act,
-    sample_window,
 )
 from nctorus.picard import LatticeGroup, lattice_pairs, lattice_slotspec
 from nctorus.sampling import gaussian_product_torus, random_grat
-from nctorus.torus import BForm, bfield
+from nctorus.torus import bfield
 
 G = GRat.of
 PI2 = ((G(0), G(1)), (G(-1), G(0)))
@@ -201,89 +198,6 @@ def test_check_loop_reports_the_first_failure():
         "failing": None,
     }
     assert check_cases([], lambda c: True) == {"status": "FAIL", "checked": 0, "failing": None}
-
-
-def _e1xe2_window_1():
-    with open(os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures", "e1xe2.json")) as fh:
-        cfg = cli.parse_config(fh.read())
-    cfg.window = 1
-    return cfg
-
-
-def test_inverted_ctilde_fails_the_records_that_rest_on_it(monkeypatch):
-    # negative control: rho composition and the section twist both use
-    # ctilde, so replacing it by its inverse must flip their PASS to FAIL
-    from nctorus import gerbe
-
-    cfg = _e1xe2_window_1()
-    names = ("gerbe:rho-composition", "cohomology:section-0-iota", "cohomology:section-1-iota")
-
-    def statuses():
-        records = cli.suite_gerbe(cfg) + cli.suite_cohomology(cfg)
-        return {r["name"]: r["status"] for r in records if r["name"] in names}
-
-    assert statuses() == dict.fromkeys(names, "PASS")
-    true_ctilde = gerbe.ctilde
-
-    def inverted(w, xi, B, order):
-        return true_ctilde(w, xi, B, order).inverse()
-
-    monkeypatch.setattr(gerbe, "ctilde", inverted)
-    monkeypatch.setattr(poincare, "ctilde", inverted)
-    assert statuses() == dict.fromkeys(names, "FAIL")
-
-
-def test_perturbed_b_fails_the_records_that_read_its_bivector(monkeypatch):
-    # negative control: double B's dual-basis matrix but keep its bivector;
-    # rho composition and ctilde read both and must FAIL, while the other
-    # records read only the matrix and pass on any antisymmetric one (the
-    # group law's inverse needs B(xi, xi) = 0, which the doubled matrix keeps)
-    cfg = _e1xe2_window_1()
-
-    def statuses():
-        return {r["name"]: r["status"] for r in cli.suite_gerbe(cfg)}
-
-    names = ("cocycle-identity", "group-law", "rho-composition", "ctilde", "cocycle-expansion")
-    assert statuses() == {f"gerbe:{n}": "PASS" for n in names}
-    true_bfield = cli.bfield
-
-    def doubled(torus, basis=None):
-        B = true_bfield(torus, basis)
-        return BForm(B.poisson, B.basis, tuple(tuple(a + a for a in row) for row in B.matrix))
-
-    monkeypatch.setattr(cli, "bfield", doubled)
-    failing = ("rho-composition", "ctilde")
-    assert statuses() == {f"gerbe:{n}": "FAIL" if n in failing else "PASS" for n in names}
-
-
-def test_cocycle_identity_and_group_law_fail_their_mutants(monkeypatch):
-    # negative controls for the two records no other control reaches: a
-    # cocycle that is not bilinear in the coordinates breaks the 2-cocycle
-    # identity, and a B with a symmetric part breaks c(xi, -xi) = 1, on
-    # which the inverse (-xi, z^(-1)) rests
-    from nctorus import gerbe
-
-    cfg = _e1xe2_window_1()
-
-    def statuses():
-        return {r["name"]: r["status"] for r in cli.suite_gerbe(cfg)}
-
-    def squared(B, xi, xi2, order):
-        b = B.on_coords(xi2, xi)
-        return gerbe.exp_hpi2(order, b * b)
-
-    monkeypatch.setattr(gerbe, "heisenberg_cocycle", squared)
-    assert statuses()["gerbe:cocycle-identity"] == "FAIL"
-    monkeypatch.undo()
-    true_bfield = cli.bfield
-
-    def with_symmetric_part(torus, basis=None):
-        B = true_bfield(torus, basis)
-        rows = tuple(tuple(a + G(int(i == j)) for j, a in enumerate(row)) for i, row in enumerate(B.matrix))
-        return BForm(B.poisson, B.basis, rows)
-
-    monkeypatch.setattr(cli, "bfield", with_symmetric_part)
-    assert statuses()["gerbe:group-law"] == "FAIL"
 
 
 def _window_counts(monkeypatch, g, radius):

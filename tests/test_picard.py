@@ -86,7 +86,7 @@ def _semicharacter_pair_loop(ns, chi, torus):
     """The identity chi(a+b) = chi(a) chi(b) exp(pi i Im H(lam_a, lam_b))
     checked on every pair of the radius-1 coordinate window."""
     from nctorus.coeff import combine
-    from nctorus.gerbe import coordinate_window
+    from nctorus.checks import coordinate_window
     from nctorus.picard import LatticeGroup, _im_table
 
     window = coordinate_window(2 * torus.g, 1)

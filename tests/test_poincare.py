@@ -7,7 +7,6 @@ import pytest
 
 from nctorus.coeff import (
     CIRCLE_ONE,
-    CircleConst,
     GRat,
     HbarSeries,
     PI_ONE,
@@ -16,8 +15,7 @@ from nctorus.coeff import (
     combine,
 )
 from nctorus import poincare
-from nctorus.expalg import ExpSum, LinForm
-from nctorus.picard import Factor, Semicharacter
+from nctorus.expalg import ExpSum
 from nctorus.poincare import (
     convolution_factor_check,
     convolution_window_report,
@@ -157,58 +155,6 @@ def test_convolution_fails_along_the_sum_map(ctx):
     wrong = pullback(1)
     assert convolution_window_report(ctx)["status"] == "PASS"
     assert convolution_window_report(replace(ctx, pullbacks=(p12, p23, wrong)))["status"] == "FAIL"
-
-
-def test_convolution_and_sections_evaluate_the_poincare_factor(monkeypatch):
-    # both identities are statements about the one factor: a mutant factor
-    # with conj(lam) added to its v-coefficients must break them
-    s = (G(Q(1, 2)),)
-    assert convolution_window_report(CTX1)["status"] == "PASS"
-    assert restrict_to_section(CTX1, s)[1]["status"] == "PASS"
-    real = poincare.poincare_factor
-
-    def mutant(ctx):
-        f = real(ctx)
-
-        def fn(e):
-            t = f.value(e).single_term()
-            lam = combine(e[0], ctx.torus.lattice)
-            vcoef = tuple(a + b.conj() for a, b in zip(t.form.coeffs[0], lam))
-            form = LinForm((vcoef,) + t.form.coeffs[1:], t.form.const_pi, None)
-            return ExpSum.exponential(ctx.spec2, form, t.coeff)
-
-        return Factor(f.group, fn)
-
-    monkeypatch.setattr(poincare, "poincare_factor", mutant)
-    assert convolution_window_report(CTX1)["status"] == "FAIL"
-    assert restrict_to_section(CTX1, s)[1]["status"] == "FAIL"
-
-
-SECTIONS = [(CTX1, (G(Q(1, 2)),)), (CTX2, (G(Q(1, 2)), G(0)))]
-
-
-@pytest.mark.parametrize("ctx, s", SECTIONS, ids=["g1", "g2"])
-def test_sections_fail_with_chi_turned_on_the_first_generator(ctx, s, monkeypatch):
-    # negative control: chi_s times u(1) = -1 on lambda_1 is not the
-    # character the restricted kernel carries
-    assert restrict_to_section(ctx, s)[1]["status"] == "PASS"
-    real = poincare.qah_factor
-
-    def turned(data, torus, spec=None):
-        first, *rest = data.chi.values
-        chi = Semicharacter((first * CircleConst.of(Q(1)), *rest))
-        return real(replace(data, chi=chi), torus, spec)
-
-    monkeypatch.setattr(poincare, "qah_factor", turned)
-    assert restrict_to_section(ctx, s)[1]["status"] == "FAIL"
-
-
-@pytest.mark.parametrize("ctx, s", SECTIONS, ids=["g1", "g2"])
-def test_sections_fail_with_the_wrong_iota_sign(ctx, s, monkeypatch):
-    # negative control: iota_w in place of iota_w^{-1} on the left
-    assert restrict_to_section(ctx, s)[1]["status"] == "PASS"
-    monkeypatch.setattr(poincare, "star_inverse", lambda f: f)
-    assert restrict_to_section(ctx, s)[1]["status"] == "FAIL"
 
 
 def _g1_cocycle_window():
