@@ -32,27 +32,33 @@ the degree pairs that survive.
 The commutative leg is factored out of the per-monomial tail.  The
 h-levels of each Poisson-leg monomial, all over one denominator, are
 convolved once with the term pair's flattened coefficient
-(``_convolve``).  Each commutative monomial then scales that sorted list
-by its Gaussian-integer coefficient, which shifts every pi-degree by its
-total degree and keeps the order (``_tail``); ``taylor_expand`` runs the
-same tail on each term's coefficient.  Exponent tuples are decoded only
-when a monomial is written out.
+(``_convolve``).  Each commutative monomial then multiplies that
+coefficient by its Gaussian integer and shifts every pi-degree by its
+total degree, which changes only the coefficient's lead and K0 below
+(``_tail``); ``taylor_expand`` runs the same tail on each term's
+coefficient.  Exponent tuples are decoded only when a monomial is written
+out.
 
 Results are reported as a two-level mapping
 
-    {symbolic-pi constant -> {monomial -> (unit, den, parts)}}
+    {symbolic-pi constant -> {monomial -> (unit, K0, lead, shape)}}
 
 keyed first by the residual real pi-constant of the exponents, a real
 ``GRat`` (which no derivative ever touches), so that a star-product
 output can be expanded with ``taylor_expand`` and compared for exact
-equality.  A monomial is its exponent tuple.  Its coefficient is
-unit * sum of h^k pi^p (re + im i) / den over the ``((k, p), (re, im))``
-entries of ``parts``: ``unit`` is the canonical ``CircleConst`` of the
-term's coefficient, ``parts`` is sorted with no zero entry, ``den > 0``
-and gcd(den, every numerator) = 1.  Each Gaussian rational has one
-reduced form over the lcm of its parts' denominators, so two
-coefficients are equal exactly when their forms are; a zero coefficient
-has no entry.
+equality.  A monomial is its exponent tuple.  Its coefficient C is
+unit * sum of C[(k, p)] h^k pi^p, held in projective form: ``unit`` is
+the canonical ``CircleConst`` of the term's coefficient, K0 = (k0, p0)
+the smallest key with C[K0] != 0, ``lead`` = (d, (re, im)) the reduced
+C[K0] = (re + im i) / d with d > 0, and ``shape`` = (sd, parts) the
+reduced C / C[K0]: ``parts`` holds the ``((k - k0, p - p0), (re, im))``
+entries over sd > 0, sorted, with no zero entry and gcd(sd, every
+numerator) = 1, so its first entry is ((0, 0), (sd, 0)).  The form is
+canonical: C determines K0, C[K0] and C / C[K0], and each Gaussian
+rational, or list of them, has one reduced form over the lcm of their
+denominators.  So two coefficients are equal exactly when their forms
+are.  The monomials of one ``_tail`` call share one shape object.  A zero
+coefficient has no entry.
 """
 
 from __future__ import annotations
@@ -153,47 +159,61 @@ def _deriv(cache, alpha: int, steps, base: int):
     return out
 
 
+def _lead(re, im, den):
+    """The reduced (d, (re, im)) of (re + im i) / den, d > 0."""
+    g = gcd(den, re, im)
+    return den // g, (re // g, im // g)
+
+
+def _shape(parts):
+    """The canonical (sd, parts relative to K0) of parts / parts[0], for
+    sorted (k, p, re, im) ``parts`` with no zero entry.  The quotient by
+    (r0 + i0 i) is the product with (r0 - i0 i) over r0^2 + i0^2, so the
+    first entry is ((0, 0), (sd, 0)) once the gcd is divided out."""
+    k0, p0, r0, i0 = parts[0]
+    rel = [(k - k0, p - p0, re * r0 + im * i0, im * r0 - re * i0) for k, p, re, im in parts]
+    g = gcd(r0 * r0 + i0 * i0, *[x for *_, re, im in rel for x in (re, im)])
+    return rel[0][2] // g, tuple(((k, p), (re // g, im // g)) for k, p, re, im in rel)
+
+
 def _form(unit, den, acc):
-    """The canonical (unit, den, parts) of unit * sum of acc[(k, p)] h^k
-    pi^p over den: zero entries dropped, parts sorted, and den and the
-    numerators divided by their gcd."""
-    parts = sorted(kv for kv in acc.items() if kv[1] != (0, 0))
-    g = gcd(den, *[x for _, v in parts for x in v])
-    if g != 1:
-        den //= g
-        parts = [(key, (re // g, im // g)) for key, (re, im) in parts]
-    return unit, den, tuple(parts)
+    """The canonical (unit, K0, lead, shape) of unit * sum of acc[(k, p)]
+    h^k pi^p over den, or None for zero: K0 is the smallest key with a
+    nonzero entry, lead the reduced entry there, and shape the rest
+    divided by it (``_shape``)."""
+    parts = sorted((k, p, re, im) for (k, p), (re, im) in acc.items() if re or im)
+    if not parts:
+        return None
+    k0, p0, re, im = parts[0]
+    return unit, (k0, p0), _lead(re, im, den), _shape(parts)
 
 
-def _accumulate(result, const_key, mono, form):
-    """Add a monomial's form into ``result``; equal units add over the
-    lcm of the two denominators, and a sum that cancels drops the
-    monomial.  Forms are canonical, so differing units differ as circle
-    constants and their sum leaves the representable class."""
-    if not form[2]:
-        return
-    bucket = result.setdefault(const_key, {})
+def _accumulate(bucket, mono, form):
+    """Add a monomial's form into ``bucket``.  A collision materializes
+    both forms, adds them over the lcm of their denominators and
+    renormalizes; a sum that cancels drops the monomial.  Forms are
+    canonical, so differing units differ as circle constants and their
+    sum leaves the representable class."""
     old = bucket.get(mono)
     if old is None:
         bucket[mono] = form
         return
-    unit, d1, p1 = old
+    unit = old[0]
     if form[0] != unit:
         raise CoeffError(
             "sum of scalars with incompatible circle constants is not representable"
         )
-    d2, p2 = form[1], form[2]
-    den = lcm(d1, d2)
+    den = lcm(*[d * sd for _, _, (d, _), (sd, _) in (old, form)])
     acc = {}
-    for parts, d in ((p1, d1), (p2, d2)):
-        s = den // d
-        for key, (re, im) in parts:
-            gauss_mac(acc, key, re, im, s, 0)
+    for _, (k0, p0), (d, (a, b)), (sd, parts) in (old, form):
+        s = den // (d * sd)
+        for (k, p), (re, im) in parts:
+            gauss_mac(acc, (k0 + k, p0 + p), a * s, b * s, re, im)
     total = _form(unit, den, acc)
-    if total[2]:
-        bucket[mono] = total
-    else:
+    if total is None:
         del bucket[mono]
+    else:
+        bucket[mono] = total
 
 
 def _convolve(bparts, levels, dp: int, order: int):
@@ -213,40 +233,21 @@ def _tail(result, const_key, unit, den, parts, items, base: int, n: int):
     """Write unit * (c + e i) pi^d * parts over den into ``result`` for
     each ``(code, d, (c, e))`` of ``items``.
 
-    ``parts`` is sorted (k, p, re, im) with no zero entry; a nonzero
-    Gaussian integer keeps every entry nonzero and the shift by d keeps
-    the order.  parts and den are reduced once; then a prime power that
-    divides den and every numerator of parts * (c + e i) divides
-    c^2 + e^2, so a monomial needs the full gcd only when that norm
-    shares a factor with den."""
+    ``parts`` is sorted (k, p, re, im) with no zero entry.  A nonzero
+    Gaussian integer times pi^d scales every entry alike and shifts every
+    key by (0, d), so all the monomials share the one shape of parts,
+    normalized once here.  A monomial's own form is its lead, (c + e i)
+    times the lead entry over den with one gcd, and its K0 shifted by d."""
     if not parts:
         return
-    g0 = gcd(den, *[x for *_, re, im in parts for x in (re, im)])
-    den //= g0
-    nums = [(re // g0, im // g0) for _, _, re, im in parts]
+    k0, p0, r0, i0 = parts[0]
+    shape = _shape(parts)
     powers = [base**g for g in range(n)]
-    keys = {}  # d -> the parts' (k, p + d)
+    bucket = result.setdefault(const_key, {})
     for code, d, (c, e) in items:
-        g = gcd(den, c, e)
-        dm = den
-        if g != 1:
-            c //= g
-            e //= g
-            dm //= g
-        res = [re * c - im * e for re, im in nums]
-        ims = [re * e + im * c for re, im in nums]
-        g = gcd(dm, c * c + e * e)
-        if g != 1:
-            g = gcd(g, *res, *ims)
-            if g != 1:
-                res = [x // g for x in res]
-                ims = [x // g for x in ims]
-                dm //= g
-        shifted = keys.get(d)
-        if shifted is None:
-            shifted = keys[d] = [(k, p + d) for k, p, _, _ in parts]
+        lead = _lead(c * r0 - e * i0, c * i0 + e * r0, den)
         mono = tuple([code // s % base for s in powers])
-        _accumulate(result, const_key, mono, (unit, dm, tuple(zip(shifted, zip(res, ims)))))
+        _accumulate(bucket, mono, (unit, (k0, p0 + d), lead, shape))
 
 
 def _flat(form):
@@ -258,11 +259,11 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
 
     Used only as an independent cross-check of ``ExpSum.star``; agreement
     is through h^(order-1) and total degree ``degree``.  Returns
-    {real pi-constant -> {monomial -> (unit, den, parts)}}, the canonical
-    forms of the module docstring.  Per term pair the coefficient product
-    is flattened once; per Poisson-leg monomial it is convolved with the
-    h-levels once; per output monomial ``_tail`` scales the result by the
-    commutative coefficient.
+    {real pi-constant -> {monomial -> (unit, K0, lead, shape)}}, the
+    projective forms of the module docstring.  Per term pair the
+    coefficient product is flattened once; per Poisson-leg monomial it is
+    convolved with the h-levels once and its shape normalized once; per
+    output monomial ``_tail`` computes the lead alone.
     """
     spec = f.spec
     if g.spec != spec:
@@ -330,9 +331,10 @@ def taylor_expand(f: ExpSum, degree: int):
     """Expand an ExpSum up to total degree ``degree`` into the mapping
     that ``taylor_star_oracle`` returns.
 
-    Each term's coefficient is flattened and sorted once; a monomial of
-    degree d with Taylor numerator c scales it by c pi^d in ``_tail``,
-    over the product of the two denominators.
+    Each term's coefficient is flattened, sorted and normalized to one
+    shape once; a monomial of degree d with Taylor numerator c has the
+    lead c times the coefficient's first entry, over the product of the
+    two denominators, at K0 shifted by pi^d (``_tail``).
     """
     n = f.spec.nvars
     base = degree + 1

@@ -7,9 +7,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from nctorus import cli, picard
+from nctorus import cli, expalg, picard
 from nctorus.cli import ConfigError, main, parse_config, run
-from nctorus.coeff import CoeffError
+from nctorus.coeff import GRAT_ZERO, CoeffError
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 FIXTURES = os.path.join(ROOT, "src", "nctorus", "fixtures")
@@ -96,22 +96,24 @@ def test_cli_quantizable_expectation_failure(tmp_path):
     assert res.exit_code == 1
 
 
+QP_SLOTS = json.dumps(
+    {
+        "slots": [
+            {
+                "name": "v",
+                "dim": 2,
+                "vars": ["q", "p"],
+                "poisson": [["0", "1"], ["-1", "0"]],
+            }
+        ],
+        "order": 4,
+    }
+)
+
+
 def test_cli_star_and_dual_lattice():
     runner = CliRunner()
-    slots = json.dumps(
-        {
-            "slots": [
-                {
-                    "name": "v",
-                    "dim": 2,
-                    "vars": ["q", "p"],
-                    "poisson": [["0", "1"], ["-1", "0"]],
-                }
-            ],
-            "order": 4,
-        }
-    )
-    res = runner.invoke(main, ["star", "E[pi*(q)]", "E[pi*(p)]", "--slots", slots])
+    res = runner.invoke(main, ["star", "E[pi*(q)]", "E[pi*(p)]", "--slots", QP_SLOTS])
     assert res.exit_code == 0, res.output
     assert "E[pi*(q + p)]" in res.output
     assert "oracle" in res.output and "OK" in res.output
@@ -119,6 +121,14 @@ def test_cli_star_and_dual_lattice():
     res = runner.invoke(main, ["dual-lattice", fixture_path("g1.json")])
     assert res.exit_code == 0
     assert "xi^(1)" in res.output
+
+
+def test_cli_star_mismatches_without_the_moyal_correction(monkeypatch):
+    # star without exp(h pi^2 {q, p}); the oracle differentiates instead
+    monkeypatch.setattr(expalg, "poisson_pairing", lambda spec, f1, f2: GRAT_ZERO)
+    res = CliRunner().invoke(main, ["star", "E[pi*(q)]", "E[pi*(p)]", "--slots", QP_SLOTS])
+    assert res.exit_code == 1, res.output
+    assert "oracle[deg<=4]: MISMATCH" in res.output
 
 
 ONE_SLOT = json.dumps({"order": 4, "slots": [{"name": "v", "dim": 1}]})

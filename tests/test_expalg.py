@@ -337,13 +337,21 @@ def test_oracle_on_sums():
 # -- the oracle's exact forms against Scalar arithmetic ----------------------
 
 
+def _numerators(form):
+    """(den, {(k, p): (re, im)}): the entries of an oracle form
+    (unit, K0, lead, shape) over one denominator, keys made absolute."""
+    _, (k0, p0), (d, (a, b)), (sd, parts) = form
+    nums = {(k0 + k, p0 + p): (a * re - b * im, a * im + b * re) for (k, p), (re, im) in parts}
+    return d * sd, nums
+
+
 def _materialize(form, order):
-    """The Scalar that an oracle form (unit, den, parts) stands for."""
-    unit, den, parts = form
+    """The Scalar that an oracle form (unit, K0, lead, shape) stands for."""
+    den, nums = _numerators(form)
     levels = {}
-    for (k, p), (re, im) in parts:
+    for (k, p), (re, im) in nums.items():
         levels.setdefault(k, {})[p] = GRat(Q(re, den), Q(im, den))
-    return Scalar(unit, HbarSeries.of(order, {k: PiPoly.of(c) for k, c in levels.items()}))
+    return Scalar(form[0], HbarSeries.of(order, {k: PiPoly.of(c) for k, c in levels.items()}))
 
 
 def _materialized(result, order):
@@ -507,11 +515,13 @@ def dense_sum(draw, spec):
 
 def _assert_canonical(result):
     for bucket in result.values():
-        for unit, den, parts in bucket.values():
-            assert parts and den > 0 and unit.q < Q(1, 2)
+        for unit, _, (d, (a, b)), (sd, parts) in bucket.values():
+            assert parts and d > 0 and sd > 0 and Q(0) <= unit.q < Q(1, 2)
+            assert parts[0] == ((0, 0), (sd, 0))
             assert list(parts) == sorted(parts) and len({k for k, _ in parts}) == len(parts)
             assert all(re or im for _, (re, im) in parts)
-            assert gcd(den, *(x for _, v in parts for x in v)) == 1
+            assert gcd(sd, *(x for _, v in parts for x in v)) == 1
+            assert (a or b) and gcd(d, a, b) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -561,6 +571,10 @@ def test_oracle_packing_boundary_matches_the_reference(degree):
         assert list(got[GRat.of(Q(1, 2))]) == [(0, 0)]
 
 
+def _shape_ids(result):
+    return {id(form[3]) for bucket in result.values() for form in bucket.values()}
+
+
 def test_kernel_pair_convolves_once_per_poisson_leg_monomial(monkeypatch):
     # a two-slot pair at N = 6, degree 6 has 924 monomials in six
     # variables, 28 of them on the Poisson leg (v1, v2); the commutative
@@ -587,8 +601,13 @@ def test_kernel_pair_convolves_once_per_poisson_leg_monomial(monkeypatch):
     got = taylor_star_oracle(f, g, 6)
     assert sum(map(len, got.values())) == 924
     assert calls[0] <= 28
+    # the monomials of one tail share its shape object; the expansion of
+    # the single-term product is one tail
+    assert len(_shape_ids(got)) <= 28
     monkeypatch.undo()
-    assert taylor_expand(f.star(g), 6) == got
+    expanded = taylor_expand(f.star(g), 6)
+    assert len(_shape_ids(expanded)) == 1
+    assert expanded == got
     # l1's coefficients cancel: its zero entries of the commutative leg
     # are dropped, leaving the 462 monomials free of l1
     h = term((Q(-1, 2), 2), (-2, 1, 2, 1))
@@ -613,13 +632,39 @@ def test_oracle_form_is_unique_per_value(unit, acc, den, m):
     form = mo._form(unit, den, acc)
     # the same value over the denominator den * m
     assert mo._form(unit, den * m, {k: (re * m, im * m) for k, (re, im) in acc.items()}) == form
-    if not form[2]:
+    if form is None:
         return
+    # the form's own entries give it back
+    d, nums = _numerators(form)
+    assert mo._form(unit, d, nums) == form
     # a perturbed numerator is another value and another form
-    (key, (re, im)), *rest = form[2]
-    other = (form[0], form[1], ((key, (re + 1, im)), *rest))
-    assert _materialize(other, 4) != _materialize(form, 4)
-    assert mo._form(unit, form[1], dict(other[2])) != form
+    key, (re, im) = min(nums.items())
+    other = mo._form(unit, d, {**nums, key: (re + 1, im)})
+    assert other is None or _materialize(other, 4) != _materialize(form, 4)
+    assert other != form
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 4)),
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+        min_size=1,
+    ),
+    st.integers(1, 12),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any),
+    st.integers(1, 6),
+)
+def test_oracle_form_scaled_by_a_gaussian_rational_changes_only_its_lead(acc, den, scale, q):
+    form = mo._form(CIRCLE_ONE, den, acc)
+    assume(form is not None)
+    x, y = scale
+    scaled = {k: (re * x - im * y, re * y + im * x) for k, (re, im) in acc.items()}
+    got = mo._form(CIRCLE_ONE, den * q, scaled)
+    assert got[:2] == form[:2] and got[3] == form[3]
+    (d, (a, b)), (d2, (a2, b2)) = form[2], got[2]
+    assert GRat(Q(a2, d2), Q(b2, d2)) == GRat(Q(a, d), Q(b, d)) * GRat(Q(x, q), Q(y, q))
+    assert (got[2] == form[2]) == ((x, y) == (q, 0))
 
 
 def test_oracle_collisions_of_differing_units_raise():
