@@ -255,14 +255,13 @@ def suite_torus(cfg: RunConfig):
             period_det=str(rep["period_det"]),
         )
     )
-    basis = dual_lattice(cfg.torus)
+    B = bfield(cfg.torus)
     ok = all(
         pairing(xi, lam).im == (1 if j == k else 0)
-        for k, xi in enumerate(basis.vectors)
+        for k, xi in enumerate(B.basis.vectors)
         for j, lam in enumerate(cfg.torus.lattice)
     )
     out.append(_record("torus:dual-integrality", "PASS" if ok else "FAIL"))
-    B = bfield(cfg.torus, basis)
     anti = all(
         B.matrix[i][j] == -B.matrix[j][i]
         for i in range(2 * cfg.torus.g)
@@ -321,7 +320,7 @@ def suite_qpic(cfg: RunConfig):
     spec = lattice_slotspec(torus)
     for _ in range(trials):
         data = random_qah(rng, torus)
-        f = qah_factor(data, torus, spec)
+        f = qah_factor(data, torus)
         bvec = tuple(random_grat(rng) for _ in range(torus.g))
         u = ExpSum.exponential(
             spec, LinForm((bvec,), GRat.of(Q(rng.randint(-2, 2), 2)), None)

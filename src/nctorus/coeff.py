@@ -46,10 +46,10 @@ rules:
   back to the scalar it inverts;
 - a product with a dense operand materializes the log side (its series,
   cached on the object: closed form for a log of one h^1 monomial,
-  ``series_exp`` otherwise) and is dense, or only scales the dense side
-  when the other log is 0, so ``scalar_add``, rendering and the Taylor
-  oracle keep the dense path; the text parser builds each term's scalar
-  once, in the form these rules give, with no product;
+  ``series_exp`` otherwise) and is dense, so ``scalar_add``, rendering
+  and the Taylor oracle keep the dense path; the text parser builds each
+  term's scalar once, dense, with no product;
+- a dense zero has unit 1, whatever unit the value it came from had;
 - a product with an exact one (the log form of unit 1, mag 1 and log 0,
   as ``one`` makes it) is the other operand itself, so a chain of
   products by 1 hands on one object;
@@ -240,11 +240,6 @@ class GRat:
         if p == q:
             return _reduced(a + c, b + e, p)
         g = gcd(p, q)
-        if g == 1:
-            # a prime dividing p does not divide q, so it divides both
-            # numerators only if it divides a and b, which gcd(a, b, p) = 1
-            # rules out; likewise for q: the sum needs no gcd
-            return _grat(a * q + c * p, b * q + e * p, p * q)
         s, t = q // g, p // g
         return _reduced(a * s + c * t, b * s + e * t, p * s)
 
@@ -447,12 +442,6 @@ class PiPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return PI_ZERO
-        if len(b) == 1:
-            d2, c2 = b[0]
-            return PiPoly(tuple((d + d2, c * c2) for d, c in a))
-        if len(a) == 1:
-            d1, c1 = a[0]
-            return PiPoly(tuple((d + d1, c1 * c) for d, c in b))
         acc: dict = {}
         for d1, c1 in a:
             for d2, c2 in b:
@@ -815,7 +804,7 @@ class Scalar:
 
     def __init__(self, unit, series):
         self.order = series.order
-        self.unit = unit
+        self.unit = CIRCLE_ONE if unit.n and series.is_zero() else unit
         self.mag = None
         self.log = None
         self._series = series
@@ -923,12 +912,7 @@ class Scalar:
                 if not any(log.coeffs):
                     log = None
             return _log_form(self.order, unit, mag, log)
-        if m1 is not None and self.log is None:
-            series = other._series if m1 == GRAT_ONE else other._series.scale(m1)
-        elif m2 is not None and other.log is None:
-            series = self._series if m2 == GRAT_ONE else self._series.scale(m2)
-        else:
-            series = self.series * other.series
+        series = self.series * other.series
         if not u1.n:
             return Scalar(u2, series)
         if not u2.n:

@@ -394,11 +394,12 @@ def _merged(spec: SlotSpec, pairs) -> ExpSum:
     acc = {}
     for coeff, form in pairs:
         key = form.sort_key()
-        if key in acc:
-            old_c, _ = acc[key]
-            acc[key] = (scalar_add(old_c, coeff), form)
-        else:
+        old = acc.get(key)
+        # a zero has unit 1: it is replaced or left out, not added
+        if old is None or old[0].is_zero():
             acc[key] = (coeff, form)
+        elif not coeff.is_zero():
+            acc[key] = (scalar_add(old[0], coeff), form)
     terms = tuple(
         ExpTerm(c, f)
         for _, (c, f) in sorted(acc.items())

@@ -148,7 +148,13 @@ class QAHData:
     l: tuple  # entries: dual coefficient vectors for h^1 .. h^{order-1}
 
 
+@cache
 def lattice_slotspec(torus: TorusData) -> SlotSpec:
+    """The one slot v of the torus, Moyal along its Poisson bivector.
+
+    Memoized: a pure function of frozen data, so every lattice factor
+    over one torus shares one ``SlotSpec`` object, as ``star``'s identity
+    check of the operands' specs needs."""
     return SlotSpec((Slot("v", torus.g, poisson=torus.poisson),), torus.order)
 
 
@@ -231,9 +237,15 @@ def coboundary_twist(factor: Factor, u: ExpSum) -> Factor:
 # Neron-Severi data and semicharacters
 
 
-def _im_table(ns: NSData, torus: TorusData):
+@cache
+def _im_table(ns: NSData, torus: TorusData) -> tuple:
+    """E = Im H on the lattice generators, rows of rationals: entry (k, m)
+    is Im H(lam_k, lam_m).
+
+    Memoized: a pure function of frozen data, read by ``validate_ns`` and
+    by ``semicharacter_value`` at every lattice point."""
     lat = torus.lattice
-    return [[ns.value(a, b).im for b in lat] for a in lat]
+    return tuple(tuple(ns.value(a, b).im for b in lat) for a in lat)
 
 
 def validate_ns(ns: NSData, torus: TorusData) -> bool:
@@ -243,20 +255,16 @@ def validate_ns(ns: NSData, torus: TorusData) -> bool:
     return all(e.denominator == 1 for row in _im_table(ns, torus) for e in row)
 
 
-def semicharacter_value(
-    ns: NSData, chi: Semicharacter, torus: TorusData, coords, imt=None
-) -> CircleConst:
+def semicharacter_value(ns: NSData, chi: Semicharacter, torus: TorusData, coords) -> CircleConst:
     """chi extended to generator coordinates in a fixed generator order:
 
     chi(sum n_k lam_k) = prod chi_k^{n_k} * exp(pi i sum_{k<l} n_k n_l E_kl)
 
-    with E = Im H on generators.  This is the unique extension satisfying
-    the semicharacter identity once Im H is integral.  ``imt`` is E as
-    built by ``_im_table(ns, torus)``; callers that evaluate many
-    coordinates pass it in so that it is built once.
+    with E = Im H on generators, read from the memo ``_im_table(ns,
+    torus)``, so it is built once per (H, torus).  This is the unique
+    extension satisfying the semicharacter identity once Im H is integral.
     """
-    if imt is None:
-        imt = _im_table(ns, torus)
+    imt = _im_table(ns, torus)
     # the angle is num/den, summed on integers over one common denominator
     values = chi.values
     den = lcm(*(c.d for c in values), *(e.denominator for row in imt for e in row))
@@ -308,14 +316,13 @@ def l_series(lseries, lam, order: int):
     return HbarSeries.of(order, coeffs) if coeffs else None
 
 
-def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData, spec: SlotSpec) -> Factor:
-    """lam -> chi(lam) E(pi H(v,lam) + (pi/2) H(lam,lam) + sum_j h^j pi <l_j,lam>)."""
-    if spec is None:
-        spec = lattice_slotspec(torus)
-    imt = _im_table(ns, torus)
+def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData) -> Factor:
+    """lam -> chi(lam) E(pi H(v,lam) + (pi/2) H(lam,lam) + sum_j h^j pi <l_j,lam>),
+    over the torus's ``lattice_slotspec``."""
+    spec = lattice_slotspec(torus)
 
     def fn(coords):
-        unit = semicharacter_value(ns, chi, torus, coords, imt)
+        unit = semicharacter_value(ns, chi, torus, coords)
         lam = combine(coords, torus.lattice)
         form = LinForm((ns.row_form(lam),), ns.half_norm(lam), l_series(lseries, lam, spec.order))
         return ExpSum.exponential(spec, form, Scalar.from_circle(spec.order, unit))
@@ -323,16 +330,16 @@ def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData, spec: 
     return Factor(LatticeGroup(torus, spec), fn)
 
 
-def ah_factor(ns: NSData, chi: Semicharacter, torus: TorusData, spec: SlotSpec = None) -> Factor:
+def ah_factor(ns: NSData, chi: Semicharacter, torus: TorusData) -> Factor:
     """The classical Appell-Humbert factor of automorphy."""
-    return _ah_factor(ns, chi, (), torus, spec)
+    return _ah_factor(ns, chi, (), torus)
 
 
-def qah_factor(data: QAHData, torus: TorusData, spec: SlotSpec = None) -> Factor:
+def qah_factor(data: QAHData, torus: TorusData) -> Factor:
     """The quantum Appell-Humbert cocycle; requires vanishing obstruction."""
     if not is_quantizable(data.ns, torus):
         raise CoeffError("obstructed Neron-Severi class cannot be quantized")
-    return _ah_factor(data.ns, data.chi, data.l, torus, spec)
+    return _ah_factor(data.ns, data.chi, data.l, torus)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +513,7 @@ def reduce_to_qah(factor: Factor, torus: TorusData):
         lout.append(lk)
 
     data = QAHData(ns, Semicharacter(tuple(chi_vals)), tuple(lout))
-    twisted = coboundary_twist(qah_factor(data, torus, spec), witness)
+    twisted = coboundary_twist(qah_factor(data, torus), witness)
     for a in grp.window():
         if factor.value(a) != twisted.value(a):
             raise CoeffError("roundtrip verification failed: not cohomologous")

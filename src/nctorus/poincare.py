@@ -75,7 +75,7 @@ from .picard import (
     lattice_slotspec,
     qah_factor,
 )
-from .torus import BForm, DualLatticeBasis, TorusData, bfield, dual_lattice, pairing
+from .torus import BForm, TorusData, bfield, pairing
 
 __all__ = [
     "PoincareContext",
@@ -92,8 +92,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoincareContext:
+    """The torus, its B-field ``bfield(torus)`` (whose ``basis`` is the
+    dual lattice basis), and the slot specs and pullbacks of the kernel."""
+
     torus: TorusData
-    dual: DualLatticeBasis
     B: BForm
     spec2: SlotSpec  # v (Moyal) then l (commutative, conjugate pair)
     spec3: SlotSpec  # v (Moyal), x (commutative), w (opposite Moyal)
@@ -112,8 +114,7 @@ def _linear_map(source: SlotSpec, target: SlotSpec, rows) -> AffineMap:
 
 
 def make_context(torus: TorusData) -> PoincareContext:
-    dual = dual_lattice(torus)
-    B = bfield(torus, dual)
+    B = bfield(torus)
     g = torus.g
     v = Slot("v", g, poisson=torus.poisson)
     l = Slot("l", g, conjugate_pair=True)
@@ -129,7 +130,7 @@ def make_context(torus: TorusData) -> PoincareContext:
         return _linear_map(spec3, spec2, v_rows + x_rows)
 
     pullbacks = (pullback((0, 1)), pullback((3 * g, 1)), pullback((0, 1), (3 * g, -1)))
-    return PoincareContext(torus, dual, B, spec2, spec3, pullbacks)
+    return PoincareContext(torus, B, spec2, spec3, pullbacks)
 
 
 @cache
@@ -160,7 +161,7 @@ class PoincareGroup:
         self.ctx = ctx
         spec = ctx.spec2
         self.lam = cache(lambda m: combine(m, ctx.torus.lattice))
-        self.xi = cache(lambda x: combine(x, ctx.dual.vectors))
+        self.xi = cache(lambda x: combine(x, ctx.B.basis.vectors))
         self.cocycle = cache(partial(heisenberg_cocycle, ctx.B, order=ctx.torus.order))
         self.central = cache(lambda z1, z2, x1, x2: z1 * z2 * self.cocycle(x1, x2))
         lam_moves = cache(lambda m: translation(spec, {"v": self.lam(m)}).moves)
@@ -383,13 +384,13 @@ def restrict_to_section(ctx: PoincareContext, s, lseries=(), radius: int = 1):
     section = _linear_map(vspec, ctx.spec2, [[(i, 1)] for i in range(g)] + [[]] * (2 * g))
     chi = Semicharacter(tuple(CircleConst.of(2 * pairing(s, lam).im) for lam in torus.lattice))
     hzero = NSData(tuple(tuple(GRAT_ZERO for _ in range(g)) for _ in range(g)))
-    canon = qah_factor(QAHData(hzero, chi, ()), torus, vspec)
+    canon = qah_factor(QAHData(hzero, chi, ()), torus)
 
     @cache
     def fiber(offset):
         """(w, the translation to w, iota_w, its star inverse) at the
         fiber point w of the offset."""
-        w = ctx.dual.point(s, offset)
+        w = ctx.B.basis.point(s, offset)
         vcoef = tuple(-a.conj() for a in w)
         iota = ExpSum.exponential(vspec, LinForm((vcoef,), GRAT_ZERO, None))
         return w, translation(ctx.spec2, {"l": w}), iota, star_inverse(iota)

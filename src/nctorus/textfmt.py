@@ -27,15 +27,13 @@ one Gaussian rational per slot variable, ``,`` between the variables of a
 slot and ``|`` between slots: ``E[pi*(1, 2 i | 0)]``.
 
 Each reader evaluates to a sum: a dict from (variable index or None,
-exponent form or None for zero) to a coefficient (unit, series, dense),
-``unit`` a circle constant of angle in [0, 1/2) and ``series`` a map from
+exponent form or None for zero) to a coefficient (unit, series), ``unit``
+a circle constant of angle in [0, 1/2) and ``series`` a map from
 (h-degree < order, pi-degree) to nonzero GRats.  Products convolve terms
 and fold the quarter turns of the unit product into them, as ``Scalar.of``
 does; sums add like terms with ``expalg.scalar_add``, which adds the
-maps and refuses two units as it does for Scalars.  ``dense`` is the form
-of the one ``Scalar`` per term that ``parse_expsum`` builds: a log form
-while only ``u(...)``, ``E[...]``, variables, signs, powers and products
-enter, dense once a number, ``i``, ``pi`` or ``h`` does or like terms merge.
+maps and refuses two units as it does for Scalars.  ``parse_expsum``
+builds one dense ``Scalar(unit, series)`` per term.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from .coeff import (
     PiPoly,
     Scalar,
     _circle,
-    _log_form,
     _reduced,
 )
 from .expalg import VAR_NAME, ExpSum, LinForm, SlotSpec, scalar_add
@@ -140,10 +137,10 @@ class _Terms(dict):
         return out
 
 
-# a coefficient of a sum; ``scalar_add`` adds two like ones, dense
-_Coeff = namedtuple("_Coeff", "unit series dense", defaults=(True,))
+# a coefficient of a sum; ``scalar_add`` adds two like ones
+_Coeff = namedtuple("_Coeff", "unit series")
 _SCALAR = (None, None)  # the key of a term with no variable and a zero form
-_ONE = _Coeff(CIRCLE_ONE, _Terms({(0, 0): GRAT_ONE}), False)  # the coefficient 1, in log form
+_ONE = _Coeff(CIRCLE_ONE, _Terms({(0, 0): GRAT_ONE}))  # the coefficient 1
 _CONSTANTS = {"i": ((0, 0), GRAT_I), "pi": ((0, 1), GRAT_ONE), "h": ((1, 0), GRAT_ONE)}
 
 
@@ -166,7 +163,7 @@ def _gaussian(c, pi_degree: int, what: str) -> GRat:
 
 def _times(order: int, a, b):
     """The product of two coefficients (see the module docstring)."""
-    (ua, ta, da), (ub, tb, db) = a, b
+    (ua, ta), (ub, tb) = a, b
     turn, unit = (ua * ub).quarter_turns() if ua.n and ub.n else (0, ua if ua.n else ub)
     terms = _Terms()
     for (ka, pa), ga in ta.items():
@@ -176,7 +173,7 @@ def _times(order: int, a, b):
                 terms[m] = terms[m] + g if m in terms else g
     if turn or len(ta) > 1 and len(tb) > 1:  # else no zero and nothing to fold
         terms = _Terms({m: g * I_POWERS[turn] for m, g in terms.items() if g})
-    return _Coeff(unit, terms, da or db)
+    return _Coeff(unit, terms)
 
 
 def _nonzero(form: LinForm):
@@ -214,7 +211,7 @@ class _Parser:
         while True:
             for key, c in self.product().items():
                 if sign == "-":
-                    c = _Coeff(c.unit, _Terms({m: -g for m, g in c.series.items()}), c.dense)
+                    c = _Coeff(c.unit, _Terms({m: -g for m, g in c.series.items()}))
                 acc[key] = scalar_add(acc[key], c) if key in acc else c
             if not self.at("+-"):
                 return acc
@@ -280,7 +277,7 @@ class _Parser:
             if q.m:
                 raise CoeffError("u(...) takes a real rational")
             k, unit = _circle(q.n, q.d).quarter_turns()
-            return {_SCALAR: _Coeff(unit, _Terms({(0, 0): I_POWERS[k]}), False)}
+            return {_SCALAR: _Coeff(unit, _Terms({(0, 0): I_POWERS[k]}))}
         if v == "E":
             self.take("sym", "[")
             outer, self.in_exp = self.in_exp, True
@@ -337,11 +334,8 @@ def parse_expsum(text: str, spec: SlotSpec) -> ExpSum:
     if p.toks[p.pos][0]:
         raise CoeffError(f"trailing input near token {p.toks[p.pos][1]!r}")
     pairs = []
-    for (_, form), (unit, monomials, dense) in terms.items():
-        if dense:  # h-level k: the monomials (k, d)
-            levels = [PiPoly.of({d: g for (j, d), g in monomials.items() if j == k}) for k in range(order)]
-            coeff = Scalar(unit, HbarSeries(order, tuple(levels)))
-        else:
-            coeff = _log_form(order, unit, monomials[(0, 0)], None)
-        pairs.append((coeff, form or spec.zero_form()))
+    for (_, form), (unit, monomials) in terms.items():
+        # h-level k: the monomials (k, d)
+        levels = [PiPoly.of({d: g for (j, d), g in monomials.items() if j == k}) for k in range(order)]
+        pairs.append((Scalar(unit, HbarSeries(order, tuple(levels))), form or spec.zero_form()))
     return ExpSum.make(spec, pairs)

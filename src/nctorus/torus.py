@@ -186,16 +186,15 @@ def dual_lattice(data: TorusData) -> DualLatticeBasis:
     return basis
 
 
-def bfield(data: TorusData, basis: DualLatticeBasis = None) -> BForm:
-    """Matrix of B on the dual basis (and its bilinear extension)."""
-    if basis is None:
-        basis = dual_lattice(data)
-    n = len(basis.vectors)
-    tmp = BForm(data.poisson, basis, ())
-    matrix = tuple(
-        tuple(tmp.value(basis.vectors[k], basis.vectors[m]) for m in range(n))
-        for k in range(n)
-    )
+def bfield(data: TorusData) -> BForm:
+    """B on the torus's dual lattice basis: the ``BForm`` of the Poisson
+    bivector, the basis ``dual_lattice(data)`` and the matrix
+    B(xi^(k), xi^(m)), contracted by ``bilinear`` on the conjugated basis
+    vectors.  Built afresh on each call, so each caller's ``BForm`` holds
+    its own ctilde and fiber-point memos."""
+    basis = dual_lattice(data)
+    conj = [[a.conj() for a in xi] for xi in basis.vectors]
+    matrix = tuple(tuple(bilinear(data.poisson, x, y) for y in conj) for x in conj)
     return BForm(data.poisson, basis, matrix)
 
 

@@ -1,5 +1,10 @@
+import os
 import random
+from itertools import combinations
 
+import pytest
+
+from nctorus.cli import parse_config
 from nctorus.coeff import GRat, Q
 from nctorus.cohomfm import (
     ExtClass,
@@ -9,8 +14,12 @@ from nctorus.cohomfm import (
     fm_square_table,
     fm_transform,
 )
+from nctorus.linalg import rat_inverse
+from nctorus.picard import _im_table
 from nctorus.sampling import gaussian_product_torus
 from nctorus.torus import bfield
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures")
 
 G = GRat.of
 T1 = gaussian_product_torus(1)
@@ -156,3 +165,71 @@ def test_conjugate_linear_transport_fails_on_a_non_real_bivector():
         real_torus = gaussian_product_torus(g, real, order=2)
         assert fm_hh2(real, real_torus) == bfield(real_torus).matrix
         assert fm_hh2(conj, torus) != bfield(torus).matrix
+
+
+# Mukai's index theorem in cohomology: for E = Im H on the lattice
+# generators and omega_E = sum_{i<j} E_ij e_i e_j, the transform of the
+# Chern character exp(omega_E) is Pf(E) exp(omega_{E^-1}) on the f-block
+# (E^-1 itself, not its transpose), chi(L) = Pf(E) being the index; for
+# E = 0 the transform of 1 is the dual point class (-1)^g f_1 ... f_2g.
+# Both sides are built wedge-free: the coefficient of e_S in exp(omega_M)
+# is the Pfaffian of M on S.
+
+
+def _pfaffian(m, idx) -> Q:
+    """Pf of the antisymmetric matrix m on the sorted indices idx, by
+    expansion along the first index."""
+    if not idx:
+        return Q(1)
+    i, rest = idx[0], idx[1:]
+    return sum(((-1) ** k * m[i][j] * _pfaffian(m, rest[:k] + rest[k + 1 :]) for k, j in enumerate(rest)), Q(0))
+
+
+def _exp_omega(m, offset: int, ngen: int) -> ExtClass:
+    """exp(omega_m) on the generators offset .. offset + len(m) - 1."""
+    n = len(m)
+    return ExtClass.of(
+        ngen,
+        {tuple(offset + k for k in s): G(_pfaffian(m, s)) for d in range(0, n + 1, 2) for s in combinations(range(n), d)},
+    )
+
+
+def _random_nondegenerate(rng, g):
+    while True:
+        m = [[Q(0)] * (2 * g) for _ in range(2 * g)]
+        for i, j in combinations(range(2 * g), 2):
+            m[i][j] = Q(rng.randint(-3, 3))
+            m[j][i] = -m[i][j]
+        if _pfaffian(m, tuple(range(2 * g))):
+            return m
+
+
+def _fixture_im_h(fixture, bundle):
+    with open(os.path.join(FIXTURES, fixture)) as fh:
+        cfg = parse_config(fh.read())
+    ns = next(b.ns for b in cfg.bundles if b.name == bundle)
+    return cfg.torus.g, [list(row) for row in _im_table(ns, cfg.torus)]
+
+
+_RNG = random.Random(64)
+_BUNDLE_FORMS = [
+    _fixture_im_h("g1.json", "theta"),
+    _fixture_im_h("e1xe2.json", "H_LM"),
+    *((g, _random_nondegenerate(_RNG, g)) for g in (2, 2, 2, 3, 3, 3)),
+]
+
+
+@pytest.mark.parametrize("g, E", _BUNDLE_FORMS, ids=["theta", "H_LM", "g2-0", "g2-1", "g2-2", "g3-0", "g3-1", "g3-2"])
+def test_transform_of_a_bundle_is_pfaffian_times_exp_of_the_inverse(g, E):
+    ngen = 4 * g
+    out = fm_transform(_exp_omega(E, 0, ngen), gaussian_product_torus(g))
+    pf = _pfaffian(E, tuple(range(2 * g)))
+    assert pf
+    assert out == _exp_omega(rat_inverse(E), 2 * g, ngen).scale(G(pf))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_transform_of_a_degree_zero_bundle_is_the_dual_point_class(g):
+    zero = [[Q(0)] * (2 * g) for _ in range(2 * g)]
+    out = fm_transform(_exp_omega(zero, 0, 4 * g), gaussian_product_torus(g))
+    assert dict(out.terms) == {tuple(range(2 * g, 4 * g)): G((-1) ** g)}

@@ -44,8 +44,8 @@ def _b_matrix(entry):
     B(xi^(i), xi^(j)) replaced by ``entry(i, j, a)``."""
 
     def factory(bfield):
-        def mutant(torus, basis=None):
-            B = bfield(torus, basis)
+        def mutant(torus):
+            B = bfield(torus)
             rows = tuple(tuple(entry(i, j, a) for j, a in enumerate(row)) for i, row in enumerate(B.matrix))
             return BForm(B.poisson, B.basis, rows)
 
@@ -67,7 +67,7 @@ def _exp_h1_without_factorial(order, mag, e, v):
     return coeff.HbarSeries(order, tuple(coeffs))
 
 
-def _chi_without_cross_term(ns, chi, torus, coords, imt=None):
+def _chi_without_cross_term(ns, chi, torus, coords):
     # no exp(pi i sum_{k<m} n_k n_m E_km): no semicharacter once Im H != 0
     return CircleConst.of(sum((chi.values[k].q * n for k, n in enumerate(coords)), Q(0)))
 
@@ -108,10 +108,10 @@ def _lam_in_v(poincare_factor):
 
 def _turned_chi(qah_factor):
     # chi times u(1) = -1 on lambda_1: not the character the restricted kernel carries
-    def turned(data, torus, spec=None):
+    def turned(data, torus):
         first, *rest = data.chi.values
         chi = Semicharacter((first * CircleConst.of(Q(1)), *rest))
-        return qah_factor(replace(data, chi=chi), torus, spec)
+        return qah_factor(replace(data, chi=chi), torus)
 
     return turned
 
@@ -128,6 +128,18 @@ def _identity(_):
 def _negated(fm_hh2):
     # -B is antisymmetric and equals B only when B = 0
     return lambda poisson, torus: tuple(tuple(-a for a in row) for row in fm_hh2(poisson, torus))
+
+
+def _ignores_s(_):
+    # the data of L_t alone in place of L_t (x) L_s^-1
+    return lambda t, s: t
+
+
+class _TurnedCircle:
+    # every circle constant poincare builds, turned by u(1) = -1
+    @staticmethod
+    def of(q):
+        return CircleConst.of(q + 1)
 
 
 def _table_full(rec):
@@ -194,12 +206,16 @@ MUTANTS = [
     Mutant("star-without-moyal-correction", E1, 1, ("poincare",),
            ((expalg, "poisson_pairing", _zero_pairing), (poincare, "poisson_pairing", _zero_pairing)),
            ("poincare:cocycle", "poincare:needtoshow", "poincare:poisson_to_bfield")),
+    Mutant("quotient-ignores-s", G1, 1, ("cohomology",), ((cli, "quotient", _ignores_s),),
+           ("cohomology:section-orthogonality",)),
+    # the split's scalar and the sections' chi_s are the circle constants poincare builds
+    Mutant("turned-circle-constant", G1, 1, ("poincare", "cohomology"),
+           ((poincare, "CircleConst", lambda _: _TurnedCircle),), ("poincare:psfa_split", *G1_SECTIONS)),
 ]
 
 GAPS = [
-    "cohomology:deformed-trivial", "cohomology:nontrivial-character",
-    "cohomology:section-orthogonality", "cohomology:trivial-bundle",
-    "poincare:negative_control", "poincare:psfa_split",
+    "cohomology:deformed-trivial", "cohomology:nontrivial-character", "cohomology:trivial-bundle",
+    "poincare:negative_control",
     "qpic:deformed:cocycle", "qpic:deformed:extension-ladder",
     "qpic:flat:cocycle", "qpic:flat:extension-ladder",
 ]

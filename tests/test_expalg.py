@@ -726,3 +726,17 @@ def test_one_pass_translate_is_the_identity_substitution(spec, data):
     # a translation prepared over other slots is refused
     with pytest.raises(SlotMismatch):
         translate(f, translation(SlotSpec((v,), spec.order), {"v": a}))
+
+
+def test_a_zero_scalar_has_unit_one_and_merges_with_any_unit():
+    d = Scalar.of(CircleConst.of(Q(1, 4)), HbarSeries.one(4).scale(GRat.of(2)))
+    minus = d.scale(GRat.of(-1))
+    for zero in (d.scale(GRat.of(0)), scalar_add(d, minus)):
+        assert zero == Scalar.zero(4)
+        assert str(zero) == "0"
+    # like terms cancel to a zero of unit 1 on the way and still sum to d
+    spec = spec_qp()
+    f = form(spec, (1, 0))
+    one_term = ExpSum.make(spec, [(d, f)])
+    for coeffs in ((d, minus, d), (Scalar.zero(4), d), (d, d.scale(GRat.of(0)))):
+        assert ExpSum.make(spec, [(c, f) for c in coeffs]) == one_term

@@ -135,3 +135,28 @@ def test_checks_is_a_leaf_and_picard_does_not_import_gerbe():
     assert _package_imports(package / "checks.py") == set()
     picard = _package_imports(package / "picard.py")
     assert "checks" in picard and "gerbe" not in picard
+
+
+def _private_imports(path: Path) -> list:
+    """(module, name) of every ``_``-prefixed name a module imports from
+    another ``nctorus`` module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nctorus")):
+            out += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def test_private_names_cross_modules_only_on_the_allow_list():
+    # a private decision of one module that another reads is a leak
+    package = Path(__file__).resolve().parent.parent / "src" / "nctorus"
+    found = sorted(pair for p in package.glob("*.py") for pair in _private_imports(p))
+    assert found == [
+        ("cli", "_default_z_choices"),
+        ("expalg", "_reduced"),
+        ("moyal_oracle", "_flatten"),
+        ("picard", "_circle"),
+        ("picard", "_reduced"),
+        ("textfmt", "_circle"),
+        ("textfmt", "_reduced"),
+    ]

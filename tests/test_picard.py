@@ -67,6 +67,14 @@ def test_validate_ns():
         validate_ns(NSData(((G(0, 1),),)), T1)  # not Hermitian
 
 
+def test_lattice_factors_over_one_torus_share_one_slot_spec():
+    # the spec is derived from the torus, once: star checks operand specs by identity
+    zero = NSData(((G(0), G(0)), (G(0), G(0))))
+    a, b = QAHData(zero, CHI1_2, ()), QAHData(zero, CHI1_2, ((G(1), G(0)),))
+    assert qah_factor(a, T2).group.spec is qah_factor(b, T2).group.spec is lattice_slotspec(T2)
+    assert ah_factor(H_LM, CHI1_2, T2).group.spec is lattice_slotspec(T2)
+
+
 def test_semicharacter_extension_and_validity():
     # chi extends along the E-corrected rule; any generator values are
     # valid once Im H is integral (classical Appell-Humbert theory; the
@@ -87,16 +95,15 @@ def _semicharacter_pair_loop(ns, chi, torus):
     checked on every pair of the radius-1 coordinate window."""
     from nctorus.coeff import combine
     from nctorus.checks import coordinate_window
-    from nctorus.picard import LatticeGroup, _im_table
+    from nctorus.picard import LatticeGroup
 
     window = coordinate_window(2 * torus.g, 1)
     grp = LatticeGroup(torus, lattice_slotspec(torus))
-    imt = _im_table(ns, torus)
     vec = {a: combine(a, torus.lattice) for a in window}
-    chi_at = {a: semicharacter_value(ns, chi, torus, a, imt) for a in window}
+    chi_at = {a: semicharacter_value(ns, chi, torus, a) for a in window}
     for a in window:
         for b in window:
-            lhs = semicharacter_value(ns, chi, torus, grp.compose(a, b), imt)
+            lhs = semicharacter_value(ns, chi, torus, grp.compose(a, b))
             e = ns.value(vec[a], vec[b]).im
             if lhs != chi_at[a] * chi_at[b] * CircleConst.of(e):
                 return False

@@ -41,7 +41,7 @@ def test_factor_identity_and_pure_gamma():
     # (0, (xi, z)): z * exp(pi conj<xi, v>), no l-dependence
     e = ((0, 0), (1, 0), Z1H4)
     t = f.value(e).single_term()
-    xi = combine((1, 0), CTX1.dual.vectors)
+    xi = combine((1, 0), CTX1.B.basis.vectors)
     assert t.form.coeffs[0] == tuple(a.conj() for a in xi)
     assert all(not c for c in t.form.coeffs[1])
     assert not t.form.const_pi

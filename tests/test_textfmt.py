@@ -90,29 +90,24 @@ def test_parse_errors():
         parse_expsum("E[pi*(v1)]", SCALARS)
 
 
-# each row's parsed coefficients, in order, by form: "log" for the log form
-# of u(...), E[...], variables, signs, powers and products of these, "dense"
-# once a number, i, pi or h enters or two like terms merge
+# every parsed coefficient is dense, whatever enters it
 PARSE_TABLE = [
     (
         SCALARS,
         "u(1/4)*(1 + pi^2*h + (1/2+1/3 i)*pi^4*h^2)",
         "u(1/4)*(1 + pi^2*h + (1/2+1/3 i)*pi^4*h^2)",
-        "dense",
     ),
     (
         SPEC,
         "(1+h)*E[pi*(v1+2*v2-1/2*l1~)] + u(1/4)*E[pi*(v1+1/3)]",
         "u(1/4)*E[pi*(v1 + 1/3)] + (1 + h)*E[pi*(v1 + 2*v2 - 1/2*l1~)]",
-        "log dense",
     ),
     # the per-variable coefficient list
-    (SPEC, "E[pi*(1,0|0,0)] * E[pi*(0,1|0,0)]", "E[pi*(v1 + v2)]", "log"),
+    (SPEC, "E[pi*(1,0|0,0)] * E[pi*(0,1|0,0)]", "E[pi*(v1 + v2)]"),
     (
         SPEC,
         "E[pi*((1+2 i), 3 | 1/2 i, -i)] - 1/2",
         "-1/2 + E[pi*((1+2 i)*v1 + 3*v2 + (1/2 i)*l1 + (-1 i)*l1~)]",
-        "dense log",
     ),
     # one operand per benchmark spec, in the benchmark's own format
     (
@@ -123,7 +118,6 @@ PARSE_TABLE = [
         "(u(1/4)*((1+1 i) + (-1+1/2 i)*h + (3/8-3/8 i)*h^2 + (-25/12-43/48 i)*h^3"
         " + (389/384+185/384 i)*h^4 + (-161/640-157/1280 i)*h^5))"
         "*E[pi*(-1*v1 + (-1+1/2 i)*v2 + 1/2)]",
-        "dense",
     ),
     (
         KERNEL,
@@ -133,31 +127,22 @@ PARSE_TABLE = [
         "(u(1/4)*((1-1 i) + (1/2+1 i)*pi*h + (2+2 i)*pi*h^2 + (-2-1 i)*h^3 + (-1 i)*pi*h^4"
         " + (-1/2 i)*pi^2*h^5))*E[pi*((-1/2+1/2 i)*v1 + (-1 i)*v2 - 1/2*l1 + (1+1/2 i)*l2"
         " + (-1-1 i)*l1~ + (1-1 i)*l2~ - 1/2)]",
-        "dense",
     ),
     # every atom takes a power, and a coefficient reads alike in and out of E[...]
-    (SPEC, "u(1/4)^2", "(1 i)", "log"),
-    (SPEC, "E[pi*v1]^2*h^0", "E[pi*(2*v1)]", "log"),
-    (SPEC, "E[pi*(2 i*v1)]", "E[pi*((2 i)*v1)]", "log"),
-    (SPEC, "E[pi*((1/2+1/3 i)*v1)]", "E[pi*((1/2+1/3 i)*v1)]", "log"),
+    (SPEC, "u(1/4)^2", "(1 i)"),
+    (SPEC, "E[pi*v1]^2*h^0", "E[pi*(2*v1)]"),
+    (SPEC, "E[pi*(2 i*v1)]", "E[pi*((2 i)*v1)]"),
+    (SPEC, "E[pi*((1/2+1/3 i)*v1)]", "E[pi*((1/2+1/3 i)*v1)]"),
     # a coefficient that is a difference is bracketed
-    (SPEC, "(1 - h)*E[pi*v2]", "(1 - 1*h)*E[pi*(v2)]", "dense"),
+    (SPEC, "(1 - h)*E[pi*v2]", "(1 - 1*h)*E[pi*(v2)]"),
 ]
 
 
-def _forms(f: ExpSum) -> str:
-    return " ".join("dense" if t.coeff.mag is None else "log" for t in f.terms)
-
-
-# the forms are looked up by text, so each row keeps its (spec, text, rendered) id
-PARSE_FORMS = {text: forms for _, text, _, forms in PARSE_TABLE}
-
-
-@pytest.mark.parametrize("spec, text, rendered", [row[:3] for row in PARSE_TABLE])
+@pytest.mark.parametrize("spec, text, rendered", PARSE_TABLE)
 def test_parse_table(spec, text, rendered):
     f = parse_expsum(text, spec)
     assert expsum_str(f) == rendered
-    assert _forms(f) == PARSE_FORMS[text]
+    assert all(t.coeff.mag is None for t in f.terms)
     assert parse_expsum(rendered, spec) == f
 
 
@@ -269,7 +254,7 @@ def test_benchmark_operands_parse_without_series_or_scalar_products(monkeypatch)
         monkeypatch.setattr(cls, "__mul__", counting)
     rows = [row for row in PARSE_TABLE if row[0] is MOYAL or row[0] is KERNEL]
     assert len(rows) == 2
-    for spec, text, rendered, _ in rows:
+    for spec, text, rendered in rows:
         assert expsum_str(parse_expsum(text, spec)) == rendered
     assert calls == {"HbarSeries": 0, "Scalar": 0}
 
@@ -375,41 +360,39 @@ class _Clash(Exception):
     """Like terms with different circle constants meet."""
 
 
-def _merge(out: dict, form, unit, dense) -> None:
-    if form in out:
-        if out[form][0] != unit:
-            raise _Clash
-        dense = True
-    out[form] = (unit, dense)
+def _merge(out: dict, form, unit) -> None:
+    if out.get(form, unit) != unit:
+        raise _Clash
+    out[form] = unit
 
 
 def _forms_of(t) -> dict:
-    """The form rule of ``textfmt``'s module docstring, as a model: each
-    exponent of the parse (zero coefficients kept) to (unit, dense)."""
+    """The unit rule of ``textfmt``'s module docstring, as a model: each
+    exponent of the parse (zero coefficients kept) to its unit."""
     kind = t[0]
     if kind == "E":
-        return {t[1]: (CircleConst.of(0), False)}
+        return {t[1]: CircleConst.of(0)}
     if kind in ("pow", "prod"):
         if kind == "pow":
             _forms_of(t[1])  # the base is read even at ^0, so its clash raises
         factors = [t[1]] * t[2] if kind == "pow" else t[1]
-        out = {_ZERO_FORM: (CircleConst.of(0), False)}
+        out = {_ZERO_FORM: CircleConst.of(0)}
         for f in factors:
             acc = {}
-            for fa, (ua, da) in out.items():
-                for fb, (ub, db) in _forms_of(f).items():
-                    _merge(acc, fa + fb, (ua * ub).quarter_turns()[1], da or db)
+            for fa, ua in out.items():
+                for fb, ub in _forms_of(f).items():
+                    _merge(acc, fa + fb, (ua * ub).quarter_turns()[1])
             out = acc
         return out
     if kind == "sum":
         out = {}
         for _, term in t[1]:
-            for form, (unit, dense) in _forms_of(term).items():
-                _merge(out, form, unit, dense)
+            for form, unit in _forms_of(term).items():
+                _merge(out, form, unit)
         return out
     if kind == "u":
-        return {_ZERO_FORM: (_scalar_atom(t).unit, False)}
-    return {_ZERO_FORM: (CircleConst.of(0), True)}
+        return {_ZERO_FORM: _scalar_atom(t).unit}
+    return {_ZERO_FORM: CircleConst.of(0)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,6 +408,5 @@ def test_random_expression_trees_parse_to_their_ring_value_and_form(tree):
     f = parse_expsum(text, SPEC)
     assert f == _value(tree)
     for term in f.terms:
-        unit, dense = forms[term.form]
-        assert term.coeff.unit == unit
-        assert (term.coeff.mag is None) == dense
+        assert term.coeff.unit == forms[term.form]
+        assert term.coeff.mag is None
