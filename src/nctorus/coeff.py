@@ -49,7 +49,9 @@ rules:
   ``series_exp`` otherwise) and is dense, so ``scalar_add``, rendering
   and the Taylor oracle keep the dense path; the text parser builds each
   term's scalar once, dense, with no product;
-- a dense zero has unit 1, whatever unit the value it came from had;
+- a dense zero has unit 1, whatever unit the value it came from had,
+  and ``expalg.scalar_add`` owns what that means for a sum: a zero
+  operand returns the other operand;
 - a product with an exact one (the log form of unit 1, mag 1 and log 0,
   as ``one`` makes it) is the other operand itself, so a chain of
   products by 1 hands on one object;
@@ -269,9 +271,6 @@ class GRat:
 
     def conj(self) -> "GRat":
         return _grat(self.n, -self.m, self.d)
-
-    def is_zero(self) -> bool:
-        return not (self.n or self.m)
 
     def __bool__(self) -> bool:
         return bool(self.n or self.m)
@@ -727,9 +726,6 @@ class CircleConst:
         if not k:
             return 0, self
         return k, _circle(2 * n - k * d, 2 * d)
-
-    def __str__(self) -> str:
-        return f"u({self.q})"
 
 
 CIRCLE_ONE = _circle(0, 1)

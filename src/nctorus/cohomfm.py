@@ -24,6 +24,7 @@ exact).  The result must equal the B-field matrix of the torus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .coeff import GRAT_ZERO, CoeffError, GRat, Q, bilinear
 from .torus import TorusData, dual_lattice, gaussian_product_torus, pairing
@@ -76,9 +77,6 @@ class ExtClass:
             return ExtClass.zero(self.ngen)
         return ExtClass(self.ngen, tuple((m, x * c) for m, x in self.terms))
 
-    def __neg__(self) -> "ExtClass":
-        return self.scale(GRat.of(-1))
-
     def wedge(self, other: "ExtClass") -> "ExtClass":
         acc: dict = {}
         for m1, c1 in self.terms:
@@ -106,14 +104,6 @@ class ExtClass:
                 s = acc.get(mono)
                 acc[mono] = c if s is None else s + c
         return ExtClass.of(self.ngen, acc)
-
-    def homogeneous(self, degree: int) -> "ExtClass":
-        return ExtClass(
-            self.ngen, tuple((m, c) for m, c in self.terms if len(m) == degree)
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def _merge_sign(m1, m2):
@@ -150,35 +140,26 @@ def exp_c1(torus: TorusData) -> ExtClass:
     term = ExtClass.unit(4 * torus.g)
     for k in range(1, 2 * torus.g + 1):
         term = term.wedge(c1).scale(GRat.of(Q(1, k)))
-        if term.is_zero():
-            break
         acc = acc + term
     return acc
 
 
 def _integrate_block(element: ExtClass, block) -> ExtClass:
-    """Coefficient of the full ordered block; keeps the complement."""
+    """Coefficient of the full ordered block; keeps the complement.
+
+    Reordering a monomial into (block)(rest) takes one transposition per
+    pair j < k with j in the rest and k in the block, so the sign is -1
+    to the number of such pairs."""
     bset = set(block)
     acc: dict = {}
     for m, c in element.terms:
-        inside = tuple(k for k in m if k in bset)
-        if len(inside) != len(block):
+        rest = tuple(k for k in m if k not in bset)
+        if len(m) - len(rest) != len(block):
             continue
-        outside = tuple(k for k in m if k not in bset)
-        # reorder m into (block part)(outside part): count transpositions
-        sign = 1
-        seen_outside = 0
-        for k in m:
-            if k in bset:
-                if seen_outside % 2:
-                    sign = -sign
-            else:
-                seen_outside += 1
-        # then outside part should follow the block; we moved block left
-        mono = outside
-        cc = c if sign > 0 else -c
-        s = acc.get(mono)
-        acc[mono] = cc if s is None else s + cc
+        if sum(j < k for k in block for j in rest) % 2:
+            c = -c
+        s = acc.get(rest)
+        acc[rest] = c if s is None else s + c
     return ExtClass.of(element.ngen, acc)
 
 
@@ -191,53 +172,31 @@ def fm_transform(alpha: ExtClass, torus: TorusData, reverse: bool = False) -> Ex
 
 
 def fm_square_table(g: int) -> dict:
-    """Compose the two transforms on every basis class and compare with
-    pullback by (-1) times a per-degree sign.
+    """Compose the two transforms on every basis class alpha of degree d
+    and read the sign s with composite(alpha) == s * (-1)^d * alpha, or
+    None when the composite is no such multiple.
 
     Returns {"table": {degree: sign}, "status": "PASS"|"FAIL",
-    "orientation": ...}; PASS means the composite equals
-    sign_d * (-1)^d * identity on each degree-d basis class, with
-    sign_d = (-1)^g in every degree: Mukai's inversion, the composite
-    is (-1)^g [-1]^* on cohomology.
+    "orientation": ...}; ``table[d]`` is the first sign of degree d that
+    is not None.  PASS means every class has the sign (-1)^g: Mukai's
+    inversion, the composite is (-1)^g [-1]^* on cohomology.
     """
     if g > 3:
         raise CoeffError("fm_square_table is intended for g <= 3")
     torus = gaussian_product_torus(g, order=2)
-    two_g = 2 * g
     n = 4 * g
-    from itertools import combinations
-
-    table = {}
-    ok = True
-    for d in range(two_g + 1):
-        sign_d = None
-        for mono in combinations(range(two_g), d):
+    table, signs = {}, []
+    for d in range(2 * g + 1):
+        found = []
+        for mono in combinations(range(2 * g), d):
             alpha = ExtClass.of(n, {mono: GRat.of(1)})
             out = fm_transform(fm_transform(alpha, torus), torus, reverse=True)
-            expected_mono = mono
-            entries = dict(out.terms)
-            coeff = entries.pop(expected_mono, GRAT_ZERO)
-            if entries:
-                ok = False
-                continue
-            # composite = sign_d * (-1)^d * identity
-            want_unit = GRat.of((-1) ** d)
-            if coeff == want_unit:
-                s = 1
-            elif coeff == -want_unit:
-                s = -1
-            else:
-                ok = False
-                continue
-            if sign_d is None:
-                sign_d = s
-            elif sign_d != s:
-                ok = False
-        table[d] = sign_d
-    ok = ok and all(s == (-1) ** g for s in table.values())
+            found.append(next((s for s in (1, -1) if out == alpha.scale(GRat.of(s * (-1) ** d))), None))
+        table[d] = next((s for s in found if s is not None), None)
+        signs += found
     return {
         "table": table,
-        "status": "PASS" if ok else "FAIL",
+        "status": "PASS" if all(s == (-1) ** g for s in signs) else "FAIL",
         "orientation": ORIENTATION_NOTE,
     }
 
@@ -268,14 +227,9 @@ def fm_hh2(poisson, torus: TorusData) -> tuple:
             w = preal[a][b]
             if not w:
                 continue
-            piece = ec.contract(b).contract(a).homogeneous(2)
+            piece = ec.contract(b).contract(a)
             pure = ExtClass(
-                n,
-                tuple(
-                    (m, c)
-                    for m, c in piece.terms
-                    if all(k >= two_g for k in m)
-                ),
+                n, tuple((m, c) for m, c in piece.terms if len(m) == 2 and m[0] >= two_g)
             )
             transported = transported + pure.scale(w)
     # read the dual-basis matrix E[k][m] of the transported real 2-form

@@ -290,10 +290,6 @@ class ExpSum:
             coeff = Scalar.one(spec.order)
         return ExpSum.make(spec, [(coeff, form)])
 
-    @staticmethod
-    def scalar(spec: SlotSpec, s: Scalar) -> "ExpSum":
-        return ExpSum.make(spec, [(s, spec.zero_form())])
-
     # -- ring structure -----------------------------------------------
 
     def _check(self, other: "ExpSum") -> None:
@@ -313,9 +309,6 @@ class ExpSum:
             self.spec,
             tuple(ExpTerm(t.coeff.scale(GRat.of(-1)), t.form) for t in self.terms),
         )
-
-    def __sub__(self, other: "ExpSum") -> "ExpSum":
-        return self + (-other)
 
     def __mul__(self, other: "ExpSum") -> "ExpSum":
         """Commutative pointwise product: exponents add."""
@@ -345,9 +338,6 @@ class ExpSum:
 
     # -- helpers -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def single_term(self) -> ExpTerm:
         if len(self.terms) != 1:
             raise CoeffError("expected a single exponential term")
@@ -356,20 +346,21 @@ class ExpSum:
     def scale(self, s: Scalar) -> "ExpSum":
         return _merged(self.spec, [(t.coeff * s, t.form) for t in self.terms])
 
-    def __str__(self) -> str:
-        from .textfmt import expsum_str
-
-        return expsum_str(self)
-
 
 def scalar_add(a: Scalar, b: Scalar) -> Scalar:
     """Add two canonical scalars with the same truncation order.
 
-    Both are unit*series; addition only stays in the class when the units
-    agree, as they always do for merged like-exponent terms coming out of
-    normalization.  The sum is dense and of the operands' type: the text
-    parser adds its like terms, unit*monomials, here too.
+    Both are unit*series.  A zero has unit 1, whatever unit it was built
+    with, so a zero operand returns the other operand; two nonzero ones
+    add only when the units agree, as they always do for merged
+    like-exponent terms coming out of normalization.  The sum is dense
+    and of the operands' type: the text parser adds its like terms,
+    unit*monomials, here too, so this is where its zeros merge as well.
     """
+    if not b.series:
+        return a
+    if not a.series:
+        return b
     if a.unit == b.unit:
         return type(a)(a.unit, a.series + b.series)
     raise CoeffError(
@@ -395,11 +386,7 @@ def _merged(spec: SlotSpec, pairs) -> ExpSum:
     for coeff, form in pairs:
         key = form.sort_key()
         old = acc.get(key)
-        # a zero has unit 1: it is replaced or left out, not added
-        if old is None or old[0].is_zero():
-            acc[key] = (coeff, form)
-        elif not coeff.is_zero():
-            acc[key] = (scalar_add(old[0], coeff), form)
+        acc[key] = (coeff if old is None else scalar_add(old[0], coeff), form)
     terms = tuple(
         ExpTerm(c, f)
         for _, (c, f) in sorted(acc.items())

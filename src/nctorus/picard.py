@@ -76,7 +76,6 @@ __all__ = [
     "validate_ns",
     "validate_semicharacter",
     "semicharacter_value",
-    "ah_factor",
     "qah_factor",
     "obstruction0",
     "is_quantizable",
@@ -318,7 +317,8 @@ def l_series(lseries, lam, order: int):
 
 def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData) -> Factor:
     """lam -> chi(lam) E(pi H(v,lam) + (pi/2) H(lam,lam) + sum_j h^j pi <l_j,lam>),
-    over the torus's ``lattice_slotspec``."""
+    over the torus's ``lattice_slotspec``; with ``lseries`` empty, the
+    classical Appell-Humbert factor."""
     spec = lattice_slotspec(torus)
 
     def fn(coords):
@@ -328,11 +328,6 @@ def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData) -> Fac
         return ExpSum.exponential(spec, form, Scalar.from_circle(spec.order, unit))
 
     return Factor(LatticeGroup(torus, spec), fn)
-
-
-def ah_factor(ns: NSData, chi: Semicharacter, torus: TorusData) -> Factor:
-    """The classical Appell-Humbert factor of automorphy."""
-    return _ah_factor(ns, chi, (), torus)
 
 
 def qah_factor(data: QAHData, torus: TorusData) -> Factor:
@@ -459,8 +454,6 @@ def reduce_to_qah(factor: Factor, torus: TorusData):
             raise CoeffError("v-linear parts are not Neron-Severi consistent")
         hmat.append(row)
     ns = NSData(tuple(hmat))
-    if not ns.is_hermitian():
-        raise CoeffError("recovered form is not Hermitian")
     if not validate_ns(ns, torus):
         raise CoeffError("recovered form has non-integral Im H on the lattice")
     if not is_quantizable(ns, torus):
@@ -503,11 +496,7 @@ def reduce_to_qah(factor: Factor, torus: TorusData):
 
     lout = []
     for k in range(1, spec.order):
-        vals = log_rows.get(k, [GRAT_ZERO] * n)
-        if all(not v for v in vals):
-            lout.append(tuple([GRAT_ZERO] * g))
-            continue
-        lk = grat_solve(conj_lat, vals)
+        lk = grat_solve(conj_lat, log_rows[k])
         if lk is None:
             raise CoeffError("h-series constants are not conjugate-linear in the lattice")
         lout.append(lk)

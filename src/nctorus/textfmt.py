@@ -31,9 +31,12 @@ exponent form or None for zero) to a coefficient (unit, series), ``unit``
 a circle constant of angle in [0, 1/2) and ``series`` a map from
 (h-degree < order, pi-degree) to nonzero GRats.  Products convolve terms
 and fold the quarter turns of the unit product into them, as ``Scalar.of``
-does; sums add like terms with ``expalg.scalar_add``, which adds the
-maps and refuses two units as it does for Scalars.  ``parse_expsum``
-builds one dense ``Scalar(unit, series)`` per term.
+does; sums add like terms with ``expalg.scalar_add``, as for Scalars: a
+zero coefficient (an empty map, whatever its unit) leaves the other
+term, and two nonzero ones add their maps or, with two units, are
+refused.  So ``0*u(1/4) + 1`` reads as 1, and ``u(1/3) + u(1/4) -
+u(1/4)`` is refused at its first ``+``.  ``parse_expsum`` builds one
+dense ``Scalar(unit, series)`` per term.
 """
 
 from __future__ import annotations

@@ -78,6 +78,8 @@ def test_cli_run_exit_codes(tmp_path):
 
     res = runner.invoke(main, ["run", str(tmp_path / "missing.json")])
     assert res.exit_code == 2
+    res = runner.invoke(main, ["run", fixture_path("g1.json"), "--suite", "nosuch"])
+    assert res.exit_code == 2 and "config error: unknown suite 'nosuch'" in res.output
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"torus": {"g": 1, "lattice": [["1"], ["2"]], "poisson": [["0"]]}}')
@@ -184,6 +186,7 @@ def test_cli_star_rejects_a_negative_degree():
         {"slots": [{"name": "v", "dim": 1, "vars": ""}]},
         {"slots": [{"name": "v", "dim": 1, "vars": []}]},
         {"slots": [{"name": "v", "dim": 1, "vars": {}}]},
+        {"slots": [1]},
     ],
 )
 def test_cli_star_malformed_slots_is_a_parse_error(slots):
@@ -401,6 +404,9 @@ def _g1_with(path, value):
         (("name",), 5),
         (("window",), True),
         (("torus", "g"), True),
+        (("bundles", 0, "H"), [["0"], ["0"]]),
+        (("bundles", 0, "H"), [["1 i"]]),
+        (("bundles", 1, "H"), [["1/2"]]),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, path, value):

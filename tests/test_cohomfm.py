@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 
 from nctorus.cli import parse_config
-from nctorus.coeff import GRat, Q
+from nctorus import cohomfm
+from nctorus.coeff import CoeffError, GRat, Q
 from nctorus.cohomfm import (
+    ORIENTATION_NOTE,
     ExtClass,
     c1_poincare,
     exp_c1,
@@ -95,6 +97,20 @@ def test_square_table_g2():
     assert rep["status"] == "PASS"
     # stable per-degree table
     assert set(rep["table"].values()) == {1}
+
+
+def test_square_table_refuses_g_above_3():
+    with pytest.raises(CoeffError, match="intended for g <= 3"):
+        fm_square_table(4)
+
+
+def test_square_table_cannot_see_a_negated_integration(monkeypatch):
+    # the composite integrates twice, so a sign error there cancels: the
+    # tables stay those of the correct code (a known blind spot)
+    integrate = cohomfm._integrate_block
+    monkeypatch.setattr(cohomfm, "_integrate_block", lambda e, block: integrate(e, block).scale(G(-1)))
+    assert fm_square_table(1) == {"table": {0: -1, 1: -1, 2: -1}, "status": "PASS", "orientation": ORIENTATION_NOTE}
+    assert fm_square_table(2) == {"table": dict.fromkeys(range(5), 1), "status": "PASS", "orientation": ORIENTATION_NOTE}
 
 
 def test_hh2_matches_bfield_random():

@@ -66,7 +66,7 @@ def test_mul_examples():
         spec, LinForm(spec.zero_form().coeffs, GRat.of(0, Q(1, 2)), None)
     )
     sq = half_i * half_i
-    assert sq == ExpSum.scalar(spec, Scalar.one(4).scale(GRat.of(-1)))
+    assert sq == ExpSum.exponential(spec, spec.zero_form(), Scalar.one(4).scale(GRat.of(-1)))
     g, m, n = exp_of(spec, (1, 0)), exp_of(spec, (0, 1)), exp_of(spec, (1, 1))
     assert (g + m) * n == g * n + m * n
 

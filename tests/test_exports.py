@@ -5,6 +5,8 @@ from pathlib import Path
 
 import nctorus
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def test_every_export_resolves():
     # a deletion must not leave its name behind in a module's __all__
@@ -78,16 +80,15 @@ def _definitions(tree) -> list:
     return out
 
 
-def test_every_definition_is_named_elsewhere():
-    # a definition that nothing names outside its own body is dead code
-    root = Path(__file__).resolve().parent.parent
-    package = sorted((root / "src" / "nctorus").glob("*.py"))
-    paths = package + sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in paths}
+def _unnamed(paths) -> list:
+    """The package definitions that no module of ``paths`` names outside
+    the definition's own body."""
+    package = sorted((ROOT / "src" / "nctorus").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in set(package) | set(paths)}
     names = {p: _identifiers(t) for p, t in trees.items()}
     elsewhere = {}  # name -> the paths that name it
-    for p, found in names.items():
-        for name, _ in found:
+    for p in paths:
+        for name, _ in names[p]:
             elsewhere.setdefault(name, set()).add(p)
     dead = []
     for p in package:
@@ -97,7 +98,22 @@ def test_every_definition_is_named_elsewhere():
             if not any(n == name and not first <= line <= last for n, line in names[p]):
                 dead.append(f"{p.name}: {qualified}")
     assert len(package) >= 12
-    assert dead == []
+    return dead
+
+
+def test_every_definition_is_named_elsewhere():
+    # a definition that nothing names outside its own body is dead code
+    paths = sorted((ROOT / "src" / "nctorus").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert _unnamed(paths + sorted((ROOT / "perfbench").rglob("*.py"))) == []
+
+
+def test_no_helper_serves_only_the_tests():
+    # what only tests name is not part of the program; the two helpers
+    # left are the acceptance test's
+    assert _unnamed(sorted((ROOT / "src" / "nctorus").glob("*.py"))) == [
+        "coeff.py: UnitDecomposition.recompose",
+        "sampling.py: random_unit_scalar",
+    ]
 
 
 def test_no_module_reads_the_environment():

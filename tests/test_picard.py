@@ -13,13 +13,17 @@ from nctorus.coeff import (
     PiPoly,
     Q,
     Scalar,
+    combine,
+    exp_hpi2,
 )
 from nctorus.expalg import ExpSum, LinForm
 from nctorus.picard import (
+    Factor,
+    LatticeGroup,
     NSData,
     QAHData,
     Semicharacter,
-    ah_factor,
+    _ah_factor,
     classify_cohomology,
     coboundary_twist,
     cocycle_defect,
@@ -43,6 +47,7 @@ from nctorus.sampling import (
     random_quantizable_ns,
     random_semicharacter,
 )
+from nctorus.torus import TorusData
 
 G = GRat.of
 PI2 = ((G(0), G(1)), (G(-1), G(0)))
@@ -72,7 +77,7 @@ def test_lattice_factors_over_one_torus_share_one_slot_spec():
     zero = NSData(((G(0), G(0)), (G(0), G(0))))
     a, b = QAHData(zero, CHI1_2, ()), QAHData(zero, CHI1_2, ((G(1), G(0)),))
     assert qah_factor(a, T2).group.spec is qah_factor(b, T2).group.spec is lattice_slotspec(T2)
-    assert ah_factor(H_LM, CHI1_2, T2).group.spec is lattice_slotspec(T2)
+    assert _ah_factor(H_LM, CHI1_2, (), T2).group.spec is lattice_slotspec(T2)
 
 
 def test_semicharacter_extension_and_validity():
@@ -140,7 +145,7 @@ def test_semicharacter_pair_loop_is_implied_by_integrality():
 
 def test_ah_factor_classical_cocycle():
     t2c = gaussian_product_torus(2)  # commutative
-    f = ah_factor(H_LM, CHI1_2, t2c)
+    f = _ah_factor(H_LM, CHI1_2, (), t2c)
     one = ExpSum.one(f.group.spec)
     rng = random.Random(2)
     win = f.group.window(1)
@@ -170,7 +175,7 @@ def test_is_quantizable_examples():
 
 
 def test_obstructed_defect_value():
-    f = ah_factor(H_LM, CHI1_2, T2)
+    f = _ah_factor(H_LM, CHI1_2, (), T2)
     d = cocycle_defect(f, (1, 0, 0, 0), (0, 0, 1, 0))
     t = d.single_term()
     assert t.form.is_zero()
@@ -200,7 +205,7 @@ def test_qah_factor_cocycle_and_obstructed_rejection():
 
 
 def test_extension_obstruction_matches_ob0_and_vanishes_for_qah():
-    f = ah_factor(H_LM, CHI1_2, T2)
+    f = _ah_factor(H_LM, CHI1_2, (), T2)
     table = extension_obstruction(f, 0)
     gens = [tuple(1 if i == k else 0 for i in range(4)) for k in range(4)]
     ob = obstruction0(H_LM, T2)
@@ -321,3 +326,117 @@ def test_quotient_is_free_exactly_for_equal_data():
     assert classify_cohomology(quotient(d, replace(d, chi=CHI1_1)), T1).kind == "AllVanish"
     for l in (((G(2),),), ((G(1),), (G(1),)), ()):
         assert classify_cohomology(quotient(d, replace(d, l=l)), T1).kind == "NontrivialDeformation"
+
+
+# Crafted factors on T1 (T2 where the Poisson bivector matters), each
+# refused by canonicalization or by the extension ladder with its message.
+H0 = QAHData(NSData(((G(0),),)), CHI1_1, ())
+ORDER = T1.order
+FLAT_LINE = TorusData(1, ((G(1),), (G(2),)), ((G(0),),), ORDER)
+
+
+def _factor(torus, coeffs, scalar, group=LatticeGroup, const=lambda e: G(0)):
+    """e -> scalar(e) E(pi coeffs(lam) . v + pi const(e)), lam the lattice
+    point of e."""
+    spec = lattice_slotspec(torus)
+
+    def value(e):
+        lam = combine(e, torus.lattice)
+        return ExpSum.exponential(spec, LinForm((coeffs(lam),), const(e), None), scalar(e))
+
+    return Factor(group(torus, spec), value)
+
+
+def _times_at(factor, element, scalar):
+    """The factor with its value at ``element`` times ``scalar``."""
+    return Factor(factor.group, lambda e: factor.value(e).scale(scalar) if e == element else factor.value(e))
+
+
+class _Magma(LatticeGroup):
+    """a + 2b: not associative, so a coboundary need not be closed."""
+
+    def compose(self, a, b):
+        return tuple(x + 2 * y for x, y in zip(a, b))
+
+
+def _exp_h_pi(c=1):
+    return Scalar.exp(HbarSeries.of(ORDER, {1: PiPoly.pi_power(1, G(c))}))
+
+
+def _one(e):
+    return Scalar.one(ORDER)
+
+
+def _flat(lam):
+    return (G(0),)
+
+
+def _v(lam):
+    return (G(1),)
+
+
+QAH0 = qah_factor(H0, T1)
+REFUSALS = [
+    ("reduce-inconsistent-H", lambda: reduce_to_qah(_factor(T1, _v, _one), T1), "v-linear parts are not Neron-Severi consistent"),
+    (
+        "reduce-non-hermitian",
+        lambda: reduce_to_qah(_factor(T1, lambda lam: (G(0, 1) * lam[0].conj(),), _one), T1),
+        "matrix is not Hermitian",
+    ),
+    (
+        "reduce-half-integral",
+        lambda: reduce_to_qah(_factor(T1, lambda lam: (G(Q(1, 2)) * lam[0].conj(),), _one), T1),
+        "recovered form has non-integral Im H on the lattice",
+    ),
+    ("reduce-obstructed", lambda: reduce_to_qah(_ah_factor(H_LM, CHI1_2, (), T2), T2), "recovered form is obstructed"),
+    (
+        # a TorusData need not pass validate_torus: on R-dependent generators
+        # 1 and 2 the constants 0 and 1 are no real-linear function
+        "reduce-degenerate-lattice",
+        lambda: reduce_to_qah(_factor(FLAT_LINE, _flat, _one, const=lambda e: G(e[1])), FLAT_LINE),
+        "residual constants are not a coboundary",
+    ),
+    (
+        "reduce-log-not-pi-linear",
+        lambda: reduce_to_qah(_times_at(QAH0, (1, 0), exp_hpi2(ORDER, G(1))), T1),
+        "log series is not pi-linear",
+    ),
+    (
+        "reduce-l-not-conjugate-linear",
+        lambda: reduce_to_qah(_times_at(QAH0, (1, 0), _exp_h_pi()), T1),
+        "h-series constants are not conjugate-linear in the lattice",
+    ),
+    (
+        "reduce-roundtrip",
+        lambda: reduce_to_qah(_times_at(QAH0, (1, 1), Scalar.one(ORDER).scale(G(2))), T1),
+        "roundtrip verification failed: not cohomologous",
+    ),
+    ("ladder-not-scalar", lambda: extension_obstruction(_factor(T1, _v, _one), 0), "defect is not scalar: not a cocycle mod h"),
+    (
+        "ladder-unit-part",
+        lambda: extension_obstruction(_factor(T1, _flat, lambda e: Scalar.from_circle(ORDER, CircleConst.of(Q(1, 4)))), 0),
+        "defect has a unit part: not a cocycle mod h",
+    ),
+    (
+        "ladder-not-one-mod-h",
+        lambda: extension_obstruction(_factor(T1, _flat, lambda e: Scalar.one(ORDER).scale(G(2))), 0),
+        "defect does not reduce to 1 mod h",
+    ),
+    (
+        "ladder-lower-order",
+        lambda: extension_obstruction(_factor(T1, _flat, lambda e: _exp_h_pi()), 1),
+        "defect already present at order h^1 <= h^1",
+    ),
+    (
+        "ladder-not-closed",
+        lambda: extension_obstruction(_factor(T1, _flat, lambda e: _exp_h_pi(e[0]), _Magma), 0),
+        "obstruction table is not a 2-cocycle",
+    ),
+]
+
+
+@pytest.mark.parametrize("refused, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_canonicalization_and_the_extension_ladder_refuse(refused, message):
+    with pytest.raises(CoeffError) as exc:
+        refused()
+    assert str(exc.value) == message

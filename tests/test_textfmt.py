@@ -188,7 +188,7 @@ PARSE_ERRORS = [
     ("u(h)", "u(...) must be a Gaussian rational"),
     ("u(u(1/4))", "u(...) must be a Gaussian rational"),
     ("u(1/4) + 1", "sum of scalars with incompatible circle constants is not representable"),
-    ("u(1/4)*0 + 1", "sum of scalars with incompatible circle constants is not representable"),
+    ("u(1/3) + u(1/4) - u(1/4)", "sum of scalars with incompatible circle constants is not representable"),
     (
         "E[pi*v1] + u(1/4)*E[pi*v1]",
         "sum of scalars with incompatible circle constants is not representable",
@@ -207,6 +207,16 @@ def test_parse_error_messages(text, message):
         parse_expsum(text, SPEC)
     assert type(exc.value) is CoeffError
     assert str(exc.value) == message
+
+
+def test_a_zero_term_merges_with_any_unit():
+    # a zero has unit 1, in the parser's partial sums as in Scalar
+    # arithmetic; the refusal is decided at the first + that meets two units
+    assert parse_expsum("0*u(1/4) + 1", SPEC) == ExpSum.one(SPEC)
+    want = ExpSum.exponential(SPEC, _ZERO_FORM, Scalar.one(_ORDER).turn(1, 3))
+    assert parse_expsum("u(1/4) - u(1/4) + u(1/3)", SPEC) == want
+    with pytest.raises(CoeffError, match="incompatible circle constants"):
+        parse_expsum("u(1/3) + u(1/4) - u(1/4)", SPEC)
 
 
 def test_cli_star_reports_the_parse_error():
@@ -353,46 +363,50 @@ def _value(t) -> ExpSum:
         for sign, term in t[1]:
             out = out + (-_value(term) if sign == "-" else _value(term))
         return out
-    return ExpSum.scalar(SPEC, _scalar_atom(t))
+    return ExpSum.exponential(SPEC, _ZERO_FORM, _scalar_atom(t))
 
 
 class _Clash(Exception):
     """Like terms with different circle constants meet."""
 
 
-def _merge(out: dict, form, unit) -> None:
-    if out.get(form, unit) != unit:
-        raise _Clash
-    out[form] = unit
+def _merge(out: dict, form, c: Scalar) -> None:
+    """Add the like term c: a zero has unit 1 and merges with any unit."""
+    old = out.get(form)
+    if old is None or old.is_zero():
+        out[form] = c
+    elif not c.is_zero():
+        if old.unit != c.unit:
+            raise _Clash
+        out[form] = Scalar(c.unit, old.series + c.series)
 
 
 def _forms_of(t) -> dict:
     """The unit rule of ``textfmt``'s module docstring, as a model: each
-    exponent of the parse (zero coefficients kept) to its unit."""
+    exponent of the parse (zero coefficients kept) to its coefficient,
+    like terms added in the parser's order."""
     kind = t[0]
     if kind == "E":
-        return {t[1]: CircleConst.of(0)}
+        return {t[1]: Scalar.one(_ORDER)}
     if kind in ("pow", "prod"):
         if kind == "pow":
             _forms_of(t[1])  # the base is read even at ^0, so its clash raises
         factors = [t[1]] * t[2] if kind == "pow" else t[1]
-        out = {_ZERO_FORM: CircleConst.of(0)}
+        out = {_ZERO_FORM: Scalar.one(_ORDER)}
         for f in factors:
             acc = {}
-            for fa, ua in out.items():
-                for fb, ub in _forms_of(f).items():
-                    _merge(acc, fa + fb, (ua * ub).quarter_turns()[1])
+            for fa, ca in out.items():
+                for fb, cb in _forms_of(f).items():
+                    _merge(acc, fa + fb, ca * cb)
             out = acc
         return out
     if kind == "sum":
         out = {}
-        for _, term in t[1]:
-            for form, unit in _forms_of(term).items():
-                _merge(out, form, unit)
+        for sign, term in t[1]:
+            for form, c in _forms_of(term).items():
+                _merge(out, form, c.scale(G(-1)) if sign == "-" else c)
         return out
-    if kind == "u":
-        return {_ZERO_FORM: _scalar_atom(t).unit}
-    return {_ZERO_FORM: CircleConst.of(0)}
+    return {_ZERO_FORM: _scalar_atom(t)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,5 +422,5 @@ def test_random_expression_trees_parse_to_their_ring_value_and_form(tree):
     f = parse_expsum(text, SPEC)
     assert f == _value(tree)
     for term in f.terms:
-        assert term.coeff.unit == forms[term.form]
+        assert term.coeff == forms[term.form]
         assert term.coeff.mag is None

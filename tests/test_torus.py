@@ -35,6 +35,21 @@ def test_validate_examples():
         TorusData(2, GAUSS2.lattice, ((G(0), G(1)), (G(1), G(0))), 4)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TorusData(0, (), (), 4), "dimension must be positive"),
+        (lambda: TorusData(1, ((G(1),),), ((G(0),),), 4), "lattice must consist of 2g vectors in C^g"),
+        (lambda: TorusData(1, GAUSS1.lattice, (), 4), "poisson matrix must be g x g"),
+        (lambda: dual_lattice(TorusData(1, ((G(1),), (G(2),)), ((G(0),),), 4)), "degenerate lattice"),
+    ],
+)
+def test_ill_formed_torus_data_is_refused(build, message):
+    with pytest.raises(TorusError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_pairing_conjugate_linearity():
     xi = (G(Q(2, 3), Q(1, 5)),)
     assert pairing(xi, (G(0),)) == G(0)
