@@ -28,7 +28,9 @@ from .coeff import (
     CircleConst,
     CoeffError,
     GRat,
+    HbarSeries,
     Q,
+    Scalar,
 )
 from .cohomfm import fm_hh2, fm_square_table
 from .expalg import ExpSum, LinForm, Slot, SlotSpec
@@ -60,7 +62,7 @@ from .poincare import (
     verify_poincare_cocycle,
 )
 from .sampling import random_grat, random_qah
-from .textfmt import expsum_str, parse_expsum
+from .textfmt import expsum_str, parse_expsum, scalar_str
 from .torus import TorusData, bfield, dual_lattice, pairing, validate_torus
 
 class ConfigError(ValueError):
@@ -258,7 +260,7 @@ def suite_torus(cfg: RunConfig):
     B = bfield(cfg.torus)
     ok = all(
         pairing(xi, lam).im == (1 if j == k else 0)
-        for k, xi in enumerate(B.basis.vectors)
+        for k, xi in enumerate(B.basis)
         for j, lam in enumerate(cfg.torus.lattice)
     )
     out.append(_record("torus:dual-integrality", "PASS" if ok else "FAIL"))
@@ -274,10 +276,16 @@ def suite_torus(cfg: RunConfig):
 def suite_quantizable(cfg: RunConfig):
     out = []
     for b in cfg.bundles:
-        # quantizable exactly when ob_0 has no nonzero entry to witness
+        # quantizable exactly when ob_0 has no nonzero entry to witness,
+        # rendered as the h^0 scalar of its pi-polynomial
         ob = obstruction0(b.ns, cfg.torus)
         witness = next(
-            ({"pair": [i, j], "value": str(p)} for i, row in enumerate(ob) for j, p in enumerate(row) if p),
+            (
+                {"pair": [i, j], "value": scalar_str(Scalar(CIRCLE_ONE, HbarSeries.of(1, {0: p})))}
+                for i, row in enumerate(ob)
+                for j, p in enumerate(row)
+                if p
+            ),
             None,
         )
         quant = witness is None
@@ -305,7 +313,7 @@ def suite_qpic(cfg: RunConfig):
         out.append(_record(f"qpic:{b.name}:cocycle", **rep))
         try:
             table = extension_obstruction(f, torus.order - 2)
-            flat = all(p.is_zero() for p in table.values())
+            flat = not any(table.values())
             out.append(
                 _record(
                     f"qpic:{b.name}:extension-ladder",
@@ -635,8 +643,7 @@ def dual_cmd(config):
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    basis = dual_lattice(cfg.torus)
-    for k, vec in enumerate(basis.vectors):
+    for k, vec in enumerate(dual_lattice(cfg.torus)):
         click.echo(f"xi^({k + 1}) = ({', '.join(str(e) for e in vec)})")
     sys.exit(0)
 

@@ -7,7 +7,9 @@ Everything downstream computes in the commutative ring
 
 where pi is a formal transcendental symbol and h is the deformation
 parameter, truncated at a fixed order N.  All arithmetic is exact; there
-is no floating point anywhere in the package.
+is no floating point anywhere in the package.  The module imports no
+other package module: text renderings of its series and scalars are
+``textfmt``'s, and only a Gaussian rational has a ``str`` of its own.
 
 At the bottom of the tower a Gaussian rational (``GRat``) is one
 canonical integer triple (n, m, d), the value (n + m i)/d with d > 0 and
@@ -455,9 +457,6 @@ class PiPoly:
             return PI_ZERO
         return PiPoly(tuple((d, x * c) for d, x in self.terms))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -469,21 +468,6 @@ class PiPoly:
 
     def is_const(self) -> bool:
         return all(d == 0 for d, _ in self.terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for d, c in self.terms:
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or cs.endswith("i"):
-                cs = f"({cs})"
-            if d == 0:
-                out.append(cs)
-            else:
-                p = "pi" if d == 1 else f"pi^{d}"
-                out.append(p if cs == "1" else f"{cs}*{p}")
-        return " + ".join(out).replace("+ -", "- ")
 
 
 PI_ZERO = PiPoly(())
@@ -612,11 +596,8 @@ class HbarSeries:
     def scale(self, c: GRat) -> "HbarSeries":
         return HbarSeries(self.order, tuple(a.scale(c) for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
 
 def series_exp(a: HbarSeries) -> HbarSeries:
@@ -627,7 +608,7 @@ def series_exp(a: HbarSeries) -> HbarSeries:
     term = HbarSeries.one(a.order)
     for k in range(1, a.order):
         term = (term * a).scale(_grat(1, 0, k))
-        if term.is_zero():
+        if not term:
             break
         acc = acc + term
     return acc
@@ -649,7 +630,7 @@ def series_log(u: HbarSeries) -> HbarSeries:
     term = HbarSeries.one(u.order)
     for k in range(1, u.order):
         term = term * x
-        if term.is_zero():
+        if not term:
             break
         acc = acc + term.scale(_grat((-1) ** (k + 1), 0, k))
     return acc
@@ -711,9 +692,6 @@ class CircleConst:
 
     def inverse(self) -> "CircleConst":
         return _circle(-self.n, self.d)
-
-    def conj(self) -> "CircleConst":
-        return self.inverse()
 
     def is_one(self) -> bool:
         return not self.n
@@ -800,7 +778,7 @@ class Scalar:
 
     def __init__(self, unit, series):
         self.order = series.order
-        self.unit = CIRCLE_ONE if unit.n and series.is_zero() else unit
+        self.unit = CIRCLE_ONE if unit.n and not series else unit
         self.mag = None
         self.log = None
         self._series = series
@@ -935,7 +913,7 @@ class Scalar:
         return _log_form(self.order, self.unit, cmul(self.mag, c), self.log)
 
     def is_zero(self) -> bool:
-        return self.mag is None and self._series.is_zero()
+        return self.mag is None and not self._series
 
     def _decomposed(self):
         """(mag, log) of an invertible scalar: the fields of a log form, or
@@ -945,7 +923,7 @@ class Scalar:
             return self.mag, self.log
         series = self._series
         c0 = series.coeffs[0]
-        if not c0.is_const() or c0.is_zero():
+        if not c0.is_const() or not c0:
             raise NotInvertible("series unit must have invertible h^0 term")
         mag = c0.terms[0][1]
         if not any(series.coeffs[1:]):
@@ -963,11 +941,6 @@ class Scalar:
                 m = cmul(m, I_POWERS[k])
             inv = self._inverse = _log_form(self.order, unit, m, None if log is None else -log)
         return inv
-
-    def __str__(self) -> str:
-        from .textfmt import scalar_str
-
-        return scalar_str(self)
 
 
 def exp_hpi2(order: int, value: GRat) -> Scalar:

@@ -148,16 +148,16 @@ def _integrate_block(element: ExtClass, block) -> ExtClass:
     """Coefficient of the full ordered block; keeps the complement.
 
     Reordering a monomial into (block)(rest) takes one transposition per
-    pair j < k with j in the rest and k in the block, so the sign is -1
-    to the number of such pairs."""
+    pair j < k with j in the rest and k in the block.  For the two blocks
+    ``fm_transform`` integrates that count is even, so no sign enters:
+    no index precedes the e-block, and every index of the rest precedes
+    each of the 2g indices of the f-block, 2g * len(rest) pairs."""
     bset = set(block)
     acc: dict = {}
     for m, c in element.terms:
         rest = tuple(k for k in m if k not in bset)
         if len(m) - len(rest) != len(block):
             continue
-        if sum(j < k for k in block for j in rest) % 2:
-            c = -c
         s = acc.get(rest)
         acc[rest] = c if s is None else s + c
     return ExtClass.of(element.ngen, acc)
@@ -214,7 +214,7 @@ def fm_hh2(poisson, torus: TorusData) -> tuple:
 
     # real coordinates: t_k(v) = Im<xi^(k), v>; for the standard complex
     # basis u_i this is Im(xi^(k)_i)
-    treal = [[GRat(e.im, Q(0)) for e in xi] for xi in basis.vectors]
+    treal = [[GRat(e.im, Q(0)) for e in xi] for xi in basis]
     # Pi in real lattice coordinates, extended C-linearly: a complex
     # bivector transports as its real and imaginary parts do
     preal = [[bilinear(poisson, ta, tb) for tb in treal] for ta in treal]
@@ -247,7 +247,7 @@ def fm_hh2(poisson, torus: TorusData) -> tuple:
 
     proj = []
     for k in range(two_g):
-        xi = basis.vectors[k]
+        xi = basis[k]
         r1 = rvec(xi)
         r2 = rvec(tuple(GRat(-a.im, a.re) for a in xi))  # i * xi
         proj.append([GRat(Q(r1[j], 2), Q(r2[j], 2)) for j in range(two_g)])

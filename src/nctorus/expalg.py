@@ -245,7 +245,7 @@ class LinForm:
     def is_zero(self) -> bool:
         return (
             not self.const_pi
-            and (self.const_hbar is None or self.const_hbar.is_zero())
+            and not self.const_hbar
             and all(not a for s in self.coeffs for a in s)
         )
 
@@ -398,7 +398,7 @@ def _merged(spec: SlotSpec, pairs) -> ExpSum:
 def _normalize(coeff: Scalar, form: LinForm):
     """Fold h-divisible and imaginary-pi constants into the coefficient."""
     ch = form.const_hbar
-    if ch is not None and not ch.is_zero():
+    if ch:
         coeff = coeff * Scalar.exp(ch)
     cp = form.const_pi
     if cp.m:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import coordinate_window
-from .coeff import CIRCLE_ONE, CoeffError, HbarSeries, PiPoly, Scalar, combine, exp_hpi2, series_exp
+from .coeff import CIRCLE_ONE, CoeffError, HbarSeries, PiPoly, Scalar, exp_hpi2, series_exp
 from .torus import BForm
 
 __all__ = [
@@ -116,7 +116,7 @@ def rho_act(a: GammaElement, f: FiberFunction, B: BForm, order: int) -> FiberFun
         src = tuple(o - x for o, x in zip(offset, a.xi))
         if src not in vals:
             continue  # the window shrinks by the shift
-        w = B.basis.point(f.base, offset)
+        w = B.point(f.base, offset)
         out[offset] = zinv * ctilde(w, a.xi, B, order) * vals[src]
     if vals and not out:
         raise CoeffError("fiber window too small for this shift")
@@ -161,7 +161,7 @@ def ctilde_extends(B: BForm, order: int, case) -> bool:
     c(xi1, xi2), and ctilde(w, .) is additive, ctilde(w, xi1 + xi2) =
     ctilde(w, xi1) ctilde(w, xi2)."""
     x1, x2, w = case
-    if ctilde(combine(x1, B.basis.vectors), x2, B, order) != heisenberg_cocycle(B, x1, x2, order):
+    if ctilde(B.xi(x1), x2, B, order) != heisenberg_cocycle(B, x1, x2, order):
         return False
     return ctilde(w, _add(x1, x2), B, order) == ctilde(w, x1, B, order) * ctilde(w, x2, B, order)
 

@@ -318,7 +318,10 @@ def l_series(lseries, lam, order: int):
 def _ah_factor(ns: NSData, chi: Semicharacter, lseries, torus: TorusData) -> Factor:
     """lam -> chi(lam) E(pi H(v,lam) + (pi/2) H(lam,lam) + sum_j h^j pi <l_j,lam>),
     over the torus's ``lattice_slotspec``; with ``lseries`` empty, the
-    classical Appell-Humbert factor."""
+    classical Appell-Humbert factor.  A non-Hermitian H is refused here,
+    as ``validate_ns`` refuses it, not at the first evaluation."""
+    if not ns.is_hermitian():
+        raise CoeffError("matrix is not Hermitian")
     spec = lattice_slotspec(torus)
 
     def fn(coords):
@@ -363,7 +366,7 @@ def obstruction0(ns: NSData, torus: TorusData):
 
 def is_quantizable(ns: NSData, torus: TorusData) -> bool:
     """ob_0 vanishes identically on generator pairs."""
-    return all(p.is_zero() for row in obstruction0(ns, torus) for p in row)
+    return not any(p for row in obstruction0(ns, torus) for p in row)
 
 
 def extension_obstruction(factor: Factor, n: int):
@@ -413,7 +416,7 @@ def extension_obstruction(factor: Factor, n: int):
                     + table[(a, bc)]
                     - table[(a, b)]
                 )
-                if not delta.is_zero():
+                if delta:
                     raise CoeffError("obstruction table is not a 2-cocycle")
     return table
 
@@ -486,7 +489,7 @@ def reduce_to_qah(factor: Factor, torus: TorusData):
         logs = dec.log
         for k in range(1, spec.order):
             poly = logs.coeffs[k]
-            if poly.is_zero():
+            if not poly:
                 val = GRAT_ZERO
             else:
                 if [d for d, _ in poly.terms] != [1]:

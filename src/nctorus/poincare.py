@@ -92,8 +92,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoincareContext:
-    """The torus, its B-field ``bfield(torus)`` (whose ``basis`` is the
-    dual lattice basis), and the slot specs and pullbacks of the kernel."""
+    """The torus, its B-field ``bfield(torus)`` (which holds the dual
+    lattice basis and the memos of xi(x), the fiber points and ctilde),
+    and the slot specs and pullbacks of the kernel."""
 
     torus: TorusData
     B: BForm
@@ -146,8 +147,9 @@ class PoincareGroup:
     tuples and z a central invertible scalar.
 
     Memoized per group, each by the ``functools.cache`` that computes it:
-    lam(m) and xi(x), so a window builds each once for the factor, its
-    translations and the sub-checks alike; the Heisenberg cocycle
+    lam(m), so a window builds each once for the factor, its translations
+    and the sub-checks alike (xi(x) is the B-field's memo ``BForm.xi``,
+    which they read the same way); the Heisenberg cocycle
     c(x1, x2), since a window re-uses few (x1, x2); the central part
     z1 z2 c(x1, x2) of ``compose`` per (z1, z2, x1, x2), so a window's
     products are one scalar per distinct central argument (324 for the
@@ -161,11 +163,10 @@ class PoincareGroup:
         self.ctx = ctx
         spec = ctx.spec2
         self.lam = cache(lambda m: combine(m, ctx.torus.lattice))
-        self.xi = cache(lambda x: combine(x, ctx.B.basis.vectors))
         self.cocycle = cache(partial(heisenberg_cocycle, ctx.B, order=ctx.torus.order))
         self.central = cache(lambda z1, z2, x1, x2: z1 * z2 * self.cocycle(x1, x2))
         lam_moves = cache(lambda m: translation(spec, {"v": self.lam(m)}).moves)
-        xi_moves = cache(lambda x: translation(spec, {"l": self.xi(x)}).moves)
+        xi_moves = cache(lambda x: translation(spec, {"l": ctx.B.xi(x)}).moves)
         self.translation = cache(lambda m, x: Translation(spec, lam_moves(m) + xi_moves(x)))
 
     @property
@@ -197,13 +198,13 @@ class PoincareGroup:
 def poincare_factor(ctx: PoincareContext) -> Factor:
     """phi(lam, (xi, z)) = z E(pi(<l + xi, lam> + conj<xi, v>)), evaluated
     afresh each time: a loop over a window asks for ``.cached()``.  lam
-    and xi are the group's."""
+    is the group's memo and xi the B-field's."""
     g = ctx.torus.g
     grp = PoincareGroup(ctx)
 
     def fn(e):
         m, x, z = e
-        lam, xi = grp.lam(m), grp.xi(x)
+        lam, xi = grp.lam(m), ctx.B.xi(x)
         vcoef = tuple(a.conj() for a in xi)
         lcoef = tuple(l.conj() for l in lam) + tuple([GRAT_ZERO] * g)
         return ExpSum.exponential(ctx.spec2, LinForm((vcoef, lcoef), pairing(xi, lam), None), z)
@@ -252,12 +253,12 @@ def verify_poincare_cocycle(ctx: PoincareContext, radius: int = 1) -> dict:
     def showme(p):
         # {f_xi2, f_xi1} = pi^2 B(xi2, xi1), with the pairing the star product uses
         x1, x2 = p
-        return poisson_pairing(ctx.spec2, f[x2], f[x1]) == ctx.B.value(grp.xi(x2), grp.xi(x1))
+        return poisson_pairing(ctx.spec2, f[x2], f[x1]) == ctx.B.value(ctx.B.xi(x2), ctx.B.xi(x1))
 
     def split_agrees(p):
         # the unsimplified first line: split constants agree on lattice pairs
         m, x = p
-        q = pairing(grp.xi(x), grp.lam(m))
+        q = pairing(ctx.B.xi(x), grp.lam(m))
         if q.im.denominator != 1:
             return False
         zero = ctx.spec2.zero_form().coeffs
@@ -304,8 +305,8 @@ def translation_coboundary(ctx: PoincareContext, w) -> ExpSum:
     coordinates.  Verified exactly on the window before returning, with
     the shift by w prepared once.  The kernel is not ``.cached()``: a
     memo would save one evaluation per window element, cheap with the
-    group's lam and xi, and hold the whole window (13,122 values at
-    g = 2)."""
+    group's lam and the B-field's xi, and hold the whole window (13,122
+    values at g = 2)."""
     g = ctx.torus.g
     factor = poincare_factor(ctx)
     lcoef = tuple([GRAT_ZERO] * g) + tuple(w)
@@ -390,7 +391,7 @@ def restrict_to_section(ctx: PoincareContext, s, lseries=(), radius: int = 1):
     def fiber(offset):
         """(w, the translation to w, iota_w, its star inverse) at the
         fiber point w of the offset."""
-        w = ctx.B.basis.point(s, offset)
+        w = ctx.B.point(s, offset)
         vcoef = tuple(-a.conj() for a in w)
         iota = ExpSum.exponential(vspec, LinForm((vcoef,), GRAT_ZERO, None))
         return w, translation(ctx.spec2, {"l": w}), iota, star_inverse(iota)

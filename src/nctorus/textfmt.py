@@ -1,5 +1,10 @@
 """Canonical text renderings and the matching parser.
 
+This module owns the text of every scalar and exponential sum:
+``scalar_str`` and ``expsum_str`` are their only renderers (a polynomial
+in pi renders as the scalar it is at h^0); ``coeff`` renders only a
+Gaussian rational.
+
 Scalars render as term lists ``(a/b+c/d i)*pi^k*h^j`` joined by ``+``/``-``
 with an optional leading circle-constant factor ``u(q)`` (meaning
 exp(pi*i*q)).  Exponential sums render as

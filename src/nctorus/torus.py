@@ -8,14 +8,18 @@ conjugate-linear functionals xi, stored by the coefficient vectors of
 
 (linear in xi, conjugate-linear in v).  Duality is integrality of
 Im<xi, lambda>; the dual basis is normalized so Im<xi^(k), lambda_j> is
-the identity matrix.
+the identity matrix.  ``dual_lattice(torus)`` owns that basis: the 2g
+vectors, solved once per torus and memoized.
 
 The B-field transports a constant Poisson bivector Pi to the dual side:
 
     B(xi1, xi2) = Pi contracted with conj(xi1) wedge conj(xi2)
                 = sum_ij Pi[i][j] conj(xi1_i) conj(xi2_j),
 
-an alternating biadditive form, zero when g = 1 or Pi = 0.
+an alternating biadditive form, zero when g = 1 or Pi = 0.  ``BForm``
+holds it with the dual basis and owns what is read off that basis: the
+dual points xi(x) = sum_k x_k xi^(k), the fiber points of F_s = s +
+dual lattice, and the Heisenberg extension ctilde.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .linalg import grat_rank, rat_det, rat_inverse
 
 __all__ = [
     "TorusData",
-    "DualLatticeBasis",
     "BForm",
     "TorusError",
     "validate_torus",
@@ -77,49 +80,46 @@ class TorusData:
 
 
 @dataclass(frozen=True)
-class DualLatticeBasis:
-    """2g coefficient vectors xi^(k); Im<xi^(k), lambda_j> = delta_kj.
-
-    Holds the memo of the fiber points w = s + sum_k n_k xi^(k) of F_s
-    that ``gerbe.rho_act`` and the section check read: ``point(base,
-    offset)`` is computed once per argument."""
-
-    vectors: tuple  # 2g tuples of g GRat
-    point: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", cache(self._point))
-
-    def _point(self, base, offset) -> tuple:
-        """base + sum_k offset_k xi^(k)."""
-        return tuple(a + b for a, b in zip(base, combine(offset, self.vectors)))
-
-
-@dataclass(frozen=True)
 class BForm:
     """The transported bivector as a bilinear form on dual coefficient
-    vectors, with its matrix on the dual lattice basis precomputed, and
-    the memo of the Heisenberg extension ctilde that ``gerbe.ctilde``
-    reads: ``ctilde(w, xi, order)`` is computed once per argument."""
+    vectors, with its matrix on the dual lattice basis precomputed.
+
+    Owns the memos read off the basis, each computed once per argument:
+    ``xi(x)``, the dual point sum_k x_k xi^(k) of integer coordinates x,
+    read by the Poincare factor and ``gerbe.ctilde_extends``;
+    ``point(base, offset)``, the point w =
+    base + xi(offset) of the fiber F_base, read by ``gerbe.rho_act`` and
+    the section check; and ``ctilde(w, xi, order)``, the Heisenberg
+    extension that ``gerbe.ctilde`` reads."""
 
     poisson: tuple
-    basis: DualLatticeBasis
+    basis: tuple  # the 2g vectors xi^(k) of ``dual_lattice``
     matrix: tuple  # 2g x 2g GRat values B(xi^(k), xi^(m))
     # the nonzero entries: their (k, m) and, for ``combine``, their 1-vectors
     support: tuple = field(init=False, repr=False, compare=False)
     entries: tuple = field(init=False, repr=False, compare=False)
+    xi: object = field(init=False, repr=False, compare=False)
+    point: object = field(init=False, repr=False, compare=False)
     ctilde: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = [((k, m), (x,)) for k, row in enumerate(self.matrix) for m, x in enumerate(row) if x]
         object.__setattr__(self, "support", tuple(km for km, _ in cells))
         object.__setattr__(self, "entries", tuple(x for _, x in cells))
+        object.__setattr__(self, "xi", cache(self._xi))
+        object.__setattr__(self, "point", cache(self._point))
         object.__setattr__(self, "ctilde", cache(self._ctilde))
+
+    def _xi(self, x) -> tuple:
+        return combine(x, self.basis)
+
+    def _point(self, base, offset) -> tuple:
+        return tuple(a + b for a, b in zip(base, self.xi(offset)))
 
     def _ctilde(self, w, xi, order: int):
         """exp(h pi^2 B(xi, w)) for a point w of the dual space and integer
         coordinates xi over the dual basis."""
-        return exp_hpi2(order, self.value(combine(xi, self.basis.vectors), w))
+        return exp_hpi2(order, self.value(self.xi(xi), w))
 
     def value(self, xi1, xi2) -> GRat:
         """B on arbitrary coefficient vectors (the Q-bilinear extension)."""
@@ -156,32 +156,25 @@ def pairing(xi, v) -> GRat:
     return acc
 
 
-def im_pairing(xi, v):
-    """Im<xi, v> as a rational."""
-    return pairing(xi, v).im
+@cache
+def dual_lattice(data: TorusData) -> tuple:
+    """Exact basis of {xi : Im<xi, lambda_j> in Z}, integrally dual: the
+    2g vectors xi^(k) with Im<xi^(k), lambda_j> = delta_kj.
 
-
-def dual_lattice(data: TorusData) -> DualLatticeBasis:
-    """Exact basis of {xi : Im<xi, lambda_j> in Z}, integrally dual.
-
-    Solves the real 2g x 2g pairing system over Q and verifies the
-    defining congruences afterwards.
+    One elimination inverts the real 2g x 2g pairing system over Q; the
+    defining congruences are verified afterwards.  Memoized: a pure
+    function of frozen data, so every ``bfield`` of one torus, and
+    ``fm_hh2``, read one basis.
     """
-    rows = data.pairing_rows()
-    if rat_det(rows) == 0:
-        raise TorusError("degenerate lattice")
-    inv = rat_inverse(rows)
+    try:
+        inv = rat_inverse(data.pairing_rows())
+    except ZeroDivisionError:
+        raise TorusError("degenerate lattice") from None
     g = data.g
-    vectors = []
-    for k in range(2 * g):
-        col = [inv[r][k] for r in range(2 * g)]
-        vec = tuple(GRat(col[i], col[g + i]) for i in range(g))
-        vectors.append(vec)
-    basis = DualLatticeBasis(tuple(vectors))
-    for k, xi in enumerate(basis.vectors):
+    basis = tuple(tuple(GRat(inv[i][k], inv[g + i][k]) for i in range(g)) for k in range(2 * g))
+    for k, xi in enumerate(basis):
         for j, lam in enumerate(data.lattice):
-            expected = 1 if j == k else 0
-            if im_pairing(xi, lam) != expected:
+            if pairing(xi, lam).im != (1 if j == k else 0):
                 raise TorusError("dual basis verification failed")
     return basis
 
@@ -190,10 +183,11 @@ def bfield(data: TorusData) -> BForm:
     """B on the torus's dual lattice basis: the ``BForm`` of the Poisson
     bivector, the basis ``dual_lattice(data)`` and the matrix
     B(xi^(k), xi^(m)), contracted by ``bilinear`` on the conjugated basis
-    vectors.  Built afresh on each call, so each caller's ``BForm`` holds
-    its own ctilde and fiber-point memos."""
+    vectors.  Built afresh on each call around the one memoized basis, so
+    each caller's ``BForm`` holds its own xi, fiber-point and ctilde
+    memos."""
     basis = dual_lattice(data)
-    conj = [[a.conj() for a in xi] for xi in basis.vectors]
+    conj = [[a.conj() for a in xi] for xi in basis]
     matrix = tuple(tuple(bilinear(data.poisson, x, y) for y in conj) for x in conj)
     return BForm(data.poisson, basis, matrix)
 

@@ -56,6 +56,15 @@ def test_parse_e1xe2_fixture():
     assert cfg.torus.g == 2
 
 
+def test_obstruction_witness_renders_as_a_scalar():
+    # the witness is textfmt's rendering of the h^0 scalar of ob_0's entry
+    with open(fixture_path("e1xe2.json")) as fh:
+        cfg = parse_config(fh.read())
+    cfg.checks = ["quantizable"]
+    records = {rec["name"]: rec for rec in run(cfg)["results"]}
+    assert records["quantizable:H_LM"]["witness"] == {"pair": [0, 2], "value": "-1*pi^2"}
+
+
 def test_run_empty_suites():
     cfg = parse_config(MINIMAL)
     cfg.checks = []

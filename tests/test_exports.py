@@ -153,6 +153,12 @@ def test_checks_is_a_leaf_and_picard_does_not_import_gerbe():
     assert "checks" in picard and "gerbe" not in picard
 
 
+def test_coeff_is_a_leaf():
+    # the scalar tower renders nothing: text is textfmt's, which reads coeff
+    package = Path(__file__).resolve().parent.parent / "src" / "nctorus"
+    assert _package_imports(package / "coeff.py") == set()
+
+
 def _private_imports(path: Path) -> list:
     """(module, name) of every ``_``-prefixed name a module imports from
     another ``nctorus`` module."""

@@ -119,7 +119,7 @@ def test_ctilde_examples():
     for _ in range(30):
         x1 = tuple(rng.randint(-1, 1) for _ in range(RANK))
         x2 = tuple(rng.randint(-1, 1) for _ in range(RANK))
-        w = combine(x1, B.basis.vectors)
+        w = combine(x1, B.basis)
         assert ctilde(w, x2, B, N) == heisenberg_cocycle(B, x1, x2, N)
     # additivity in the lattice argument
     w = tuple(random_grat(rng) for _ in range(2))

@@ -160,8 +160,8 @@ def test_obstruction0_values():
     # generators ordered (e1, i e1, e2, i e2); the (e1, e2) pair sits at (0, 2)
     assert ob[0][2] == PiPoly.pi_power(2, G(-1))
     assert ob[2][0] == PiPoly.pi_power(2, G(1))
-    assert all(p.is_zero() for row in obstruction0(H_M, T2) for p in row)
-    assert all(p.is_zero() for row in obstruction0(NSData(((G(0), G(0)), (G(0), G(0)))), T2) for p in row)
+    assert not any(p for row in obstruction0(H_M, T2) for p in row)
+    assert not any(p for row in obstruction0(NSData(((G(0), G(0)), (G(0), G(0)))), T2) for p in row)
 
 
 def test_is_quantizable_examples():
@@ -216,7 +216,7 @@ def test_extension_obstruction_matches_ob0_and_vanishes_for_qah():
     q = qah_factor(data, T2).cached()
     for n in range(0, T2.order - 1):
         t = extension_obstruction(q, n)
-        assert all(p.is_zero() for p in t.values())
+        assert not any(t.values())
 
 
 def test_extension_obstruction_coboundary_difference():
@@ -232,7 +232,7 @@ def test_extension_obstruction_coboundary_difference():
     )
     twisted = coboundary_twist(base, u).cached()
     t = extension_obstruction(twisted, 0)
-    assert all(p.is_zero() for p in t.values())
+    assert not any(t.values())
 
 
 def test_reduce_to_qah_fixed_point_and_witness():
@@ -432,6 +432,9 @@ REFUSALS = [
         lambda: extension_obstruction(_factor(T1, _flat, lambda e: _exp_h_pi(e[0]), _Magma), 0),
         "obstruction table is not a 2-cocycle",
     ),
+    # a non-Hermitian H is refused when the factor is built, not at its first value
+    ("ah-not-hermitian", lambda: _ah_factor(NSData(((G(0, 1),),)), CHI1_1, (), T1), "matrix is not Hermitian"),
+    ("qah-not-hermitian", lambda: qah_factor(QAHData(NSData(((G(0, 1),),)), CHI1_1, ()), T1), "matrix is not Hermitian"),
 ]
 
 

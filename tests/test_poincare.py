@@ -41,7 +41,7 @@ def test_factor_identity_and_pure_gamma():
     # (0, (xi, z)): z * exp(pi conj<xi, v>), no l-dependence
     e = ((0, 0), (1, 0), Z1H4)
     t = f.value(e).single_term()
-    xi = combine((1, 0), CTX1.B.basis.vectors)
+    xi = combine((1, 0), CTX1.B.basis)
     assert t.form.coeffs[0] == tuple(a.conj() for a in xi)
     assert all(not c for c in t.form.coeffs[1])
     assert not t.form.const_pi
@@ -191,8 +191,8 @@ def test_g1_cocycle_window_makes_no_series_product(monkeypatch):
 
 
 def test_g1_cocycle_window_combines_per_element_not_per_pair(monkeypatch):
-    # lam(m) and xi(x) are the group's memos, read by the factor's
-    # evaluations and by the translations of the action alike: one combine
+    # lam(m) is the group's memo and xi(x) the B-field's, read by the
+    # factor's evaluations and by the translations of the action alike: one combine
     # per distinct m and per distinct x of the composed elements (25 of
     # each), not one per evaluation or per pair
     from nctorus.picard import cocycle_holds

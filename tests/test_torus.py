@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,11 +67,11 @@ def test_pairing_conjugate_linearity():
 def test_dual_lattice_gaussian():
     basis = dual_lattice(GAUSS1)
     # integrally dual: Im<xi_k, lam_j> = delta
-    for k, xi in enumerate(basis.vectors):
+    for k, xi in enumerate(basis):
         for j, lam in enumerate(GAUSS1.lattice):
             assert pairing(xi, lam).im == (1 if j == k else 0)
     # the dual of the Gaussian lattice has the same Z-span {1, i}
-    span = {(v[0].re, v[0].im) for v in basis.vectors}
+    span = {(v[0].re, v[0].im) for v in basis}
     assert span <= {(Q(0), Q(1)), (Q(-1), Q(0)), (Q(1), Q(0)), (Q(0), Q(-1))}
 
 
@@ -79,8 +81,8 @@ def test_dual_lattice_scaling():
     )
     b1 = dual_lattice(GAUSS1)
     b2 = dual_lattice(scaled)
-    assert b2.vectors == tuple(
-        tuple(e.scale(Q(1, 2)) for e in v) for v in b1.vectors
+    assert b2 == tuple(
+        tuple(e.scale(Q(1, 2)) for e in v) for v in b1
     )
 
 
@@ -89,26 +91,26 @@ def test_dual_lattice_blockwise():
     b2 = dual_lattice(GAUSS2)
     # product lattice: the dual is the product of the g=1 answers blockwise
     for k in range(2):
-        assert b2.vectors[k][0] == b1.vectors[k][0]
-        assert b2.vectors[k][1] == G(0)
-        assert b2.vectors[2 + k][1] == b1.vectors[k][0]
-        assert b2.vectors[2 + k][0] == G(0)
+        assert b2[k][0] == b1[k][0]
+        assert b2[k][1] == G(0)
+        assert b2[2 + k][1] == b1[k][0]
+        assert b2[2 + k][0] == G(0)
 
 
 def test_double_dual_preserves_span():
     # dual of the dual (through Im<.,.>) returns the original Z-span
     basis = dual_lattice(GAUSS2)
-    ddual = TorusData(2, basis.vectors, GAUSS2.poisson, 4)
+    ddual = TorusData(2, basis, GAUSS2.poisson, 4)
     back = dual_lattice(ddual)
     # every lattice generator solves integrally over the double-dual basis
     flat = [
-        [v[i].re for v in back.vectors] + [v[i].im for v in back.vectors]
+        [v[i].re for v in back] + [v[i].im for v in back]
         for i in range(2)
     ]
     m = []
     for i in range(2):
-        m.append([v[i].re for v in back.vectors])
-        m.append([v[i].im for v in back.vectors])
+        m.append([v[i].re for v in back])
+        m.append([v[i].im for v in back])
     mat = [[m[r][c] for c in range(4)] for r in range(4)]
     for lam in GAUSS2.lattice:
         rhs = [[lam[0].re], [lam[0].im], [lam[1].re], [lam[1].im]]
@@ -130,6 +132,33 @@ def test_bfield_examples():
     c1, c2, c3 = (1, 0, -1, 2), (0, 1, 1, 0), (2, -1, 0, 1)
     lhs = B.on_coords(tuple(a + b for a, b in zip(c1, c2)), c3)
     assert lhs == B.on_coords(c1, c3) + B.on_coords(c2, c3)
+
+
+def test_every_bfield_of_a_torus_shares_one_basis():
+    # each call builds its own form and memos around the one memoized basis,
+    # which an equal torus built apart reads too
+    first, second = bfield(GAUSS2), bfield(gaussian_product_torus(2, PI2))
+    assert first is not second
+    assert first.basis is second.basis is dual_lattice(GAUSS2)
+
+
+def test_a_g1_run_solves_the_dual_lattice_once(monkeypatch):
+    # every bfield of the run and fm_hh2 read the one memoized basis
+    from nctorus import cli, torus
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures", "g1.json")) as fh:
+        cfg = cli.parse_config(fh.read())
+    calls = [0]
+    inverse = torus.rat_inverse
+
+    def counting(m):
+        calls[0] += 1
+        return inverse(m)
+
+    monkeypatch.setattr(torus, "rat_inverse", counting)
+    dual_lattice.cache_clear()
+    cli.run(cfg)
+    assert calls[0] == 1
 
 
 # a g = 2 lattice that is not a product of curves
