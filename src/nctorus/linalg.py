@@ -1,8 +1,9 @@
 """Small exact linear algebra over the rationals (and Gaussian rationals).
 
 One fraction-exact Gauss-Jordan elimination serves the lattice-duality
-and data-recovery solves in this package: determinant, rank, inverse, and
-a consistent-solve that reports inconsistency instead of least-squaring.
+and data-recovery solves in this package: determinant and inverse from
+one pass, rank, and a consistent-solve that reports inconsistency instead
+of least-squaring.
 Matrices are lists of lists of rationals (``coeff.Q`` values); Gaussian
 rational systems are solved in their doubled real form.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from .coeff import GRat, Q
 
-__all__ = ["rat_det", "rat_inverse", "rat_solve", "rat_rank", "grat_rank", "grat_solve"]
+__all__ = ["rat_det_inverse", "rat_solve", "rat_rank", "grat_rank", "grat_solve"]
 
 
 def _gauss_jordan(a, ncols):
@@ -41,11 +42,6 @@ def _gauss_jordan(a, ncols):
     return pivots, det
 
 
-def rat_det(m):
-    """Determinant of a square rational matrix."""
-    return _gauss_jordan([row[:] for row in m], len(m))[1]
-
-
 def rat_rank(m):
     return len(_gauss_jordan([row[:] for row in m], len(m[0]) if m else 0)[0])
 
@@ -67,13 +63,13 @@ def rat_solve(m, rhs):
     return x
 
 
-def rat_inverse(m):
-    """Inverse of a square rational matrix; raises on singular input."""
+def rat_det_inverse(m):
+    """(det, inverse) of a square rational matrix from one elimination of
+    m beside the identity; the inverse is None when det == 0."""
     n = len(m)
-    inv = rat_solve(m, [[Q(int(i == j)) for j in range(n)] for i in range(n)])
-    if inv is None:
-        raise ZeroDivisionError("singular matrix")
-    return inv
+    a = [row[:] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    det = _gauss_jordan(a, n)[1]
+    return det, ([row[n:] for row in a] if det else None)
 
 
 def _doubled(m):

@@ -29,15 +29,26 @@ integer addition and d/dx_g one subtraction of B^g.  A polynomial is a
 list of dicts, one per total degree, so a truncated product visits only
 the degree pairs that survive.
 
-The commutative leg is factored out of the per-monomial tail.  The
-h-levels of each Poisson-leg monomial, all over one denominator, are
-convolved once with the term pair's flattened coefficient
-(``_convolve``).  Each commutative monomial then multiplies that
-coefficient by its Gaussian integer and shifts every pi-degree by its
-total degree, which changes only the coefficient's lead and K0 below
-(``_tail``); ``taylor_expand`` runs the same tail on each term's
-coefficient.  Exponent tuples are decoded only when a monomial is written
-out.
+The commutative leg is factored out of the per-monomial tail, and the
+h-profile of the Poisson leg is canonicalized.  Each Poisson-leg
+monomial's h-levels, all over one denominator, have a lowest nonzero
+level v at h^kL; times conj(v), divided by the gcd of their integer
+parts, with h-degrees taken from kL, they are the monomial's primitive
+profile.  A term pair keeps a local dict from (kL, primitive profile) to
+the shape of its flattened coefficient B times that profile
+(``_convolve``, then ``_shape``), so each distinct profile is convolved
+and normalized once per pair.  The levels are a Gaussian-rational
+multiple of the profile, so the monomial's coefficient has that shape;
+its K0 is B's lowest key plus (kL, dp + 2 kL), at pi-degree dp of the
+monomial, and its entry there is B's lowest entry times v, since (k, p)
+lex is a monomial order and Z[i] has no zero divisors.  The key is the
+exact profile: a monomial whose levels are not proportional to another's
+gets its own convolution, so the oracle never assumes the proportionality
+of the closed form it checks.  Each commutative monomial then multiplies
+the coefficient by its Gaussian integer and shifts every pi-degree by its
+total degree, which changes only the lead and K0 (``_tail``);
+``taylor_expand`` runs the same tail on each term's coefficient.
+Exponent tuples are decoded only when a monomial is written out.
 
 Results are reported as a two-level mapping
 
@@ -57,8 +68,9 @@ numerator) = 1, so its first entry is ((0, 0), (sd, 0)).  The form is
 canonical: C determines K0, C[K0] and C / C[K0], and each Gaussian
 rational, or list of them, has one reduced form over the lcm of their
 denominators.  So two coefficients are equal exactly when their forms
-are.  The monomials of one ``_tail`` call share one shape object.  A zero
-coefficient has no entry.
+are.  The monomials of one term pair's profile, or of one term in
+``taylor_expand``, share one shape object.  A zero coefficient has no
+entry.
 """
 
 from __future__ import annotations
@@ -216,32 +228,38 @@ def _accumulate(bucket, mono, form):
         bucket[mono] = total
 
 
-def _convolve(bparts, levels, dp: int, order: int):
+def _convolve(bparts, profile, order: int):
     """Sorted nonzero (k, p, re, im) of the coefficient parts ``bparts``
-    times sum over k of levels[k] h^k pi^(dp + 2k), modulo h^order.
-    ``bparts`` runs in increasing h-degree (see ``_flatten``)."""
+    times the sum of re + im i times h^k pi^(2k) over the (k, re, im) of
+    ``profile``, modulo h^order.  ``bparts`` runs in increasing h-degree
+    (see ``_parts``)."""
     acc = {}
-    for k, (re, im) in levels.items():
+    for k, re, im in profile:
         for kb, pb, br, bi in bparts:
             if kb + k >= order:
                 break
-            gauss_mac(acc, (kb + k, pb + dp + 2 * k), br, bi, re, im)
+            gauss_mac(acc, (kb + k, pb + 2 * k), br, bi, re, im)
     return sorted((k, p, re, im) for (k, p), (re, im) in acc.items() if re or im)
 
 
-def _tail(result, const_key, unit, den, parts, items, base: int, n: int):
-    """Write unit * (c + e i) pi^d * parts over den into ``result`` for
-    each ``(code, d, (c, e))`` of ``items``.
+def _parts(series):
+    """(den, parts) of a series' coefficients (``_flatten``), zero entries
+    dropped and sorted, so parts[0] is the lowest key's entry."""
+    den, parts = _flatten(series.coeffs)
+    return den, sorted(p for p in parts if p[2] or p[3])
 
-    ``parts`` is sorted (k, p, re, im) with no zero entry.  A nonzero
-    Gaussian integer times pi^d scales every entry alike and shifts every
-    key by (0, d), so all the monomials share the one shape of parts,
-    normalized once here.  A monomial's own form is its lead, (c + e i)
-    times the lead entry over den with one gcd, and its K0 shifted by d."""
-    if not parts:
-        return
-    k0, p0, r0, i0 = parts[0]
-    shape = _shape(parts)
+
+def _tail(result, const_key, unit, den, first, shape, items, base: int, n: int):
+    """Write unit * (c + e i) pi^d * C over den into ``result`` for each
+    ``(code, d, (c, e))`` of ``items``, for the coefficient C with the
+    first entry ``first`` = (k0, p0, r0, i0), its lowest key and the
+    Gaussian integer there, and the canonical ``shape`` (``_shape``).
+
+    A nonzero Gaussian integer times pi^d scales every entry alike and
+    shifts every key by (0, d), so all the monomials share the one shape.
+    A monomial's own form is its lead, (c + e i) times r0 + i0 i over den
+    with one gcd, and K0 shifted by d."""
+    k0, p0, r0, i0 = first
     powers = [base**g for g in range(n)]
     bucket = result.setdefault(const_key, {})
     for code, d, (c, e) in items:
@@ -261,9 +279,14 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
     is through h^(order-1) and total degree ``degree``.  Returns
     {real pi-constant -> {monomial -> (unit, K0, lead, shape)}}, the
     projective forms of the module docstring.  Per term pair the
-    coefficient product is flattened once; per Poisson-leg monomial it is
-    convolved with the h-levels once and its shape normalized once; per
-    output monomial ``_tail`` computes the lead alone.
+    coefficient product is flattened once, and a dict local to the pair
+    maps each distinct (kL, primitive profile) of the Poisson-leg
+    monomials' h-levels to the shape of the coefficient times that
+    profile, convolved and normalized once.  Per Poisson-leg monomial the
+    oracle computes its profile and its first entry; per output monomial
+    ``_tail`` computes the lead alone.  The memo is dropped with its pair
+    and keyed by the exact profile, so two monomials share a shape because
+    their levels are proportional, never because the closed form says so.
     """
     spec = f.spec
     if g.spec != spec:
@@ -289,14 +312,17 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
         c1, cden1 = _exp_poly(flat1, cvars, base, degree)
         d1_cache = {0: p1}
         for t2 in g.terms:
+            coeff = t1.coeff * t2.coeff
+            bden, bparts = _parts(coeff.series)
+            if not bparts:
+                continue
+            kb0, pb0, br0, bi0 = bparts[0]
             flat2 = _flat(t2.form)
             p2, den2 = _exp_poly(flat2, pvars, base, in_degree)
             c2, cden2 = _exp_poly(flat2, cvars, base, degree)
             d2_cache = {0: p2}
             comm = _mul_trunc([((1, 0), c1, c2)], degree)
-            coeff = t1.coeff * t2.coeff
-            bden, bparts = _flatten(coeff.series.coeffs)
-            den = lp**top * factorial(top) * den1 * den2 * cden1 * cden2
+            den = bden * lp**top * factorial(top) * den1 * den2 * cden1 * cden2
             state = {(0, 0): (1, 0)}
             levels = {}  # Poisson-leg code -> (degree, {k -> (re, im)} over den)
             for k, s in enumerate(scales):
@@ -316,14 +342,25 @@ def taylor_star_oracle(f: ExpSum, g: ExpSum, degree: int):
                         gauss_mac(nxt, (alpha + i, beta + j), wa, wb, pa, pb)
                 state = {k2: v for k2, v in nxt.items() if v[0] or v[1]}
             const_key = t1.form.const_pi + t2.form.const_pi
+            shapes = {}  # (kL, primitive profile) -> shape of bparts times it
             for pm, (dp, by_k) in levels.items():
+                # levels are filled in increasing k: the first is the lowest
+                kl, (vr, vi) = next(iter(by_k.items()))
+                if kb0 + kl >= order:
+                    continue
+                profile = [(k - kl, re * vr + im * vi, im * vr - re * vi) for k, (re, im) in by_k.items()]
+                div = gcd(*[x for _, re, im in profile for x in (re, im)])
+                key = (kl, tuple([(k, re // div, im // div) for k, re, im in profile]))
+                shape = shapes.get(key)
+                if shape is None:
+                    shape = shapes[key] = _shape(_convolve(bparts, key[1], order - kl))
                 items = (
                     (pm + cm, dc, v)
                     for dc, layer in enumerate(comm[: degree + 1 - dp])
                     for cm, v in layer.items()
                 )
-                parts = _convolve(bparts, by_k, dp, order)
-                _tail(result, const_key, coeff.unit, bden * den, parts, items, base, n)
+                first = (kb0 + kl, pb0 + dp + 2 * kl, br0 * vr - bi0 * vi, br0 * vi + bi0 * vr)
+                _tail(result, const_key, coeff.unit, den, first, shape, items, base, n)
     return result
 
 
@@ -340,9 +377,10 @@ def taylor_expand(f: ExpSum, degree: int):
     base = degree + 1
     result = {}
     for t in f.terms:
+        cden, parts = _parts(t.coeff.series)
+        if not parts:
+            continue
         poly, den = _exp_poly(_flat(t.form), range(n), base, degree)
-        cden, cparts = _flatten(t.coeff.series.coeffs)
-        parts = sorted(p for p in cparts if p[2] or p[3])
         items = ((code, d, v) for d, layer in enumerate(poly) for code, v in layer.items())
-        _tail(result, t.form.const_pi, t.coeff.unit, den * cden, parts, items, base, n)
+        _tail(result, t.form.const_pi, t.coeff.unit, den * cden, parts[0], _shape(parts), items, base, n)
     return result

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .coeff import GRAT_ZERO, CoeffError, GRat, bilinear, combine, exp_hpi2
-from .linalg import grat_rank, rat_det, rat_inverse
+from .linalg import grat_rank, rat_det_inverse
 
 __all__ = [
     "TorusData",
@@ -136,9 +136,17 @@ class BForm:
         return combine([c1[k] * c2[m] for k, m in self.support], self.entries)[0]
 
 
+@cache
+def _pairing_solve(data: TorusData) -> tuple:
+    """(det, inverse) of the real 2g x 2g pairing system, the inverse None
+    when det == 0: the torus's one elimination, read by ``validate_torus``
+    and ``dual_lattice``."""
+    return rat_det_inverse(data.pairing_rows())
+
+
 def validate_torus(data: TorusData) -> dict:
     """Rank-2g real independence check plus the rank of Pi."""
-    det = rat_det(data.pairing_rows())
+    det = _pairing_solve(data)[0]
     if det == 0:
         raise TorusError("lattice vectors are linearly dependent over R")
     return {
@@ -161,15 +169,15 @@ def dual_lattice(data: TorusData) -> tuple:
     """Exact basis of {xi : Im<xi, lambda_j> in Z}, integrally dual: the
     2g vectors xi^(k) with Im<xi^(k), lambda_j> = delta_kj.
 
-    One elimination inverts the real 2g x 2g pairing system over Q; the
-    defining congruences are verified afterwards.  Memoized: a pure
-    function of frozen data, so every ``bfield`` of one torus, and
-    ``fm_hh2``, read one basis.
+    The inverse of the real 2g x 2g pairing system over Q is the one
+    elimination that ``validate_torus`` reads too; the defining
+    congruences are verified afterwards.  Memoized: a pure function of
+    frozen data, so every ``bfield`` of one torus, and ``fm_hh2``, read
+    one basis.
     """
-    try:
-        inv = rat_inverse(data.pairing_rows())
-    except ZeroDivisionError:
-        raise TorusError("degenerate lattice") from None
+    inv = _pairing_solve(data)[1]
+    if inv is None:
+        raise TorusError("degenerate lattice")
     g = data.g
     basis = tuple(tuple(GRat(inv[i][k], inv[g + i][k]) for i in range(g)) for k in range(2 * g))
     for k, xi in enumerate(basis):

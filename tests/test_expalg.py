@@ -576,46 +576,123 @@ def _shape_ids(result):
     return {id(form[3]) for bucket in result.values() for form in bucket.values()}
 
 
-def test_kernel_pair_convolves_once_per_poisson_leg_monomial(monkeypatch):
-    # a two-slot pair at N = 6, degree 6 has 924 monomials in six
-    # variables, 28 of them on the Poisson leg (v1, v2); the commutative
-    # leg only scales each Poisson-leg monomial's convolved coefficient
-    spec = SlotSpec((Slot("v", 2, poisson=P2), Slot("l", 2, conjugate_pair=True)), 6)
-    series = HbarSeries.of(6, {k: PiPoly.pi_power(k % 3, GRat.of(Q(k + 1, 2), 1)) for k in range(6)})
-    coeff = Scalar.of(CircleConst.of(Q(3, 8)), series)
+KERNEL = SlotSpec((Slot("v", 2, poisson=P2), Slot("l", 2, conjugate_pair=True)), 6)
 
-    def term(v, l, c=None):
-        lin = LinForm((tuple(map(GRat.of, v)), tuple(map(GRat.of, l))), GRAT_ZERO, None)
-        return ExpSum.exponential(spec, lin, c)
 
+def _kernel_term(v, l, c=None):
+    lin = LinForm((tuple(map(GRat.of, v)), tuple(map(GRat.of, l))), GRAT_ZERO, None)
+    return ExpSum.exponential(KERNEL, lin, c)
+
+
+def _kernel_series(shift, k_from=0):
+    """A dense h-series at N = 6 from h^k_from on, its pi-degrees cycling."""
+    levels = {k: PiPoly.pi_power((k + shift) % 3, GRat.of(Q(k + 1, 2), 1 - shift)) for k in range(k_from, 6)}
+    return HbarSeries.of(6, levels)
+
+
+def _kernel_pair():
+    """A two-slot pair at N = 6 whose 924 monomials of degree <= 6 in six
+    variables are all nonzero, 28 of them on the Poisson leg (v1, v2)."""
+    coeff = Scalar.of(CircleConst.of(Q(3, 8)), _kernel_series(0))
     # every variable's summed coefficient is nonzero: no monomial vanishes
-    f = term((1, Q(1, 2)), (2, 1, -1, Q(3, 2)), coeff)
-    g = term((Q(-1, 2), 2), (1, 1, 2, 1))
-    calls = [0]
-    convolve = mo._convolve
+    return _kernel_term((1, Q(1, 2)), (2, 1, -1, Q(3, 2)), coeff), _kernel_term((Q(-1, 2), 2), (1, 1, 2, 1))
+
+
+def _counting(monkeypatch, name):
+    """Replace the oracle helper ``name`` by one that records its calls."""
+    calls = []
+    fn = getattr(mo, name)
 
     def counting(*args):
-        calls[0] += 1
-        return convolve(*args)
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(mo, "_convolve", counting)
+    monkeypatch.setattr(mo, name, counting)
+    return calls
+
+
+def test_kernel_pair_convolves_once_per_poisson_leg_monomial(monkeypatch):
+    # the h-levels of every Poisson-leg monomial of one term pair are
+    # proportional, so the pair's 28 Poisson-leg monomials have one
+    # primitive profile: one convolution, and one shape object shared by
+    # all 924 monomials, as in the expansion of the single-term product
+    f, g = _kernel_pair()
+    calls = _counting(monkeypatch, "_convolve")
     got = taylor_star_oracle(f, g, 6)
     assert sum(map(len, got.values())) == 924
-    assert calls[0] <= 28
-    # the monomials of one tail share its shape object; the expansion of
-    # the single-term product is one tail
-    assert len(_shape_ids(got)) <= 28
+    assert len(calls) == 1
+    assert len(_shape_ids(got)) == 1
     monkeypatch.undo()
     expanded = taylor_expand(f.star(g), 6)
     assert len(_shape_ids(expanded)) == 1
     assert expanded == got
     # l1's coefficients cancel: its zero entries of the commutative leg
     # are dropped, leaving the 462 monomials free of l1
-    h = term((Q(-1, 2), 2), (-2, 1, 2, 1))
+    h = _kernel_term((Q(-1, 2), 2), (-2, 1, 2, 1))
     got = taylor_star_oracle(f, h, 6)
     assert sum(map(len, got.values())) == 462
     assert all(mono[2] == 0 for bucket in got.values() for mono in bucket)
     assert taylor_expand(f.star(h), 6) == got
+
+
+def test_a_perturbed_h_profile_is_not_masked_by_the_shape_memo(monkeypatch):
+    # negative control: the h^1 level of the Poisson-leg monomial v1 v2 is
+    # off by one.  Its profile is no longer the pair's, so it gets its own
+    # convolution, and exactly the monomials over v1 v2 disagree with the
+    # star product: in their shape, which is that of their own levels,
+    # while K0 and the lead come from the untouched h^0 level
+    f, g = _kernel_pair()
+    base = 6 + KERNEL.order
+    pm = 1 + base  # the packed code of v1 v2
+    outputs = []
+    mul_trunc = mo._mul_trunc
+
+    def perturbed(terms, degree):
+        out = mul_trunc(terms, degree)
+        outputs.append(out)
+        # the oracle's calls: the commutative leg, then levels h^0, h^1, ...
+        if len(outputs) == 3:
+            re, im = out[2][pm]
+            out[2][pm] = (re + 1, im)
+        return out
+
+    monkeypatch.setattr(mo, "_mul_trunc", perturbed)
+    calls = _counting(monkeypatch, "_convolve")
+    got = taylor_star_oracle(f, g, 6)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    levels = [(k, *out[2][pm]) for k, out in enumerate(outputs[1:]) if pm in out[2]]
+    _, bparts = mo._parts((f.terms[0].coeff * g.terms[0].coeff).series)
+    own = mo._shape(mo._convolve(bparts, levels, 6))
+    (key, bucket), = got.items()
+    want = taylor_expand(f.star(g), 6)[key]
+    assert bucket.keys() == want.keys()
+    differ = {m for m in bucket if bucket[m] != want[m]}
+    assert differ == {m for m in want if m[:2] == (1, 1)} and len(differ) == 70
+    for m in differ:
+        assert bucket[m][:3] == want[m][:3]
+        assert bucket[m][3] == own != want[m][3]
+
+
+def test_oracle_memo_lives_with_its_term_pair(monkeypatch):
+    # two-term operands at N = 6, degree 6.  f's terms share their Poisson
+    # leg and differ in the l slot and the coefficient series, so the pairs
+    # (f1, g_j) and (f2, g_j) have the same h-profiles over different
+    # coefficients: a shape memo shared across pairs would hand one pair's
+    # shape to the other.  f2 and g2 start at h^3, so their product is zero
+    # mod h^6 and that pair convolves nothing
+    f1 = _kernel_term((1, Q(1, 2)), (2, 1, -1, Q(3, 2)), Scalar.of(CIRCLE_ONE, _kernel_series(0)))
+    f2 = _kernel_term((1, Q(1, 2)), (1, 0, 2, 1), Scalar.of(CIRCLE_ONE, _kernel_series(1, 3)))
+    g1 = _kernel_term((Q(-1, 2), 2), (1, 1, 2, 1), Scalar.of(CIRCLE_ONE, _kernel_series(2)))
+    g2 = _kernel_term((2, -1), (0, 1, 1, 0), Scalar.of(CIRCLE_ONE, _kernel_series(0, 3)))
+    f, g = f1 + f2, g1 + g2
+    products = [t1.coeff * t2.coeff for t1 in f.terms for t2 in g.terms]
+    assert sum(not c.is_zero() for c in products) == 3
+    calls = _counting(monkeypatch, "_convolve")
+    got = taylor_star_oracle(f, g, 6)
+    monkeypatch.undo()
+    assert got == taylor_expand(f.star(g), 6)
+    assert len(calls) == 3
 
 
 @settings(max_examples=100, deadline=None)

@@ -143,22 +143,26 @@ def test_every_bfield_of_a_torus_shares_one_basis():
 
 
 def test_a_g1_run_solves_the_dual_lattice_once(monkeypatch):
-    # every bfield of the run and fm_hh2 read the one memoized basis
-    from nctorus import cli, torus
+    # parse_config's validation, suite_torus, every bfield of the run and
+    # fm_hh2 read one elimination of the pairing system, which gives the
+    # determinant and the dual basis
+    from nctorus import cli, linalg, torus
 
     with open(os.path.join(os.path.dirname(__file__), "..", "src", "nctorus", "fixtures", "g1.json")) as fh:
-        cfg = cli.parse_config(fh.read())
-    calls = [0]
-    inverse = torus.rat_inverse
+        text = fh.read()
+    eliminated = []
+    gauss_jordan = linalg._gauss_jordan
 
-    def counting(m):
-        calls[0] += 1
-        return inverse(m)
+    def recording(a, ncols):
+        eliminated.append([row[:ncols] for row in a])
+        return gauss_jordan(a, ncols)
 
-    monkeypatch.setattr(torus, "rat_inverse", counting)
+    monkeypatch.setattr(linalg, "_gauss_jordan", recording)
+    torus._pairing_solve.cache_clear()
     dual_lattice.cache_clear()
+    cfg = cli.parse_config(text)
     cli.run(cfg)
-    assert calls[0] == 1
+    assert eliminated.count(cfg.torus.pairing_rows()) == 1
 
 
 # a g = 2 lattice that is not a product of curves
